@@ -54,13 +54,79 @@ rusanovX(double hl, double hul, double hvl, double hr, double hur,
     return f;
 }
 
-/** Minmod slope limiter. */
+/**
+ * Minmod slope limiter: the smaller-magnitude slope, or +0.0 when
+ * the slopes disagree in sign. Written as two selects so the
+ * reconstruction loops stay branch-free.
+ */
 double
 minmod(double a, double b)
 {
-    if (a * b <= 0.0)
-        return 0.0;
-    return std::abs(a) < std::abs(b) ? a : b;
+    double smaller = std::abs(a) < std::abs(b) ? a : b;
+    return a * b <= 0.0 ? 0.0 : smaller;
+}
+
+/**
+ * States (depth, normal momentum, tangential momentum) on one side
+ * of a run of interfaces, or the three Rusanov fluxes through them.
+ * "Normal" is the momentum across the interfaces being swept.
+ */
+struct Edges
+{
+    std::vector<double> h, n, t;
+
+    explicit Edges(size_t count) : h(count), n(count), t(count) {}
+};
+
+/**
+ * MUSCL reconstruction of one cell from its lower neighbour (hm,
+ * nm, tm), itself (h0, n0, t0) and its upper neighbour (hp, np,
+ * tp): the minus edge (facing the lower neighbour) goes to
+ * minus[mi], the plus edge to plus[pi]. Each slope is limited once
+ * and shared by both edges; reconstruction must not drive the
+ * depth negative.
+ */
+inline void
+reconstruct(Edges &minus, size_t mi, Edges &plus, size_t pi,
+            double hm, double h0, double hp, double nm, double n0,
+            double np, double tm, double t0, double tp)
+{
+    double sh = minmod(h0 - hm, hp - h0);
+    double sn = minmod(n0 - nm, np - n0);
+    double st = minmod(t0 - tm, tp - t0);
+    minus.h[mi] = std::max(h0 + -0.5 * sh, hFloor);
+    minus.n[mi] = n0 + -0.5 * sn;
+    minus.t[mi] = t0 + -0.5 * st;
+    plus.h[pi] = std::max(h0 + 0.5 * sh, hFloor);
+    plus.n[pi] = n0 + 0.5 * sn;
+    plus.t[pi] = t0 + 0.5 * st;
+}
+
+/**
+ * Wall ghost: to[j] mirrors the reconstructed interior edge from[i]
+ * with the normal momentum negated, making the wall mass flux
+ * exactly zero.
+ */
+inline void
+mirror(Edges &to, size_t j, const Edges &from, size_t i)
+{
+    to.h[j] = from.h[i];
+    to.n[j] = -from.n[i];
+    to.t[j] = from.t[i];
+}
+
+/** Rusanov fluxes through `count` interfaces into f. */
+void
+fluxes(const Edges &left, const Edges &right, size_t count,
+       Edges &f)
+{
+    for (size_t k = 0; k < count; ++k) {
+        Flux x = rusanovX(left.h[k], left.n[k], left.t[k],
+                          right.h[k], right.n[k], right.t[k]);
+        f.h[k] = x.fh;
+        f.n[k] = x.fhu;
+        f.t[k] = x.fhv;
+    }
 }
 
 } // anonymous namespace
@@ -252,117 +318,117 @@ Clamr::step(const SweState &src, SweState &dst) const
     // Interface fluxes are evaluated once per interface and
     // accumulated with opposite signs into both neighbouring
     // cells, so total mass is conserved to the rounding of the
-    // per-cell additions.
-    double lam = dt_; // dx = dy = 1
+    // per-cell additions. Every cell takes its four flux terms in
+    // one fixed order, which the results depend on bit for bit:
+    // X +f(c), X -f(c+1), Y +g(r), Y -g(r+1).
+    //
+    // Each cell is reconstructed once per sweep, and the Y sweep
+    // walks rows with rolling edge buffers, so scratch is O(n) and
+    // local to the call (step() runs concurrently on clones).
+    const double lam = dt_; // dx = dy = 1
+    const int64_t n = n_;
+    const auto cells = static_cast<size_t>(n) * n;
+    const auto un = static_cast<size_t>(n);
+    dst.h.resize(cells);
+    dst.hu.resize(cells);
+    dst.hv.resize(cells);
+    auto row = [n](auto &field, int64_t r) {
+        return field.data() + r * n;
+    };
 
-    // Cell access with one reflective ghost layer per side; `swap`
-    // mirrors the normal momentum for the direction being swept.
-    auto cell = [&](int64_t r, int64_t c, double &h, double &hn,
-                    double &ht, bool sweep_x) {
-        double sign = 1.0;
-        if (r < 0) { r = 0; if (!sweep_x) sign = -1.0; }
-        if (r >= n_) { r = n_ - 1; if (!sweep_x) sign = -1.0; }
-        if (c < 0) { c = 0; if (sweep_x) sign = -1.0; }
-        if (c >= n_) { c = n_ - 1; if (sweep_x) sign = -1.0; }
-        size_t i = r * n_ + c;
-        h = src.h[i];
-        if (sweep_x) {
-            hn = sign * src.hu[i];
-            ht = src.hv[i];
-        } else {
-            hn = sign * src.hv[i];
-            ht = src.hu[i];
+    // X sweep, row by row. Interface k lies between cells k-1 and
+    // k, k in [0, n]: its left state is the plus edge of cell k-1,
+    // its right state the minus edge of cell k. Normal momentum hu,
+    // tangential hv; the ghost beyond either wall mirrors the cell
+    // itself with hu negated.
+    Edges left(un + 1), right(un + 1), flux(un + 1);
+    for (int64_t r = 0; r < n; ++r) {
+        const double *h = row(src.h, r);
+        const double *hu = row(src.hu, r);
+        const double *hv = row(src.hv, r);
+        reconstruct(right, 0, left, 1, h[0], h[0], h[1], -hu[0],
+                    hu[0], hu[1], hv[0], hv[0], hv[1]);
+        for (int64_t c = 1; c < n - 1; ++c) {
+            reconstruct(right, c, left, c + 1, h[c - 1], h[c],
+                        h[c + 1], hu[c - 1], hu[c], hu[c + 1],
+                        hv[c - 1], hv[c], hv[c + 1]);
         }
-    };
+        reconstruct(right, un - 1, left, un, h[n - 2], h[n - 1],
+                    h[n - 1], hu[n - 2], hu[n - 1], -hu[n - 1],
+                    hv[n - 2], hv[n - 1], hv[n - 1]);
+        mirror(left, 0, right, 0);
+        mirror(right, un, left, un);
+        fluxes(left, right, un + 1, flux);
 
-    // Limited edge states of cell (r, c) toward +/- normal
-    // direction for the given sweep.
-    auto edges = [&](int64_t r, int64_t c, bool sweep_x, bool plus,
-                     double &h, double &hn, double &ht) {
-        double hm, hnm, htm, h0, hn0, ht0, hp, hnp, htp;
-        int64_t rm = sweep_x ? r : r - 1;
-        int64_t cm = sweep_x ? c - 1 : c;
-        int64_t rp = sweep_x ? r : r + 1;
-        int64_t cp = sweep_x ? c + 1 : c;
-        cell(rm, cm, hm, hnm, htm, sweep_x);
-        cell(r, c, h0, hn0, ht0, sweep_x);
-        cell(rp, cp, hp, hnp, htp, sweep_x);
-        double half = plus ? 0.5 : -0.5;
-        h = h0 + half * minmod(h0 - hm, hp - h0);
-        hn = hn0 + half * minmod(hn0 - hnm, hnp - hn0);
-        ht = ht0 + half * minmod(ht0 - htm, htp - ht0);
-        // Reconstruction must not drive the depth negative.
-        h = std::max(h, hFloor);
-    };
-
-    dst.h = src.h;
-    dst.hu = src.hu;
-    dst.hv = src.hv;
-
-    // X sweep: interfaces between (r, k-1) and (r, k), k in [0, n].
-    for (int64_t r = 0; r < n_; ++r) {
-        for (int64_t k = 0; k <= n_; ++k) {
-            double hl = 0.0, hul = 0.0, hvl = 0.0;
-            double hr = 0.0, hur = 0.0, hvr = 0.0;
-            if (k < n_)
-                edges(r, k, true, false, hr, hur, hvr);
-            if (k > 0)
-                edges(r, k - 1, true, true, hl, hul, hvl);
-            // Wall ghosts mirror the reconstructed interior edge
-            // with the normal momentum negated, making the wall
-            // mass flux exactly zero.
-            if (k == 0) {
-                hl = hr; hul = -hur; hvl = hvr;
-            }
-            if (k == n_) {
-                hr = hl; hur = -hul; hvr = hvl;
-            }
-            Flux f = rusanovX(hl, hul, hvl, hr, hur, hvr);
-            if (k > 0) {
-                size_t i = r * n_ + (k - 1);
-                dst.h[i] -= lam * f.fh;
-                dst.hu[i] -= lam * f.fhu;
-                dst.hv[i] -= lam * f.fhv;
-            }
-            if (k < n_) {
-                size_t i = r * n_ + k;
-                dst.h[i] += lam * f.fh;
-                dst.hu[i] += lam * f.fhu;
-                dst.hv[i] += lam * f.fhv;
-            }
+        const double *fh = flux.h.data();
+        const double *fn = flux.n.data();
+        const double *ft = flux.t.data();
+        double *dh = row(dst.h, r);
+        double *dhu = row(dst.hu, r);
+        double *dhv = row(dst.hv, r);
+        for (int64_t c = 0; c < n; ++c) {
+            dh[c] = h[c] + lam * fh[c] - lam * fh[c + 1];
+            dhu[c] = hu[c] + lam * fn[c] - lam * fn[c + 1];
+            dhv[c] = hv[c] + lam * ft[c] - lam * ft[c + 1];
         }
     }
 
-    // Y sweep: interfaces between (k-1, c) and (k, c). The solver
-    // is reused with hv as the normal momentum.
-    for (int64_t c = 0; c < n_; ++c) {
-        for (int64_t k = 0; k <= n_; ++k) {
-            double hl = 0.0, hvl = 0.0, hul = 0.0;
-            double hr = 0.0, hvr = 0.0, hur = 0.0;
-            if (k < n_)
-                edges(k, c, false, false, hr, hvr, hur);
-            if (k > 0)
-                edges(k - 1, c, false, true, hl, hvl, hul);
-            if (k == 0) {
-                hl = hr; hvl = -hvr; hul = hur;
-            }
-            if (k == n_) {
-                hr = hl; hvr = -hvl; hur = hul;
-            }
-            Flux g = rusanovX(hl, hvl, hul, hr, hvr, hur);
-            if (k > 0) {
-                size_t i = (k - 1) * n_ + c;
-                dst.h[i] -= lam * g.fh;
-                dst.hv[i] -= lam * g.fhu;
-                dst.hu[i] -= lam * g.fhv;
-            }
-            if (k < n_) {
-                size_t i = k * n_ + c;
-                dst.h[i] += lam * g.fh;
-                dst.hv[i] += lam * g.fhu;
-                dst.hu[i] += lam * g.fhv;
+    // Y sweep, interface row by interface row. Interface k lies
+    // between rows k-1 and k: `below` holds row k-1's plus edges,
+    // `above` row k's minus edges, and row k's plus edges land in
+    // `next`, which becomes `below` for interface k+1. Normal
+    // momentum hv, tangential hu.
+    Edges below(un), above(un), next(un);
+    for (int64_t k = 0; k <= n; ++k) {
+        if (k < n) {
+            const double *h = row(src.h, k);
+            const double *hu = row(src.hu, k);
+            const double *hv = row(src.hv, k);
+            // The row beyond a wall is this row with hv negated.
+            const double *hm = k > 0 ? h - n : h;
+            const double *hp = k < n - 1 ? h + n : h;
+            const double *tm = k > 0 ? hu - n : hu;
+            const double *tp = k < n - 1 ? hu + n : hu;
+            for (int64_t c = 0; c < n; ++c) {
+                double nm = k > 0 ? hv[c - n] : -hv[c];
+                double np = k < n - 1 ? hv[c + n] : -hv[c];
+                reconstruct(above, c, next, c, hm[c], h[c], hp[c],
+                            nm, hv[c], np, tm[c], hu[c], tp[c]);
             }
         }
+        if (k == 0) {
+            for (size_t c = 0; c < un; ++c)
+                mirror(below, c, above, c);
+        }
+        if (k == n) {
+            for (size_t c = 0; c < un; ++c)
+                mirror(above, c, below, c);
+        }
+        fluxes(below, above, un, flux);
+        const double *fh = flux.h.data();
+        const double *fn = flux.n.data();
+        const double *ft = flux.t.data();
+        if (k > 0) {
+            double *dh = row(dst.h, k - 1);
+            double *dhu = row(dst.hu, k - 1);
+            double *dhv = row(dst.hv, k - 1);
+            for (int64_t c = 0; c < n; ++c) {
+                dh[c] -= lam * fh[c];
+                dhv[c] -= lam * fn[c];
+                dhu[c] -= lam * ft[c];
+            }
+        }
+        if (k < n) {
+            double *dh = row(dst.h, k);
+            double *dhu = row(dst.hu, k);
+            double *dhv = row(dst.hv, k);
+            for (int64_t c = 0; c < n; ++c) {
+                dh[c] += lam * fh[c];
+                dhv[c] += lam * fn[c];
+                dhu[c] += lam * ft[c];
+            }
+        }
+        std::swap(below, next);
     }
 }
 

@@ -6,8 +6,9 @@
  *
  * The solver integrates the 2D shallow-water equations
  * (conservation of mass and x/y momentum, flat bottom, negligible
- * vertical flow) with a first-order Rusanov finite-volume scheme on
- * the circular dam-break test problem. The flux form conserves total
+ * vertical flow) with a second-order MUSCL finite-volume scheme
+ * (minmod-limited reconstruction, Rusanov interface fluxes) on the
+ * circular dam-break test problem. The flux form conserves total
  * mass exactly (up to FP rounding), which is the paper's criticality
  * story for CLAMR: a radiation-induced perturbation changes the
  * conserved invariant, so "the error will keep affecting the
@@ -88,6 +89,9 @@ class Clamr : public Workload
         return golden_.h;
     }
 
+    /** @return time step (cell widths are 1). */
+    double dt() const { return dt_; }
+
     /** @return total mass of the golden final state. */
     double goldenMass() const { return goldenMass_; }
 
@@ -101,8 +105,9 @@ class Clamr : public Workload
     static double mass(const SweState &state);
 
     /**
-     * One Rusanov time step: reads src, writes dst. Exposed for
-     * tests (conservation, symmetry) and the AMR thread-count study.
+     * One MUSCL/Rusanov time step: reads src, writes dst (resized
+     * to match src). Exposed for tests (conservation, symmetry) and
+     * the AMR thread-count study.
      */
     void step(const SweState &src, SweState &dst) const;
 

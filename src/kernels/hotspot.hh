@@ -16,6 +16,8 @@
  * Injection replays the computation from the closest golden
  * checkpoint, applies the corruption at the struck iteration, and
  * lets the *real stencil dynamics* propagate it to the final output.
+ * A replay whose state has diffused back to bitwise golden at a
+ * later checkpoint stops there with an empty (masked) record.
  *
  * Numeric-range note (see DESIGN.md): upsets that push the state far
  * outside the solver's range produce NaN/Inf cascades that are
@@ -77,6 +79,9 @@ class HotSpot : public Workload
     /** @return golden final temperature field (row-major). */
     const std::vector<float> &goldenTemp() const { return golden_; }
 
+    /** @return per-cell power map input (row-major). */
+    const std::vector<float> &power() const { return power_; }
+
     /** Block tile side. */
     static constexpr int64_t tile = 16;
     /** Ambient temperature (K). */
@@ -100,7 +105,9 @@ class HotSpot : public Workload
     /**
      * Replay from the closest checkpoint, applying `corrupt` at the
      * start of iterations [it0, it0 + persist), then run to the
-     * end and diff against the golden output.
+     * end and diff against the golden output. Stops early, leaving
+     * `out` empty, when the state matches a golden checkpoint
+     * bitwise after the last corrupted iteration.
      */
     void runWithCorruption(int64_t it0, int64_t persist,
                            const Corruptor &corrupt,
@@ -139,6 +146,9 @@ class HotSpot : public Workload
     /** Injection-replay latency telemetry. */
     PhaseTimer injectTimer_{StatsRegistry::global(),
                             "kernel.hotspot.inject"};
+    /** Replays stopped early because the state reconverged. */
+    Counter &reconverged_{StatsRegistry::global().counter(
+        "kernel.hotspot.reconverged")};
 };
 
 } // namespace radcrit

@@ -12,6 +12,7 @@
 #include "kernels/hotspot.hh"
 #include "metrics/criticality.hh"
 #include "metrics/relative_error.hh"
+#include "obs/stats_registry.hh"
 
 namespace radcrit
 {
@@ -185,6 +186,32 @@ TEST_F(HotSpotTest, DeterministicPerStrike)
     ASSERT_EQ(a.numIncorrect(), b.numIncorrect());
     for (size_t i = 0; i < a.elements.size(); ++i)
         EXPECT_EQ(a.elements[i].read, b.elements[i].read);
+}
+
+TEST_F(HotSpotTest, ReconvergedReplaysStopMasked)
+{
+    // Single low-order bit flips diffuse and round away; once the
+    // state equals a golden checkpoint again the replay stops
+    // there, and the record must be empty.
+    Counter &reconverged = StatsRegistry::global().counter(
+        "kernel.hotspot.reconverged");
+    uint64_t exits = 0;
+    for (uint64_t entropy = 0; entropy < 40; ++entropy) {
+        Strike s;
+        s.manifestation = Manifestation::BitFlipValue;
+        s.resource = ResourceKind::RegisterFile;
+        s.timeFraction = 0.3;
+        s.burstBits = 1;
+        s.entropy = entropy;
+        Rng rng(entropy);
+        uint64_t before = reconverged.value();
+        SdcRecord rec = hotspot_.inject(s, rng);
+        if (reconverged.value() > before) {
+            ++exits;
+            EXPECT_TRUE(rec.empty()) << "entropy " << entropy;
+        }
+    }
+    EXPECT_GT(exits, 0u);
 }
 
 TEST_F(HotSpotTest, HighOccupancyTraits)
