@@ -16,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -247,6 +250,106 @@ TEST(GoldenBeamLog, ClamrXeonPhiArtifact)
     // perturb height and both momenta) and one crash.
     expectGolden("beamlog_clamr_xeonphi.beamlog",
                  beamLogTable(DeviceId::XeonPhi, "CLAMR", 3, 68));
+}
+
+/**
+ * A hand-built campaign whose values sit at the edges of what the
+ * beam-log writer prints: signed zeros, infinities, both NaN signs,
+ * the smallest subnormal, DBL_MAX, neighbours one ulp apart, and
+ * integers at the limits of their fields. The input label needs
+ * percent-encoding.
+ */
+CampaignRaw
+specialValuesCampaign()
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double tiny = std::numeric_limits<double>::denorm_min();
+    constexpr int64_t i64max = std::numeric_limits<int64_t>::max();
+    constexpr int64_t i64min = std::numeric_limits<int64_t>::min();
+
+    CampaignRaw raw;
+    raw.deviceName = "K40";
+    raw.workloadName = "DGEMM";
+    raw.inputLabel = "2x2 100%";
+    raw.sim.seed = std::numeric_limits<uint64_t>::max();
+    raw.sensitiveAreaAu = std::nextafter(1.0, 2.0);
+
+    RawRun sdc;
+    sdc.outcome = Outcome::Sdc;
+    sdc.strike.resource = ResourceKind::L2Cache;
+    sdc.strike.manifestation = Manifestation::BitFlipValue;
+    sdc.strike.timeFraction = std::nextafter(1.0, 0.0);
+    sdc.strike.burstBits = std::numeric_limits<uint32_t>::max();
+    sdc.strike.entropy = std::numeric_limits<uint64_t>::max();
+    sdc.record.dims = 3;
+    sdc.record.extent = {i64max, 2, 1};
+    const std::pair<double, double> values[] = {
+        {0.0, -0.0},
+        {inf, -inf},
+        {nan, 1.0},
+        {-nan, -1.0},
+        {tiny, -tiny},
+        {DBL_MAX, -DBL_MAX},
+        {DBL_MIN, std::nextafter(DBL_MIN, 0.0)},
+        {1.0, std::nextafter(1.0, 2.0)},
+        {0.1, std::nextafter(0.1, 1.0)},
+        {-1e-300, std::nextafter(-1e-300, 0.0)},
+        {123456789.0, 1.0 / 3.0},
+    };
+    int64_t k = 0;
+    for (const auto &[read, expected] : values) {
+        CorruptedElement e;
+        e.coord = {k == 0 ? i64min : k, k == 0 ? i64max : 1, 0};
+        e.read = read;
+        e.expected = expected;
+        sdc.record.elements.push_back(e);
+        ++k;
+    }
+    raw.runs.push_back(sdc);
+
+    RawRun crash;
+    crash.outcome = Outcome::Crash;
+    crash.strike.resource = ResourceKind::Interconnect;
+    crash.strike.manifestation = Manifestation::MisscheduledBlock;
+    crash.strike.timeFraction = 0.0;
+    crash.strike.burstBits = 0;
+    crash.strike.entropy = 0;
+    raw.runs.push_back(crash);
+
+    RawRun empty_sdc;
+    empty_sdc.outcome = Outcome::Sdc;
+    empty_sdc.strike.timeFraction = -0.0;
+    empty_sdc.record.dims = 1;
+    empty_sdc.record.extent = {0, 1, 1};
+    raw.runs.push_back(empty_sdc);
+
+    RawRun masked;
+    masked.strike.timeFraction = tiny;
+    raw.runs.push_back(masked);
+
+    raw.sim.faultyRuns = raw.runs.size();
+    return raw;
+}
+
+TEST(GoldenBeamLog, SpecialValues)
+{
+    // Every value the writer can meet at the edge of its range
+    // prints the same bytes as the golden, and parsing the text
+    // back then writing it again is a fixed point.
+    std::stringstream first;
+    writeBeamLog(specialValuesCampaign(), first);
+    const std::string text = first.str();
+    check::Table rows;
+    std::string line;
+    while (std::getline(first, line))
+        rows.push_back({line});
+    expectGolden("beamlog_specials.beamlog", rows);
+
+    std::stringstream in(text);
+    std::stringstream second;
+    writeBeamLog(readBeamLog(in), second);
+    EXPECT_EQ(second.str(), text);
 }
 
 TEST(GoldenHarness, MissingGoldenExplainsItself)
