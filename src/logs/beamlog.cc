@@ -1,10 +1,12 @@
 #include "logs/beamlog.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <concepts>
 #include <filesystem>
-#include <map>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/logging.hh"
 #include "exec/chaos.hh"
@@ -16,12 +18,23 @@ namespace radcrit
 namespace
 {
 
-/** Percent-encode spaces and '%' so values stay single tokens. */
-std::string
-encodeValue(const std::string &value)
+/** A text value written percent-encoded (' ' and '%'), so it stays
+ * a single token. */
+struct Encoded
 {
-    std::string out;
-    for (char c : value) {
+    std::string_view text;
+};
+
+void
+appendPiece(std::string &out, std::string_view text)
+{
+    out += text;
+}
+
+void
+appendPiece(std::string &out, Encoded value)
+{
+    for (char c : value.text) {
         if (c == ' ')
             out += "%20";
         else if (c == '%')
@@ -29,13 +42,91 @@ encodeValue(const std::string &value)
         else
             out += c;
     }
-    return out;
 }
 
-/** Inverse of encodeValue(). */
-std::string
-decodeValue(const std::string &value)
+template <std::integral T>
+void
+appendPiece(std::string &out, T value)
 {
+    static_assert(!std::is_same_v<T, char>, "pass text, not char");
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), value);
+    out.append(buf, static_cast<size_t>(res.ptr - buf));
+}
+
+/** %.17g, so a parse round trip is bit-exact. */
+void
+appendPiece(std::string &out, double value)
+{
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof(buf), value,
+                             std::chars_format::general, 17);
+    out.append(buf, static_cast<size_t>(res.ptr - buf));
+}
+
+/** Append every piece: text as is, numbers printed exactly. */
+template <class... Pieces>
+void
+appendAll(std::string &out, const Pieces &...pieces)
+{
+    (appendPiece(out, pieces), ...);
+}
+
+/**
+ * Serialize one run's #RUN..#END record (shared by campaign logs
+ * and checkpoint shards). With a `spill` stream, `out` is written
+ * there and emptied whenever it passes 64 KiB, so a record with
+ * millions of elements never sits whole in the buffer.
+ */
+void
+appendRunRecord(std::string &out, const RawRun &run, uint64_t idx,
+                std::ostream *spill = nullptr)
+{
+    constexpr size_t spillBytes = 64 * 1024;
+    const Strike &s = run.strike;
+    appendAll(out, "#RUN idx=", idx,
+              " outcome=", outcomeName(run.outcome),
+              " resource=", resourceKindName(s.resource),
+              " manifestation=", manifestationName(s.manifestation),
+              " t=", s.timeFraction, " burst=", s.burstBits,
+              " entropy=", s.entropy, "\n");
+    if (run.outcome == Outcome::Sdc) {
+        const SdcRecord &rec = run.record;
+        appendAll(out, "#DIMS dims=", rec.dims, " x=", rec.extent[0],
+                  " y=", rec.extent[1], " z=", rec.extent[2], "\n");
+        for (const auto &e : rec.elements) {
+            appendAll(out, "#ERR x=", e.coord[0], " y=", e.coord[1],
+                      " z=", e.coord[2], " read=", e.read,
+                      " expected=", e.expected, "\n");
+            if (spill && out.size() >= spillBytes) {
+                spill->write(out.data(),
+                             static_cast<std::streamsize>(out.size()));
+                out.clear();
+            }
+        }
+    }
+    appendAll(out, "#END idx=", idx, "\n");
+}
+
+/** The identity fields #HEADER and #SHARD lines share. */
+void
+appendIdentity(std::string &out, const char *keyword,
+               std::string_view device, std::string_view workload,
+               std::string_view input, uint64_t seed, uint64_t runs)
+{
+    appendAll(out, keyword, " version=", beamLogVersion,
+              " device=", Encoded{device},
+              " workload=", Encoded{workload},
+              " input=", Encoded{input}, " seed=", seed,
+              " runs=", runs);
+}
+
+/** Inverse of the Encoded piece; other '%' sequences stay as is. */
+std::string
+decodeValue(std::string_view value)
+{
+    if (value.find('%') == std::string_view::npos)
+        return std::string(value);
     std::string out;
     for (size_t i = 0; i < value.size(); ++i) {
         if (value[i] == '%' && i + 2 < value.size()) {
@@ -55,215 +146,23 @@ decodeValue(const std::string &value)
     return out;
 }
 
-/** Parse "key=value" tokens from one log line after the keyword. */
-std::map<std::string, std::string>
-parseFields(std::istringstream &iss, const std::string &line)
+/** The whitespace `operator>>` skips in the C locale. */
+bool
+isSpace(char c)
 {
-    std::map<std::string, std::string> fields;
-    std::string token;
-    while (iss >> token) {
-        auto eq = token.find('=');
-        if (eq == std::string::npos)
-            throw BeamLogParseError(strprintf(
-                "malformed log token '%s' in line: %s",
-                token.c_str(), line.c_str()));
-        fields[token.substr(0, eq)] =
-            decodeValue(token.substr(eq + 1));
-    }
-    return fields;
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' ||
+        c == '\f' || c == '\r';
 }
 
-const std::string &
-need(const std::map<std::string, std::string> &fields,
-     const char *key, const std::string &line)
+BeamLogParseError
+unknownKeyword(std::string_view keyword)
 {
-    auto it = fields.find(key);
-    if (it == fields.end())
-        throw BeamLogParseError(strprintf(
-            "missing log field '%s' in line: %s", key,
-            line.c_str()));
-    return it->second;
+    return BeamLogParseError(strprintf(
+        "unknown beam-log keyword '%.*s'",
+        static_cast<int>(keyword.size()), keyword.data()));
 }
 
-double
-toDouble(const std::string &s, const std::string &line)
-{
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str())
-        throw BeamLogParseError(strprintf(
-            "bad number '%s' in line: %s", s.c_str(),
-            line.c_str()));
-    return v;
-}
-
-int64_t
-toInt(const std::string &s, const std::string &line)
-{
-    char *end = nullptr;
-    long long v = std::strtoll(s.c_str(), &end, 10);
-    if (end == s.c_str())
-        throw BeamLogParseError(strprintf(
-            "bad integer '%s' in line: %s", s.c_str(),
-            line.c_str()));
-    return v;
-}
-
-/** Full-range uint64 parse (seeds routinely exceed INT64_MAX). */
-uint64_t
-toUint(const std::string &s, const std::string &line)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str())
-        throw BeamLogParseError(strprintf(
-            "bad integer '%s' in line: %s", s.c_str(),
-            line.c_str()));
-    return v;
-}
-
-Outcome
-outcomeFromName(const std::string &name, const std::string &line)
-{
-    for (size_t i = 0; i < numOutcomes; ++i) {
-        auto o = static_cast<Outcome>(i);
-        if (name == outcomeName(o))
-            return o;
-    }
-    throw BeamLogParseError(strprintf(
-        "unknown outcome '%s' in line: %s", name.c_str(),
-        line.c_str()));
-}
-
-Manifestation
-manifestationFromName(const std::string &name,
-                      const std::string &line)
-{
-    for (size_t i = 0; i < numManifestations; ++i) {
-        auto m = static_cast<Manifestation>(i);
-        if (name == manifestationName(m))
-            return m;
-    }
-    throw BeamLogParseError(strprintf(
-        "unknown manifestation '%s' in line: %s", name.c_str(),
-        line.c_str()));
-}
-
-/** Serialize one run's #RUN..#END record (shared by campaign logs
- * and checkpoint shards). */
-void
-writeRunRecord(std::ostream &os, const RawRun &run, uint64_t idx)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%.17g",
-                  run.strike.timeFraction);
-    os << "#RUN idx=" << idx
-       << " outcome=" << outcomeName(run.outcome)
-       << " resource=" << resourceKindName(run.strike.resource)
-       << " manifestation="
-       << manifestationName(run.strike.manifestation)
-       << " t=" << buf
-       << " burst=" << run.strike.burstBits
-       << " entropy=" << run.strike.entropy << '\n';
-    if (run.outcome == Outcome::Sdc) {
-        const SdcRecord &rec = run.record;
-        os << "#DIMS dims=" << rec.dims
-           << " x=" << rec.extent[0]
-           << " y=" << rec.extent[1]
-           << " z=" << rec.extent[2] << '\n';
-        for (const auto &e : rec.elements) {
-            os << "#ERR x=" << e.coord[0]
-               << " y=" << e.coord[1]
-               << " z=" << e.coord[2];
-            std::snprintf(buf, sizeof(buf), "%.17g", e.read);
-            os << " read=" << buf;
-            std::snprintf(buf, sizeof(buf), "%.17g", e.expected);
-            os << " expected=" << buf << '\n';
-        }
-    }
-    os << "#END idx=" << idx << '\n';
-}
-
-/**
- * Incremental parser over the shared #RUN/#DIMS/#ERR/#END record
- * grammar. Throws BeamLogParseError on malformed lines; a run is
- * handed back when its #END arrives.
- */
-struct RecordParser
-{
-    RawRun current;
-    bool inRun = false;
-
-    std::optional<RawRun>
-    consume(const std::string &keyword, std::istringstream &iss,
-            const std::string &line)
-    {
-        if (keyword == "#RUN") {
-            if (inRun)
-                throw BeamLogParseError(strprintf(
-                    "nested #RUN in beam log: %s", line.c_str()));
-            auto fields = parseFields(iss, line);
-            current = RawRun{};
-            current.index = static_cast<uint64_t>(
-                toInt(need(fields, "idx", line), line));
-            current.outcome = outcomeFromName(
-                need(fields, "outcome", line), line);
-            current.strike.resource = resourceKindFromName(
-                need(fields, "resource", line));
-            current.strike.manifestation = manifestationFromName(
-                need(fields, "manifestation", line), line);
-            current.strike.timeFraction =
-                toDouble(need(fields, "t", line), line);
-            current.strike.burstBits = static_cast<uint32_t>(
-                toInt(need(fields, "burst", line), line));
-            current.strike.entropy = static_cast<uint64_t>(
-                std::strtoull(need(fields, "entropy", line)
-                              .c_str(), nullptr, 10));
-            inRun = true;
-            return std::nullopt;
-        }
-        if (keyword == "#DIMS") {
-            if (!inRun)
-                throw BeamLogParseError(strprintf(
-                    "#DIMS outside a run: %s", line.c_str()));
-            auto fields = parseFields(iss, line);
-            current.record.dims = static_cast<int>(
-                toInt(need(fields, "dims", line), line));
-            current.record.extent = {
-                toInt(need(fields, "x", line), line),
-                toInt(need(fields, "y", line), line),
-                toInt(need(fields, "z", line), line)};
-            return std::nullopt;
-        }
-        if (keyword == "#ERR") {
-            if (!inRun)
-                throw BeamLogParseError(strprintf(
-                    "#ERR outside a run: %s", line.c_str()));
-            auto fields = parseFields(iss, line);
-            CorruptedElement e;
-            e.coord = {toInt(need(fields, "x", line), line),
-                       toInt(need(fields, "y", line), line),
-                       toInt(need(fields, "z", line), line)};
-            e.read = toDouble(need(fields, "read", line), line);
-            e.expected = toDouble(need(fields, "expected", line),
-                                  line);
-            current.record.elements.push_back(e);
-            return std::nullopt;
-        }
-        if (keyword == "#END") {
-            if (!inRun)
-                throw BeamLogParseError(strprintf(
-                    "#END without #RUN: %s", line.c_str()));
-            inRun = false;
-            return std::move(current);
-        }
-        throw BeamLogParseError(strprintf(
-            "unknown beam-log keyword '%s'", keyword.c_str()));
-    }
-};
-
-/** Parsed #HEADER fields (shared by the whole-log parser and the
- * incremental reader). */
+/** Parsed #HEADER / #SHARD fields. */
 struct HeaderFields
 {
     std::string device;
@@ -274,84 +173,223 @@ struct HeaderFields
     double sensitiveAreaAu = 0.0;
 };
 
-HeaderFields
-parseHeaderLine(std::istringstream &iss, const std::string &line)
+/**
+ * The one parser of the line grammar shared by campaign logs,
+ * store entries and checkpoint shards. split() tokenizes a line in
+ * place: the keyword, then key=value fields kept as views into the
+ * line, in a vector reused across lines. record() folds a split
+ * #RUN/#DIMS/#ERR/#END line into the run in flight and hands the
+ * run back when its #END arrives. Malformed input throws
+ * BeamLogParseError; views are valid until the caller's line
+ * buffer changes.
+ */
+class RecordParser
 {
-    auto fields = parseFields(iss, line);
-    int64_t version = toInt(need(fields, "version", line), line);
-    if (version != beamLogVersion)
-        throw BeamLogParseError(strprintf(
-            "unsupported beam-log version %lld (expected %d)",
-            static_cast<long long>(version), beamLogVersion));
-    HeaderFields header;
-    header.device = need(fields, "device", line);
-    header.workload = need(fields, "workload", line);
-    header.input = need(fields, "input", line);
-    header.seed = toUint(need(fields, "seed", line), line);
-    header.runs = toUint(need(fields, "runs", line), line);
-    header.sensitiveAreaAu =
-        toDouble(need(fields, "sensitive_area_au", line), line);
-    return header;
-}
-
-/** Parse core of readBeamLog(); throws BeamLogParseError. */
-CampaignRaw
-parseBeamLog(std::istream &is)
-{
-    CampaignRaw raw;
-    std::string line;
-    RecordParser records;
-    uint64_t declared_runs = 0;
-    bool have_header = false;
-
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream iss(line);
-        std::string keyword;
-        iss >> keyword;
-        if (keyword == "#HEADER") {
-            HeaderFields header = parseHeaderLine(iss, line);
-            raw.deviceName = header.device;
-            raw.workloadName = header.workload;
-            raw.inputLabel = header.input;
-            raw.sim.seed = header.seed;
-            declared_runs = header.runs;
-            raw.sim.faultyRuns = declared_runs;
-            raw.sensitiveAreaAu = header.sensitiveAreaAu;
-            have_header = true;
-        } else if (auto run = records.consume(keyword, iss,
-                                              line)) {
-            raw.runs.push_back(std::move(*run));
+  public:
+    /** Tokenize `line`. @return its keyword. */
+    std::string_view
+    split(std::string_view line)
+    {
+        line_ = line;
+        keyword_ = {};
+        badToken_ = {};
+        fields_.clear();
+        size_t i = 0;
+        const size_t n = line.size();
+        bool first = true;
+        for (;;) {
+            while (i < n && isSpace(line[i]))
+                ++i;
+            if (i == n)
+                break;
+            size_t start = i;
+            while (i < n && !isSpace(line[i]))
+                ++i;
+            std::string_view token = line.substr(start, i - start);
+            if (first) {
+                keyword_ = token;
+                first = false;
+                continue;
+            }
+            size_t eq = token.find('=');
+            if (eq == std::string_view::npos) {
+                if (badToken_.empty())
+                    badToken_ = token;
+                continue;
+            }
+            fields_.emplace_back(token.substr(0, eq),
+                                 token.substr(eq + 1));
         }
+        return keyword_;
     }
-    if (records.inRun)
-        throw BeamLogParseError(strprintf(
-            "beam log truncated inside run %llu",
-            static_cast<unsigned long long>(
-                records.current.index)));
-    if (!have_header)
-        throw BeamLogParseError("beam log has no #HEADER");
-    if (raw.runs.size() != declared_runs)
-        throw BeamLogParseError(strprintf(
-            "beam log declares %llu runs but contains %llu",
-            static_cast<unsigned long long>(declared_runs),
-            static_cast<unsigned long long>(raw.runs.size())));
-    return raw;
-}
 
-std::string
-shardHeader(const CampaignRaw &raw)
-{
-    std::ostringstream os;
-    os << "#SHARD version=" << beamLogVersion
-       << " device=" << encodeValue(raw.deviceName)
-       << " workload=" << encodeValue(raw.workloadName)
-       << " input=" << encodeValue(raw.inputLabel)
-       << " seed=" << raw.sim.seed
-       << " runs=" << raw.sim.faultyRuns << '\n';
-    return os.str();
-}
+    /** Parse the split line as a #HEADER (or #SHARD) line. */
+    HeaderFields
+    header(bool shard) const
+    {
+        auto version = number<int64_t>("version");
+        if (version != beamLogVersion)
+            throw BeamLogParseError(
+                shard ? strprintf("unsupported shard version %lld",
+                                  static_cast<long long>(version))
+                      : strprintf("unsupported beam-log version "
+                                  "%lld (expected %d)",
+                                  static_cast<long long>(version),
+                                  beamLogVersion));
+        HeaderFields header;
+        header.device = decodeValue(need("device"));
+        header.workload = decodeValue(need("workload"));
+        header.input = decodeValue(need("input"));
+        header.seed = number<uint64_t>("seed");
+        header.runs = number<uint64_t>("runs");
+        if (!shard)
+            header.sensitiveAreaAu =
+                number<double>("sensitive_area_au");
+        return header;
+    }
+
+    /** Fold the split line into the run in flight. @return the run
+     * when the line is its #END. */
+    std::optional<RawRun>
+    record()
+    {
+        if (keyword_ == "#ERR") {
+            if (!inRun_)
+                throw error("#ERR outside a run: ");
+            CorruptedElement e;
+            e.coord = {number<int64_t>("x"), number<int64_t>("y"),
+                       number<int64_t>("z")};
+            e.read = number<double>("read");
+            e.expected = number<double>("expected");
+            current_.record.elements.push_back(e);
+            return std::nullopt;
+        }
+        if (keyword_ == "#RUN") {
+            if (inRun_)
+                throw error("nested #RUN in beam log: ");
+            current_ = RawRun{};
+            current_.index = number<uint64_t>("idx");
+            current_.outcome = named<Outcome, numOutcomes>(
+                "outcome", outcomeName);
+            current_.strike.resource =
+                named<ResourceKind, numResourceKinds>(
+                    "resource", resourceKindName);
+            current_.strike.manifestation =
+                named<Manifestation, numManifestations>(
+                    "manifestation", manifestationName);
+            current_.strike.timeFraction = number<double>("t");
+            current_.strike.burstBits = number<uint32_t>("burst");
+            current_.strike.entropy = number<uint64_t>("entropy");
+            inRun_ = true;
+            return std::nullopt;
+        }
+        if (keyword_ == "#DIMS") {
+            if (!inRun_)
+                throw error("#DIMS outside a run: ");
+            current_.record.dims = number<int>("dims");
+            current_.record.extent = {number<int64_t>("x"),
+                                      number<int64_t>("y"),
+                                      number<int64_t>("z")};
+            return std::nullopt;
+        }
+        if (keyword_ == "#END") {
+            if (!inRun_)
+                throw error("#END without #RUN: ");
+            if (number<uint64_t>("idx") != current_.index)
+                throw error("#END does not close the open #RUN: ");
+            inRun_ = false;
+            return std::move(current_);
+        }
+        throw unknownKeyword(keyword_);
+    }
+
+    /** split() then record(). */
+    std::optional<RawRun>
+    consume(std::string_view line)
+    {
+        split(line);
+        return record();
+    }
+
+    /** @return true between a #RUN and its #END. */
+    bool inRun() const { return inRun_; }
+
+    /** @return the index of the run in flight. */
+    uint64_t runIndex() const { return current_.index; }
+
+  private:
+    /** A diagnostic: `what` followed by the line. */
+    BeamLogParseError
+    error(const char *what) const
+    {
+        return BeamLogParseError(strprintf(
+            "%s%.*s", what, static_cast<int>(line_.size()),
+            line_.data()));
+    }
+
+    /** @return the last value of `key` (a repeated key resolves
+     * to its last occurrence). */
+    std::string_view
+    need(std::string_view key) const
+    {
+        if (!badToken_.empty())
+            throw BeamLogParseError(strprintf(
+                "malformed log token '%.*s' in line: %.*s",
+                static_cast<int>(badToken_.size()),
+                badToken_.data(), static_cast<int>(line_.size()),
+                line_.data()));
+        for (auto it = fields_.rbegin(); it != fields_.rend(); ++it)
+            if (it->first == key)
+                return it->second;
+        throw BeamLogParseError(strprintf(
+            "missing log field '%.*s' in line: %.*s",
+            static_cast<int>(key.size()), key.data(),
+            static_cast<int>(line_.size()), line_.data()));
+    }
+
+    /** `key` as a whole-token number that fits T. */
+    template <class T>
+    T
+    number(std::string_view key) const
+    {
+        std::string_view s = need(key);
+        T value{};
+        const char *end = s.data() + s.size();
+        auto res = std::from_chars(s.data(), end, value);
+        if (res.ec != std::errc() || res.ptr != end)
+            throw BeamLogParseError(strprintf(
+                "bad %s '%.*s' in line: %.*s",
+                std::is_integral_v<T> ? "integer" : "number",
+                static_cast<int>(s.size()), s.data(),
+                static_cast<int>(line_.size()), line_.data()));
+        return value;
+    }
+
+    /** `key` as one of the N enumerators nameOf() names. */
+    template <class E, size_t N>
+    E
+    named(const char *key, const char *(*nameOf)(E)) const
+    {
+        std::string_view s = need(key);
+        for (size_t i = 0; i < N; ++i) {
+            auto value = static_cast<E>(i);
+            if (s == nameOf(value))
+                return value;
+        }
+        throw BeamLogParseError(strprintf(
+            "unknown %s '%.*s' in line: %.*s", key,
+            static_cast<int>(s.size()), s.data(),
+            static_cast<int>(line_.size()), line_.data()));
+    }
+
+    std::string_view line_;
+    std::string_view keyword_;
+    std::string_view badToken_;
+    std::vector<std::pair<std::string_view, std::string_view>>
+        fields_;
+    RawRun current_;
+    bool inRun_ = false;
+};
 
 } // anonymous namespace
 
@@ -361,45 +399,49 @@ BeamLogWriter::header(const std::string &device,
                       const std::string &input, uint64_t seed,
                       uint64_t runs, double sensitive_area_au)
 {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%.17g", sensitive_area_au);
-    *os_ << "#HEADER version=" << beamLogVersion
-         << " device=" << encodeValue(device)
-         << " workload=" << encodeValue(workload)
-         << " input=" << encodeValue(input)
-         << " seed=" << seed
-         << " runs=" << runs
-         << " sensitive_area_au=" << buf << '\n';
+    buf_.clear();
+    appendIdentity(buf_, "#HEADER", device, workload, input, seed,
+                   runs);
+    appendAll(buf_, " sensitive_area_au=", sensitive_area_au, "\n");
+    os_->write(buf_.data(),
+               static_cast<std::streamsize>(buf_.size()));
 }
 
 void
 BeamLogWriter::append(const RawRun &run)
 {
-    writeRunRecord(*os_, run, appended_);
+    buf_.clear();
+    appendRunRecord(buf_, run, appended_, os_);
+    os_->write(buf_.data(),
+               static_cast<std::streamsize>(buf_.size()));
     ++appended_;
 }
 
 struct BeamLogReader::ParserState
 {
     RecordParser records;
+    std::string line;
 };
 
 BeamLogReader::BeamLogReader(std::istream &is)
     : is_(&is), state_(std::make_shared<ParserState>())
 {
-    std::string line;
+    std::string &line = state_->line;
     while (std::getline(*is_, line)) {
         if (line.empty())
             continue;
-        std::istringstream iss(line);
-        std::string keyword;
-        iss >> keyword;
+        // A record line first means the header is missing; any
+        // other keyword (a #SHARD checkpoint, say) is named.
+        std::string_view keyword = state_->records.split(line);
+        if (keyword == "#RUN" || keyword == "#DIMS" ||
+            keyword == "#ERR" || keyword == "#END")
+            break;
         if (keyword != "#HEADER")
-            throw BeamLogParseError("beam log has no #HEADER");
-        HeaderFields header = parseHeaderLine(iss, line);
-        device_ = header.device;
-        workload_ = header.workload;
-        input_ = header.input;
+            throw unknownKeyword(keyword);
+        HeaderFields header = state_->records.header(false);
+        device_ = std::move(header.device);
+        workload_ = std::move(header.workload);
+        input_ = std::move(header.input);
         seed_ = header.seed;
         declaredRuns_ = header.runs;
         sensitiveAreaAu_ = header.sensitiveAreaAu;
@@ -413,24 +455,20 @@ BeamLogReader::next()
 {
     if (done_)
         return std::nullopt;
-    std::string line;
+    RecordParser &records = state_->records;
+    std::string &line = state_->line;
     while (std::getline(*is_, line)) {
         if (line.empty())
             continue;
-        std::istringstream iss(line);
-        std::string keyword;
-        iss >> keyword;
-        if (auto run = state_->records.consume(keyword, iss,
-                                               line)) {
+        if (auto run = records.consume(line)) {
             ++read_;
             return run;
         }
     }
-    if (state_->records.inRun)
+    if (records.inRun())
         throw BeamLogParseError(strprintf(
             "beam log truncated inside run %llu",
-            static_cast<unsigned long long>(
-                state_->records.current.index)));
+            static_cast<unsigned long long>(records.runIndex())));
     done_ = true;
     if (read_ != declaredRuns_)
         throw BeamLogParseError(strprintf(
@@ -457,11 +495,17 @@ BeamLogSource::BeamLogSource(std::istream &is, uint64_t batchRuns)
 bool
 BeamLogSource::next(RunBatch &batch)
 {
+    // The reservation trusts the header's run count only up to a
+    // cap: a hostile count must fail as a count mismatch, not as
+    // an allocation failure.
+    constexpr uint64_t maxReserve = 4096;
     batch.firstIndex = nextIndex_;
     batch.runs.clear();
     batch.runs.reserve(std::min<uint64_t>(
-        batchRuns_, reader_.declaredRuns() - std::min<uint64_t>(
-                        nextIndex_, reader_.declaredRuns())));
+        {batchRuns_, maxReserve,
+         reader_.declaredRuns() -
+             std::min<uint64_t>(nextIndex_,
+                                reader_.declaredRuns())}));
     while (batch.runs.size() < batchRuns_) {
         auto run = reader_.next();
         if (!run)
@@ -516,11 +560,34 @@ writeBeamLogFile(const CampaignRaw &raw, const std::string &path)
         fatal("write error on beam log '%s'", path.c_str());
 }
 
+namespace
+{
+
+/** Parse core of readBeamLog(): collect every run of a reader;
+ * throws BeamLogParseError. */
+CampaignRaw
+collectBeamLog(std::istream &is)
+{
+    BeamLogReader reader(is);
+    CampaignRaw raw;
+    raw.deviceName = reader.device();
+    raw.workloadName = reader.workload();
+    raw.inputLabel = reader.input();
+    raw.sim.seed = reader.seed();
+    raw.sim.faultyRuns = reader.declaredRuns();
+    raw.sensitiveAreaAu = reader.sensitiveAreaAu();
+    while (auto run = reader.next())
+        raw.runs.push_back(std::move(*run));
+    return raw;
+}
+
+} // anonymous namespace
+
 CampaignRaw
 readBeamLog(std::istream &is)
 {
     try {
-        return parseBeamLog(is);
+        return collectBeamLog(is);
     } catch (const BeamLogParseError &e) {
         fatal("%s", e.what());
     }
@@ -539,7 +606,7 @@ std::optional<CampaignRaw>
 tryReadBeamLog(std::istream &is, std::string *error)
 {
     try {
-        return parseBeamLog(is);
+        return collectBeamLog(is);
     } catch (const BeamLogParseError &e) {
         if (error)
             *error = e.what();
@@ -579,8 +646,13 @@ CheckpointWriter::CheckpointWriter(const std::string &path,
     if (!out_)
         fatal("cannot open checkpoint '%s' for append",
               path.c_str());
-    if (keepBytes == 0)
-        out_ << shardHeader(raw) << std::flush;
+    if (keepBytes == 0) {
+        std::string header;
+        appendIdentity(header, "#SHARD", raw.deviceName,
+                       raw.workloadName, raw.inputLabel, raw.sim.seed,
+                       raw.sim.faultyRuns);
+        out_ << header << '\n' << std::flush;
+    }
     if (!out_)
         fatal("write error on checkpoint '%s'", path.c_str());
 }
@@ -588,9 +660,11 @@ CheckpointWriter::CheckpointWriter(const std::string &path,
 void
 CheckpointWriter::append(const RawRun &run)
 {
-    std::ostringstream record;
-    writeRunRecord(record, run, run.index);
-    std::string bytes = record.str();
+    // Formatted outside the lock, into a buffer each worker thread
+    // reuses across appends.
+    thread_local std::string bytes;
+    bytes.clear();
+    appendRunRecord(bytes, run, run.index);
     // A planned corrupt-write fault tears the record in half —
     // exactly what a SIGKILL mid-append leaves behind — so the
     // torn-tail recovery path is testable deterministically.
@@ -599,7 +673,8 @@ CheckpointWriter::append(const RawRun &run)
             bytes.resize(bytes.size() / 2);
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    out_ << bytes;
+    out_.write(bytes.data(),
+               static_cast<std::streamsize>(bytes.size()));
     ++appended_;
     if (appended_ % flushEvery_ == 0)
         out_.flush();
@@ -620,67 +695,48 @@ readCheckpointShards(const std::string &path,
     RecordParser records;
     uint64_t offset = 0;
     bool have_header = false;
+    bool torn = false;
 
     while (std::getline(in, line)) {
         // A line without its trailing newline is the torn tail of
         // the append a killed process did not finish; even a
         // well-formed record there is dropped, because appending
         // after unterminated bytes would merge two lines.
-        bool complete_line = !in.eof();
-        uint64_t line_bytes = line.size() + 1;
-        if (!complete_line) {
-            records.inRun = true; // count the tear below
+        if (in.eof()) {
+            torn = true;
             break;
         }
-        if (line.empty()) {
-            offset += line_bytes;
-            if (have_header && !records.inRun)
-                recovery.validBytes = offset;
-            continue;
-        }
-        std::istringstream iss(line);
-        std::string keyword;
-        iss >> keyword;
-        try {
-            if (keyword == "#SHARD") {
-                auto fields = parseFields(iss, line);
-                int64_t version =
-                    toInt(need(fields, "version", line), line);
-                if (version != beamLogVersion)
+        if (!line.empty()) {
+            try {
+                std::string_view keyword = records.split(line);
+                if (keyword == "#SHARD") {
+                    HeaderFields header = records.header(true);
+                    if (header.device != expect.deviceName ||
+                        header.workload != expect.workloadName ||
+                        header.input != expect.inputLabel ||
+                        header.seed != expect.sim.seed ||
+                        header.runs != expect.sim.faultyRuns)
+                        fatal("checkpoint '%s' belongs to a "
+                              "different campaign (%s)",
+                              path.c_str(), line.c_str());
+                    have_header = true;
+                } else if (!have_header) {
                     throw BeamLogParseError(strprintf(
-                        "unsupported shard version %lld",
-                        static_cast<long long>(version)));
-                if (need(fields, "device", line) !=
-                        expect.deviceName ||
-                    need(fields, "workload", line) !=
-                        expect.workloadName ||
-                    need(fields, "input", line) !=
-                        expect.inputLabel ||
-                    toUint(need(fields, "seed", line), line) !=
-                        expect.sim.seed ||
-                    toUint(need(fields, "runs", line), line) !=
-                        expect.sim.faultyRuns)
-                    fatal("checkpoint '%s' belongs to a "
-                          "different campaign (%s)",
-                          path.c_str(), line.c_str());
-                have_header = true;
-            } else if (!have_header) {
-                throw BeamLogParseError(strprintf(
-                    "checkpoint has no #SHARD header: %s",
-                    line.c_str()));
-            } else if (auto run = records.consume(keyword, iss,
-                                                  line)) {
-                recovery.runs.push_back(std::move(*run));
+                        "checkpoint has no #SHARD header: %s",
+                        line.c_str()));
+                } else if (auto run = records.record()) {
+                    recovery.runs.push_back(std::move(*run));
+                }
+            } catch (const BeamLogParseError &e) {
+                // Anything after a malformed line is suspect: stop
+                // at the last complete record.
+                warn("checkpoint '%s': %s", path.c_str(), e.what());
+                torn = true;
+                break;
             }
-        } catch (const BeamLogParseError &e) {
-            // Anything after a malformed line is suspect: stop at
-            // the last complete record.
-            warn("checkpoint '%s': %s", path.c_str(), e.what());
-            records.inRun = true;
-            break;
         }
-        offset += line_bytes;
-        if (have_header && !records.inRun)
+        offset += line.size() + 1;
+        if (have_header && !records.inRun())
             recovery.validBytes = offset;
     }
 
@@ -690,7 +746,7 @@ readCheckpointShards(const std::string &path,
         return recovery;
     }
     recovery.found = true;
-    if (records.inRun) {
+    if (torn || records.inRun()) {
         ++recovery.tornRecords;
         warn("checkpoint '%s': dropping torn trailing record "
              "(resuming from %llu complete run(s))",

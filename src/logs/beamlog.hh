@@ -28,6 +28,13 @@
  *   #RUN idx=1 outcome=Crash ...
  *   #END idx=1
  *
+ * Grammar: #HEADER is the first non-empty line. Every line is a
+ * keyword followed by whitespace-separated key=value fields in any
+ * order; a repeated key resolves to its last occurrence; values
+ * percent-encode ' ' and '%'. Numbers must be whole tokens that fit
+ * their field, and an unknown keyword, outcome, resource or
+ * manifestation is a parse error like any other malformed line.
+ *
  * The launch geometry is not serialized — it is derived from
  * (device, workload), never consumed by analysis, and the campaign
  * store rebuilds it on load. A log parsed standalone carries a
@@ -73,7 +80,8 @@ constexpr int beamLogVersion = 2;
 
 /**
  * Serialize a raw campaign to the log format. All doubles are
- * printed with %.17g so a parse round-trip is bit-exact.
+ * printed as %.17g would print them (std::to_chars, general format,
+ * precision 17), so a parse round-trip is bit-exact.
  */
 void writeBeamLog(const CampaignRaw &raw, std::ostream &os);
 
@@ -156,6 +164,11 @@ class BeamLogWriter
   private:
     std::ostream *os_;
     uint64_t appended_ = 0;
+    /**
+     * One line or record, reused so each is one os_->write() (a
+     * record past 64 KiB goes out in pieces of that size).
+     */
+    std::string buf_;
 };
 
 /**

@@ -146,6 +146,45 @@ TEST_F(BeamLogTest, DifferentThresholdsDiffer)
     EXPECT_GE(strict.fitTotalAu(true), loose.fitTotalAu(true));
 }
 
+TEST(BeamLogLargeRecord, RecordLargerThanTheWriteBufferRoundTrips)
+{
+    // A record this size leaves the writer in several pieces; the
+    // bytes must still parse back to exactly the same elements.
+    CampaignRaw raw;
+    raw.deviceName = "K40";
+    raw.workloadName = "DGEMM";
+    raw.inputLabel = "4096x4096";
+    RawRun run;
+    run.outcome = Outcome::Sdc;
+    run.record.extent = {4096, 4096, 1};
+    for (int64_t i = 0; i < 5000; ++i) {
+        CorruptedElement e;
+        e.coord = {i % 4096, i / 4096, 0};
+        e.read = 1.0 / static_cast<double>(i + 3);
+        e.expected = -static_cast<double>(i) * 1e-7;
+        run.record.elements.push_back(e);
+    }
+    raw.runs.push_back(run);
+    raw.sim.faultyRuns = 1;
+
+    std::stringstream first;
+    writeBeamLog(raw, first);
+    ASSERT_GT(first.str().size(), 4u * 64 * 1024);
+    std::stringstream in(first.str());
+    CampaignRaw back = readBeamLog(in);
+    ASSERT_EQ(back.runs.size(), 1u);
+    const auto &got = back.runs[0].record.elements;
+    ASSERT_EQ(got.size(), run.record.elements.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].coord, run.record.elements[i].coord);
+        EXPECT_EQ(got[i].read, run.record.elements[i].read);
+        EXPECT_EQ(got[i].expected, run.record.elements[i].expected);
+    }
+    std::stringstream second;
+    writeBeamLog(back, second);
+    EXPECT_EQ(second.str(), first.str());
+}
+
 TEST(BeamLog3dTest, LavaMdRoundTripKeepsBoxCoordinates)
 {
     // 3D records (LavaMD box space, duplicate coordinates for
@@ -303,6 +342,164 @@ TEST(BeamLogTolerantRead, UnreadableFileReportsOpenFailure)
             .has_value());
     EXPECT_NE(error.find("cannot open beam log"),
               std::string::npos);
+}
+
+/**
+ * One-run log whose #RUN line carries `run_fields` and whose SDC
+ * record is `#DIMS dims_line` plus `#ERR err_line`.
+ */
+std::string
+oneRunLog(const std::string &run_fields,
+          const std::string &dims_line = "dims=2 x=4 y=4 z=1",
+          const std::string &err_line =
+              "x=1 y=2 z=0 read=1.5 expected=1")
+{
+    return "#HEADER version=2 device=K40 workload=DGEMM input=x "
+           "seed=1 runs=1 sensitive_area_au=1\n"
+           "#RUN " + run_fields + "\n"
+           "#DIMS " + dims_line + "\n"
+           "#ERR " + err_line + "\n"
+           "#END idx=0\n";
+}
+
+const std::string goodRun =
+    "idx=0 outcome=SDC resource=RegisterFile "
+    "manifestation=BitFlipValue t=0.5 burst=1 entropy=7";
+
+/** @return the diagnostic of a failed tolerant read ("" on success). */
+std::string
+parseError(const std::string &text)
+{
+    std::stringstream ss(text);
+    std::string error;
+    if (tryReadBeamLog(ss, &error).has_value())
+        return "";
+    EXPECT_FALSE(error.empty());
+    return error;
+}
+
+TEST(BeamLogGrammar, GoodOneRunLogParses)
+{
+    EXPECT_EQ(parseError(oneRunLog(goodRun)), "");
+}
+
+TEST(BeamLogGrammar, FieldsInAnyOrderLastDuplicateWins)
+{
+    std::stringstream ss(oneRunLog(
+        "entropy=9 burst=3 t=0.25 manifestation=StaleData "
+        "resource=L2Cache outcome=SDC idx=0 burst=5",
+        "z=1 y=3 x=2 dims=2",
+        "expected=2 read=4 z=0 y=1 x=0 read=8"));
+    CampaignRaw raw = readBeamLog(ss);
+    ASSERT_EQ(raw.runs.size(), 1u);
+    const RawRun &run = raw.runs[0];
+    EXPECT_EQ(run.strike.burstBits, 5u);
+    EXPECT_EQ(run.strike.entropy, 9u);
+    EXPECT_EQ(run.strike.resource, ResourceKind::L2Cache);
+    EXPECT_EQ(run.strike.manifestation, Manifestation::StaleData);
+    EXPECT_EQ(run.record.extent[0], 2);
+    ASSERT_EQ(run.record.elements.size(), 1u);
+    EXPECT_EQ(run.record.elements[0].read, 8.0);
+    EXPECT_EQ(run.record.elements[0].expected, 2.0);
+}
+
+TEST(BeamLogGrammar, UnknownResourceIsADiagnostic)
+{
+    // Not fatal(): the store quarantines such an entry and
+    // re-simulates it.
+    std::string error = parseError(oneRunLog(
+        "idx=0 outcome=SDC resource=Bogus "
+        "manifestation=BitFlipValue t=0.5 burst=1 entropy=7"));
+    EXPECT_NE(error.find("unknown resource 'Bogus'"),
+              std::string::npos)
+        << error;
+}
+
+TEST(BeamLogGrammar, EntropyMustBeANumber)
+{
+    std::string error = parseError(oneRunLog(
+        "idx=0 outcome=SDC resource=RegisterFile "
+        "manifestation=BitFlipValue t=0.5 burst=1 entropy=xyz"));
+    EXPECT_NE(error.find("bad integer 'xyz'"), std::string::npos)
+        << error;
+}
+
+TEST(BeamLogGrammar, CoordinateMustBeAWholeToken)
+{
+    std::string error = parseError(oneRunLog(
+        goodRun, "dims=2 x=4 y=4 z=1",
+        "x=12abc y=2 z=0 read=1.5 expected=1"));
+    EXPECT_NE(error.find("bad integer '12abc'"), std::string::npos)
+        << error;
+}
+
+TEST(BeamLogGrammar, BurstMustFitItsField)
+{
+    std::string error = parseError(oneRunLog(
+        "idx=0 outcome=SDC resource=RegisterFile "
+        "manifestation=BitFlipValue t=0.5 burst=4294967296 "
+        "entropy=7"));
+    EXPECT_NE(error.find("bad integer '4294967296'"),
+              std::string::npos)
+        << error;
+}
+
+TEST(BeamLogGrammar, DimsMustFitAnInt)
+{
+    std::string error = parseError(
+        oneRunLog(goodRun, "dims=2147483648 x=4 y=4 z=1"));
+    EXPECT_NE(error.find("bad integer '2147483648'"),
+              std::string::npos)
+        << error;
+}
+
+TEST(BeamLogGrammar, DoublesMustBeWholeTokens)
+{
+    std::string error = parseError(oneRunLog(
+        goodRun, "dims=2 x=4 y=4 z=1",
+        "x=1 y=2 z=0 read=1.5x expected=1"));
+    EXPECT_NE(error.find("bad number '1.5x'"), std::string::npos)
+        << error;
+}
+
+TEST(BeamLogGrammar, EndMustCloseTheOpenRun)
+{
+    std::string text = oneRunLog(goodRun);
+    text.replace(text.rfind("idx=0"), 5, "idx=3");
+    std::string error = parseError(text);
+    EXPECT_NE(error.find("#END does not close the open #RUN"),
+              std::string::npos)
+        << error;
+}
+
+TEST(BeamLogGrammar, HeaderMustComeFirst)
+{
+    std::string text = oneRunLog(goodRun);
+    size_t eol = text.find('\n') + 1;
+    std::string moved = text.substr(eol) + text.substr(0, eol);
+    EXPECT_NE(parseError(moved).find("no #HEADER"),
+              std::string::npos);
+}
+
+TEST(BeamLogGrammar, HugeDeclaredRunCountIsAMismatchNotAnAllocation)
+{
+    // A streamed read reserves batch room from the header's run
+    // count; a hostile count must end as the count diagnostic.
+    std::stringstream ss(
+        "#HEADER version=2 device=K40 workload=DGEMM input=x "
+        "seed=1 runs=18446744073709551615 sensitive_area_au=1\n" +
+        oneRunLog(goodRun).substr(oneRunLog(goodRun).find('\n') + 1));
+    BeamLogSource source(ss, 0);
+    RunBatch batch;
+    try {
+        while (source.next(batch)) {
+        }
+        FAIL() << "accepted a log with a wrong run count";
+    } catch (const BeamLogParseError &e) {
+        EXPECT_NE(std::string(e.what()).find("contains 1"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // anonymous namespace

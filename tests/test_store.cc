@@ -10,9 +10,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 
 #include "campaign/runner.hh"
+#include "campaign/series.hh"
 #include "campaign/store.hh"
 #include "common/logging.hh"
 #include "kernels/dgemm.hh"
@@ -259,6 +261,73 @@ TEST_F(StoreTest, SimulateOrLoadRecoversFromCorruptEntry)
     simulateOrLoad(device_, dgemm_, cfg, &store);
     EXPECT_EQ(store.hits(), 1u);
 }
+
+/**
+ * Replace the value of the first `key=` field in the file at `path`
+ * with `value`.
+ */
+void
+editFirstField(const std::string &path, const std::string &key,
+               const std::string &value)
+{
+    std::string text;
+    {
+        std::ifstream in(path);
+        text.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    size_t pos = text.find(" " + key + "=");
+    ASSERT_NE(pos, std::string::npos) << key;
+    pos += key.size() + 2;
+    size_t end = text.find_first_of(" \n", pos);
+    text.replace(pos, end - pos, value);
+    std::ofstream(path, std::ios::trunc) << text;
+}
+
+class StoreHostileEntryTest
+    : public StoreTest,
+      public ::testing::WithParamInterface<
+          std::pair<std::string, std::string>>
+{
+};
+
+TEST_P(StoreHostileEntryTest, QuarantinedAndResimulatedToSameCsv)
+{
+    // A field the parser cannot accept (an unknown resource name,
+    // a non-numeric entropy) makes the entry corrupt like any
+    // other: quarantined and re-simulated, never a process exit
+    // and never served as a hit.
+    CampaignStore store(dir_);
+    SimConfig cfg;
+    cfg.faultyRuns = 40;
+    cfg.seed = 11;
+    CampaignRaw first =
+        simulateOrLoad(device_, dgemm_, cfg, &store);
+    std::string path =
+        store.pathFor(CampaignKey{device_.name, dgemm_.name(),
+                                  dgemm_.inputLabel(), cfg});
+    editFirstField(path, GetParam().first, GetParam().second);
+
+    bool quiet = isQuiet();
+    setQuiet(true);
+    CampaignRaw second =
+        simulateOrLoad(device_, dgemm_, cfg, &store);
+    setQuiet(quiet);
+
+    EXPECT_EQ(store.hits(), 0u);
+    EXPECT_EQ(store.quarantined(), 1u);
+    EXPECT_TRUE(
+        std::filesystem::exists(path + ".quarantined"));
+    AnalysisConfig acfg;
+    EXPECT_EQ(runRows(analyzeCampaign(first, acfg)),
+              runRows(analyzeCampaign(second, acfg)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadFields, StoreHostileEntryTest,
+    ::testing::Values(std::make_pair("resource", "Bogus"),
+                      std::make_pair("entropy", "xyz")),
+    [](const auto &info) { return info.param.first; });
 
 TEST_F(StoreTest, SimulateOrLoadHitsOnSecondCall)
 {

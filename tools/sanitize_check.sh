@@ -7,8 +7,10 @@
 #
 # Defaults to ThreadSanitizer in build-tsan/. Pass "address" to vet
 # the same tests under AddressSanitizer instead, together with the
-# kernels- and golden-labelled tests: the stencil steps index rows
-# through raw pointers, and the goldens replay every manifestation.
+# kernels-, golden- and parsers-labelled tests: the stencil steps
+# index rows through raw pointers, the goldens replay every
+# manifestation, and the beam-log parser indexes string_views into
+# untrusted bytes.
 set -euo pipefail
 
 SANITIZER="${1:-thread}"
@@ -22,8 +24,10 @@ case "$SANITIZER" in
     address)
         DEFAULT_DIR=build-asan
         TARGETS+=(test_hotspot test_clamr test_prop_kernels
-                  test_golden test_report)
-        LABELS+="|kernels|golden"
+                  test_golden test_report test_beamlog
+                  test_prop_beamlog test_prop_beamlog_fuzz
+                  test_store test_stream)
+        LABELS+="|kernels|golden|parsers"
         ;;
     *)
         echo "sanitize_check: unknown sanitizer '$SANITIZER'" \
