@@ -137,8 +137,6 @@ std::optional<CampaignRaw>
 CampaignStore::load(const CampaignKey &key)
 {
     std::string path = pathFor(key);
-    Counter &hit =
-        StatsRegistry::global().counter("campaign.store.hit");
     Counter &miss =
         StatsRegistry::global().counter("campaign.store.miss");
 
@@ -165,6 +163,20 @@ CampaignStore::load(const CampaignKey &key)
         miss.inc();
         return std::nullopt;
     }
+    return load(key, std::move(parsed));
+}
+
+std::optional<CampaignRaw>
+CampaignStore::load(const CampaignKey &key,
+                    std::optional<CampaignRaw> parsed)
+{
+    if (!parsed)
+        return load(key);
+    std::string path = pathFor(key);
+    Counter &hit =
+        StatsRegistry::global().counter("campaign.store.hit");
+    Counter &miss =
+        StatsRegistry::global().counter("campaign.store.miss");
 
     CampaignRaw raw = std::move(*parsed);
     if (raw.deviceName != key.device ||

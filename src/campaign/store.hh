@@ -102,6 +102,16 @@ class CampaignStore
      */
     std::optional<CampaignRaw> load(const CampaignKey &key);
 
+    /**
+     * load() of an entry the caller already parsed, e.g. in pieces
+     * across a pool (BeamLogPieces over pathFor(key)). A parsed
+     * campaign only goes through the key check; nullopt (the entry
+     * was missing or did not parse) falls back to load(), so
+     * misses, retries and quarantines are exactly load()'s.
+     */
+    std::optional<CampaignRaw>
+    load(const CampaignKey &key, std::optional<CampaignRaw> parsed);
+
     /** Write a campaign under its key (atomic rename into place). */
     void save(const CampaignRaw &raw);
 

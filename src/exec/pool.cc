@@ -96,11 +96,9 @@ WorkerPool::WorkerPool(unsigned jobs)
 
 WorkerPool::~WorkerPool()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    wake_.notify_all();
+    stop_.store(true, std::memory_order_relaxed);
+    for (auto &wake : wake_)
+        wake->release();
     for (auto &t : threads_)
         t.join();
 }
@@ -201,45 +199,51 @@ void
 WorkerPool::ensureThreads(unsigned helpers)
 {
     while (threads_.size() < helpers) {
-        // A thread spawned mid-lifetime must not mistake the
-        // current epoch for a dispatch it missed, so it starts
-        // already caught up. epoch_ is only written by the
-        // dispatching thread — the one running right here — so the
-        // unlocked read is race-free.
+        wake_.push_back(std::make_unique<std::binary_semaphore>(0));
         threads_.emplace_back(&WorkerPool::workerLoop, this,
                               static_cast<unsigned>(
                                   threads_.size()),
-                              epoch_);
+                              wake_.back().get());
     }
 }
 
 void
-WorkerPool::workerLoop(unsigned index, uint64_t seen_epoch)
+WorkerPool::workerLoop(unsigned index, std::binary_semaphore *wake)
 {
     for (;;) {
-        Dispatch dispatch;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [&] {
-                return stop_ || epoch_ != seen_epoch;
-            });
-            if (stop_)
-                return;
-            seen_epoch = epoch_;
-            dispatch = dispatch_;
-        }
-        // Helpers beyond this dispatch's width (spawned for an
-        // earlier, wider dispatch) just go back to sleep; they are
-        // not counted in pending_.
-        bool participating = index + 1 < dispatch.workers;
-        if (participating)
-            runChunk(index + 1, dispatch);
-        if (participating) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--pending_ == 0)
-                done_.notify_all();
-        }
+        // The release() that wakes this helper publishes dispatch_
+        // (or stop_), which stays fixed until pending_ drains.
+        wake->acquire();
+        if (stop_.load(std::memory_order_relaxed))
+            return;
+        runChunk(index + 1, dispatch_);
+        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            pending_.notify_one();
     }
+}
+
+std::exception_ptr
+WorkerPool::runParallel(const Dispatch &dispatch)
+{
+    ensureThreads(dispatch.workers - 1);
+    dispatch_ = dispatch;
+    firstError_ = nullptr;
+    pending_.store(dispatch.workers - 1, std::memory_order_relaxed);
+    // Each participating helper has its own wake-up, so none of
+    // them queues on a shared lock on the way in.
+    for (unsigned helper = 0; helper + 1 < dispatch.workers;
+         ++helper)
+        wake_[helper]->release();
+
+    // The dispatching thread is worker 0, exactly as when threads
+    // were spawned per dispatch.
+    runChunk(0, dispatch);
+
+    for (unsigned left;
+         (left = pending_.load(std::memory_order_acquire)) != 0;)
+        pending_.wait(left, std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(firstError_, nullptr);
 }
 
 void
@@ -267,28 +271,8 @@ WorkerPool::forChunks(uint64_t count, const ChunkBody &body,
         return;
     }
 
-    ensureThreads(workers - 1);
-    Dispatch dispatch{count, workers, &body, stats};
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        dispatch_ = dispatch;
-        firstError_ = nullptr;
-        pending_ = workers - 1;
-        ++epoch_;
-    }
-    wake_.notify_all();
-
-    // The dispatching thread is worker 0, exactly as when threads
-    // were spawned per dispatch.
-    runChunk(0, dispatch);
-
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [&] { return pending_ == 0; });
-        error = firstError_;
-        firstError_ = nullptr;
-    }
+    std::exception_ptr error =
+        runParallel(Dispatch{count, workers, &body, stats});
     if (stats)
         stats->wallNs = elapsedNs(dispatch_start);
     if (error)
@@ -317,39 +301,16 @@ WorkerPool::forDynamic(uint64_t count, uint64_t grain,
     Dispatch dispatch{count, workers, &body, stats, &cursor,
                       grain};
 
+    std::exception_ptr error;
     if (workers == 1) {
         // Serial path: worker 0 claims every grain in order. Run
         // through runChunk so chunk accounting and error capture
         // match the parallel path.
         firstError_ = nullptr;
         runChunk(0, dispatch);
-        std::exception_ptr error = firstError_;
-        firstError_ = nullptr;
-        if (stats)
-            stats->wallNs = elapsedNs(dispatch_start);
-        if (error)
-            std::rethrow_exception(error);
-        return;
-    }
-
-    ensureThreads(workers - 1);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        dispatch_ = dispatch;
-        firstError_ = nullptr;
-        pending_ = workers - 1;
-        ++epoch_;
-    }
-    wake_.notify_all();
-
-    runChunk(0, dispatch);
-
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [&] { return pending_ == 0; });
-        error = firstError_;
-        firstError_ = nullptr;
+        error = std::exchange(firstError_, nullptr);
+    } else {
+        error = runParallel(dispatch);
     }
     if (stats)
         stats->wallNs = elapsedNs(dispatch_start);

@@ -12,7 +12,7 @@
  * scheduler, and available to benches.
  *
  * Worker threads are persistent: they are spawned lazily on the
- * first parallel dispatch and then parked on a condition variable
+ * first parallel dispatch and then parked on a per-thread semaphore
  * between dispatches, so a pool reused across many campaigns (the
  * suite scheduler runs every distinct campaign of a whole
  * experiment suite on one pool) pays thread-creation cost once
@@ -28,7 +28,9 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <utility>
@@ -227,8 +229,17 @@ class WorkerPool
     /** Spawn persistent helper threads up to `helpers` total. */
     void ensureThreads(unsigned helpers);
 
-    /** Parked loop of helper thread `index` (worker id index+1). */
-    void workerLoop(unsigned index, uint64_t seen_epoch);
+    /**
+     * Parked loop of helper thread `index` (worker id index+1),
+     * woken once per dispatch it takes part in through `wake`.
+     */
+    void workerLoop(unsigned index, std::binary_semaphore *wake);
+
+    /**
+     * Run a dispatch of dispatch.workers >= 2 workers, the caller
+     * as worker 0. @return the first exception a body threw.
+     */
+    std::exception_ptr runParallel(const Dispatch &dispatch);
 
     /** Run one worker's chunk, recording stats and first error. */
     void runChunk(unsigned worker, const Dispatch &dispatch);
@@ -237,14 +248,19 @@ class WorkerPool
     uint64_t dispatches_ = 0;
 
     std::vector<std::thread> threads_;
+    /**
+     * One wake-up per helper thread, so woken helpers never queue
+     * on a shared lock: with more workers than CPUs each hand-off
+     * of such a lock can wait for a scheduler tick (8 workers on a
+     * 4-vCPU VM joined a dispatch ~4 ms apart behind one mutex).
+     */
+    std::vector<std::unique_ptr<std::binary_semaphore>> wake_;
+    /** Participating helpers still running this dispatch. */
+    std::atomic<unsigned> pending_{0};
+    std::atomic<bool> stop_{false};
+    /** Guards firstError_ while a dispatch runs. */
     std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    /** Bumped (under mutex_) once per parallel dispatch. */
-    uint64_t epoch_ = 0;
-    /** Participating helpers that have not finished this epoch. */
-    unsigned pending_ = 0;
-    bool stop_ = false;
+    /** The running dispatch; fixed until pending_ drains. */
     Dispatch dispatch_;
     std::exception_ptr firstError_;
 };

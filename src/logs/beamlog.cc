@@ -391,6 +391,41 @@ class RecordParser
     bool inRun_ = false;
 };
 
+/**
+ * Read up to and including the #HEADER, which must be the first
+ * non-empty line. `*bytes`, when given, advances past every line
+ * consumed.
+ */
+HeaderFields
+readHeader(std::istream &is, RecordParser &records, std::string &line,
+           uint64_t *bytes = nullptr)
+{
+    while (std::getline(is, line)) {
+        if (bytes)
+            *bytes += line.size() + 1;
+        if (line.empty())
+            continue;
+        // A record line first means the header is missing; any
+        // other keyword (a #SHARD checkpoint, say) is named.
+        std::string_view keyword = records.split(line);
+        if (keyword == "#RUN" || keyword == "#DIMS" ||
+            keyword == "#ERR" || keyword == "#END")
+            break;
+        if (keyword != "#HEADER")
+            throw unknownKeyword(keyword);
+        return records.header(false);
+    }
+    throw BeamLogParseError("beam log has no #HEADER");
+}
+
+/** @return true for a line that starts with the #RUN keyword. */
+bool
+isRunLine(std::string_view line)
+{
+    return line.substr(0, 4) == "#RUN" &&
+        (line.size() == 4 || isSpace(line[4]));
+}
+
 } // anonymous namespace
 
 void
@@ -426,28 +461,14 @@ struct BeamLogReader::ParserState
 BeamLogReader::BeamLogReader(std::istream &is)
     : is_(&is), state_(std::make_shared<ParserState>())
 {
-    std::string &line = state_->line;
-    while (std::getline(*is_, line)) {
-        if (line.empty())
-            continue;
-        // A record line first means the header is missing; any
-        // other keyword (a #SHARD checkpoint, say) is named.
-        std::string_view keyword = state_->records.split(line);
-        if (keyword == "#RUN" || keyword == "#DIMS" ||
-            keyword == "#ERR" || keyword == "#END")
-            break;
-        if (keyword != "#HEADER")
-            throw unknownKeyword(keyword);
-        HeaderFields header = state_->records.header(false);
-        device_ = std::move(header.device);
-        workload_ = std::move(header.workload);
-        input_ = std::move(header.input);
-        seed_ = header.seed;
-        declaredRuns_ = header.runs;
-        sensitiveAreaAu_ = header.sensitiveAreaAu;
-        return;
-    }
-    throw BeamLogParseError("beam log has no #HEADER");
+    HeaderFields header =
+        readHeader(*is_, state_->records, state_->line);
+    device_ = std::move(header.device);
+    workload_ = std::move(header.workload);
+    input_ = std::move(header.input);
+    seed_ = header.seed;
+    declaredRuns_ = header.runs;
+    sensitiveAreaAu_ = header.sensitiveAreaAu;
 }
 
 std::optional<RawRun>
@@ -627,6 +648,94 @@ tryReadBeamLogFile(const std::string &path, std::string *error)
     return tryReadBeamLog(in, error);
 }
 
+BeamLogPieces::BeamLogPieces(std::string path, uint64_t pieceBytes)
+    : path_(std::move(path)),
+      pieceBytes_(std::max<uint64_t>(pieceBytes, 1))
+{
+    std::error_code ec;
+    uint64_t size = std::filesystem::file_size(path_, ec);
+    if (!ec)
+        pieces_.resize(std::max<uint64_t>(
+            1, (size + pieceBytes_ - 1) / pieceBytes_));
+}
+
+void
+BeamLogPieces::parse(size_t k)
+{
+    Piece &piece = pieces_[k];
+    std::ifstream in(path_);
+    if (!in)
+        return;
+    const uint64_t from = k * pieceBytes_;
+    const uint64_t to = from + pieceBytes_;
+    RecordParser records;
+    std::string line;
+    // Byte offset of the line in `line` once `pending`.
+    uint64_t offset = 0;
+    bool pending = false;
+    try {
+        if (k == 0) {
+            HeaderFields header =
+                readHeader(in, records, line, &offset);
+            head_.deviceName = std::move(header.device);
+            head_.workloadName = std::move(header.workload);
+            head_.inputLabel = std::move(header.input);
+            head_.sim.seed = header.seed;
+            head_.sim.faultyRuns = header.runs;
+            head_.sensitiveAreaAu = header.sensitiveAreaAu;
+            pending = static_cast<bool>(std::getline(in, line));
+        } else {
+            // Skip to the first line that starts at or after `from`,
+            // then to this piece's first #RUN line; none before `to`
+            // leaves the piece empty.
+            in.seekg(static_cast<std::streamoff>(from - 1));
+            std::getline(in, line);
+            offset = from + line.size();
+            while (offset < to && std::getline(in, line)) {
+                if (isRunLine(line)) {
+                    pending = true;
+                    break;
+                }
+                offset += line.size() + 1;
+            }
+        }
+        // Fold records up to the next piece's first line: the
+        // first #RUN line at or past `to`.
+        for (; pending; pending = static_cast<bool>(
+                            std::getline(in, line))) {
+            if (offset >= to && isRunLine(line))
+                break;
+            if (!line.empty())
+                if (auto run = records.consume(line))
+                    piece.runs.push_back(std::move(*run));
+            offset += line.size() + 1;
+        }
+        piece.ok = !records.inRun() && !in.bad();
+    } catch (const BeamLogParseError &) {
+        // The piece stays failed; join() reports it.
+    }
+}
+
+std::optional<CampaignRaw>
+BeamLogPieces::join()
+{
+    size_t runs = 0;
+    for (const Piece &piece : pieces_) {
+        if (!piece.ok)
+            return std::nullopt;
+        runs += piece.runs.size();
+    }
+    if (pieces_.empty() || runs != head_.sim.faultyRuns)
+        return std::nullopt;
+    CampaignRaw raw = std::move(head_);
+    raw.runs.reserve(runs);
+    for (Piece &piece : pieces_)
+        for (RawRun &run : piece.runs)
+            raw.runs.push_back(std::move(run));
+    pieces_.clear();
+    return raw;
+}
+
 CheckpointWriter::CheckpointWriter(const std::string &path,
                                    const CampaignRaw &raw,
                                    uint64_t keepBytes,
@@ -672,14 +781,20 @@ CheckpointWriter::append(const RawRun &run)
         if (engine->shouldCorruptWrite("checkpoint"))
             bytes.resize(bytes.size() / 2);
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    out_.write(bytes.data(),
-               static_cast<std::streamsize>(bytes.size()));
-    ++appended_;
-    if (appended_ % flushEvery_ == 0)
-        out_.flush();
-    if (!out_)
-        fatal("write error on checkpoint '%s'", path_.c_str());
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        out_.write(bytes.data(),
+                   static_cast<std::streamsize>(bytes.size()));
+        ++appended_;
+        if (appended_ % flushEvery_ == 0)
+            out_.flush();
+        if (!out_)
+            fatal("write error on checkpoint '%s'", path_.c_str());
+    }
+    // Pool workers live as long as the process: do not let one
+    // huge record pin its size in every worker's buffer.
+    if (bytes.capacity() > 64 * 1024)
+        std::string().swap(bytes);
 }
 
 CheckpointRecovery

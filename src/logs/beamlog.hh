@@ -132,6 +132,58 @@ tryReadBeamLogFile(const std::string &path,
                    std::string *error = nullptr);
 
 /**
+ * A beam-log file parsed as independent byte-range pieces, so one
+ * large log can be spread over many threads without reading it
+ * whole. Piece k spans the bytes [k * pieceBytes, (k + 1) *
+ * pieceBytes) and owns every run whose #RUN line (a line starting
+ * with the #RUN keyword) begins there; piece 0 also owns the
+ * #HEADER. A run is only ever cut from its predecessor at such a
+ * line, where the one-pass reader holds no open run, so join()
+ * accepts exactly the logs readBeamLog() accepts and returns the
+ * same campaign. The file must not change while it is parsed
+ * (store entries are only ever replaced whole, by a rename of
+ * identical bytes).
+ */
+class BeamLogPieces
+{
+  public:
+    /** Sizes the file: no pieces when it cannot be sized. */
+    BeamLogPieces(std::string path, uint64_t pieceBytes);
+
+    /** @return the number of pieces. */
+    size_t count() const { return pieces_.size(); }
+
+    /**
+     * Parse piece `k`. Distinct pieces may be parsed concurrently.
+     * Malformed input does not throw: it fails the piece.
+     */
+    void parse(size_t k);
+
+    /**
+     * Concatenate the parsed pieces. Call once, after every
+     * parse() returned.
+     *
+     * @return the campaign, or nullopt when the file could not be
+     * sized, a piece failed, or the run count contradicts the
+     * header. Re-read with tryReadBeamLog() for the diagnostic.
+     */
+    std::optional<CampaignRaw> join();
+
+  private:
+    struct Piece
+    {
+        std::vector<RawRun> runs;
+        bool ok = false;
+    };
+
+    std::string path_;
+    uint64_t pieceBytes_;
+    /** Header fields, filled by piece 0. */
+    CampaignRaw head_;
+    std::vector<Piece> pieces_;
+};
+
+/**
  * Incremental record-at-a-time beam-log writer: the streaming
  * counterpart of writeBeamLog() (which is implemented on top of
  * it). header() emits the #HEADER line up front with the declared

@@ -13,6 +13,7 @@
 #include "common/logging.hh"
 #include "exec/chaos.hh"
 #include "exec/launch.hh"
+#include "logs/beamlog.hh"
 #include "obs/timeline.hh"
 #include "obs/trace.hh"
 #include "sim/sampler.hh"
@@ -54,6 +55,14 @@ struct PrepassItem
     uint64_t wallNs = 0;
     bool simulated = false;
 
+    // Sharded store-resolution state: the store entry in byte-range
+    // pieces, and how many of the campaign's units (its pieces, or
+    // one plain lookup when there are none) were claimed and
+    // finished.
+    std::optional<BeamLogPieces> pieces;
+    std::atomic<uint64_t> unitsClaimed{0};
+    std::atomic<uint64_t> unitsDone{0};
+
     // Sharded-dispatch state: the strike sampler built once on the
     // caller-visible miss path (shared read-only by every worker),
     // and the claim/completion bookkeeping for a campaign whose
@@ -64,6 +73,21 @@ struct PrepassItem
     /** Prepass-relative ns of the campaign's first claimed run. */
     uint64_t startNs = 0;
 };
+
+/**
+ * Bytes per store-entry piece of the sharded prepass: large enough
+ * that opening the file again is noise, small enough that a
+ * multi-megabyte entry spreads over every worker.
+ */
+constexpr uint64_t entryPieceBytes = 256 * 1024;
+
+/** @return the store key of an item. */
+CampaignKey
+storeKey(const PrepassItem &item)
+{
+    return CampaignKey{item.device.name, item.workload->name(),
+                       item.workload->inputLabel(), item.cfg.sim};
+}
 
 /**
  * Collect and dedup the campaigns the selected experiments
@@ -156,12 +180,13 @@ executeSequential(PrepassItem &item, SuiteContext &ctx)
 }
 
 /**
- * Sharded phase A for one item, on the claiming worker thread: try
- * the store (materialized hit, same sim/launch/stats carry as
- * simulateOrLoad()), else prepare the campaign for the flattened
- * run dispatch — raw header, launch view, the shared read-only
- * strike sampler, and pre-sized run slots so phase B workers write
- * disjoint elements of a vector that never reallocates.
+ * Sharded phase A for one item, on the worker that finished its
+ * last piece: try the store with the joined pieces (materialized
+ * hit, same sim/launch/stats carry as simulateOrLoad()), else
+ * prepare the campaign for the flattened run dispatch — raw
+ * header, launch view, the shared read-only strike sampler, and
+ * pre-sized run slots so phase B workers write disjoint elements
+ * of a vector that never reallocates.
  *
  * @return true when the store served the campaign.
  */
@@ -169,10 +194,8 @@ bool
 resolveStore(PrepassItem &item, SuiteContext &ctx)
 {
     if (CampaignStore *store = ctx.store()) {
-        CampaignKey key{item.device.name, item.workload->name(),
-                        item.workload->inputLabel(),
-                        item.cfg.sim};
-        if (auto hit = store->load(key)) {
+        if (auto hit = store->load(storeKey(item),
+                                   item.pieces->join())) {
             item.raw = std::move(*hit);
             // jobs/ioThreads are execution details outside the
             // key; carry the caller's values (same as
@@ -314,23 +337,80 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
         PoolRunStats poolStats;
         PoolRunStats phaseStats;
 
-        // Phase A — store resolution: hits load (and precompute
-        // their analysis) concurrently; misses build their raw
-        // header, sampler, and run slots for the flattened
-        // dispatch below.
+        // Phase A — store resolution, flattened like phase B: every
+        // store entry is parsed in byte-range pieces claimed one by
+        // one across campaigns, so one large entry cannot serialize
+        // a warm prepass. The worker that finishes a campaign's
+        // last unit resolves it: a hit loads (and precomputes its
+        // analysis), a miss builds its raw header, sampler, and run
+        // slots for the flattened dispatch below. Larger entries
+        // are queued first, so the longest chain of work starts
+        // at once and the small entries fill in around it.
+        auto unitsOf = [](const PrepassItem &item) -> uint64_t {
+            return std::max<uint64_t>(
+                item.pieces ? item.pieces->count() : 0, 1);
+        };
+        std::vector<PrepassItem *> queue;
+        for (auto &item : items) {
+            if (CampaignStore *store = ctx.store())
+                item->pieces.emplace(store->pathFor(storeKey(*item)),
+                                     entryPieceBytes);
+            queue.push_back(item.get());
+        }
+        std::stable_sort(queue.begin(), queue.end(),
+                         [&](const PrepassItem *a,
+                             const PrepassItem *b) {
+                             return unitsOf(*a) > unitsOf(*b);
+                         });
+        std::vector<uint64_t> unitOffsets{0};
+        for (const PrepassItem *item : queue)
+            unitOffsets.push_back(unitOffsets.back() +
+                                  unitsOf(*item));
         ctx.pool().forDynamic(
-            items.size(), 1,
+            unitOffsets.back(), 1,
             [&](unsigned worker, uint64_t begin, uint64_t end) {
-                for (uint64_t idx = begin; idx < end; ++idx) {
-                    PrepassItem &item = *items[idx];
-                    enter();
+                for (uint64_t g = begin; g < end; ++g) {
+                    size_t k = static_cast<size_t>(
+                        std::upper_bound(unitOffsets.begin(),
+                                         unitOffsets.end(), g) -
+                        unitOffsets.begin() - 1);
+                    PrepassItem &item = *queue[k];
+                    uint64_t unit = g - unitOffsets[k];
+                    if (item.unitsClaimed.fetch_add(
+                            1, std::memory_order_relaxed) == 0) {
+                        item.startNs = elapsedNs(prepass_start);
+                        enter();
+                    }
+                    if (item.pieces && unit < item.pieces->count()) {
+                        uint64_t span_begin = tl ? tl->nowNs() : 0;
+                        item.pieces->parse(unit);
+                        if (tl) {
+                            lane(worker).span(
+                                item.key, "prepass", span_begin,
+                                tl->nowNs() - span_begin,
+                                {{"campaign", item.key},
+                                 {"piece", std::to_string(unit)},
+                                 {"source", "store"}});
+                        }
+                    }
+                    // acq_rel: the last unit's worker sees every
+                    // other piece's parse. The unit count comes from
+                    // the fixed offsets: join() empties the pieces.
+                    uint64_t units =
+                        unitOffsets[k + 1] - unitOffsets[k];
+                    if (item.unitsDone.fetch_add(
+                            1, std::memory_order_acq_rel) +
+                            1 <
+                        units)
+                        continue;
+
                     uint64_t span_begin = tl ? tl->nowNs() : 0;
-                    auto start = std::chrono::steady_clock::now();
                     item.simulated = !resolveStore(item, ctx);
                     if (!item.simulated && !traceSink() && !tl)
                         item.analysis = analyzeCampaign(
                             item.raw, item.cfg.analysis);
-                    item.wallNs = elapsedNs(start);
+                    item.wallNs =
+                        elapsedNs(prepass_start) - item.startNs;
                     if (tl && !item.simulated) {
                         lane(worker).span(
                             item.key, "prepass", span_begin,
@@ -407,9 +487,11 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
                              {"source", "simulated"}});
                     }
 
+                    // acq_rel: the finishing worker reads the
+                    // claimer's startNs.
                     uint64_t fin =
                         item.runsDone.fetch_add(
-                            1, std::memory_order_relaxed) +
+                            1, std::memory_order_acq_rel) +
                         1;
                     if (fin == item.cfg.sim.faultyRuns) {
                         item.wallNs =

@@ -10,6 +10,10 @@
  * (run the "parsers" label under tools/sanitize_check.sh address
  * to vet the raw string_view indexing as well).
  *
+ * The same mutants, read in byte-range pieces (BeamLogPieces), must
+ * be accepted or rejected exactly as the one-pass reader does, and
+ * accepted ones must yield the same campaign.
+ *
  * Shard mutations leave the #SHARD header line alone: a shard whose
  * well-formed header names another campaign is fatal by contract
  * (see readCheckpointShards()), and that is tested in test_resume.
@@ -33,6 +37,7 @@
 #include "campaign/runner.hh"
 #include "check/prop.hh"
 #include "common/logging.hh"
+#include "exec/pool.hh"
 #include "kernels/dgemm.hh"
 #include "logs/beamlog.hh"
 
@@ -274,6 +279,128 @@ TEST(BeamLogFuzz, MutantsRoundTripOrFailWithADiagnostic)
                 for (const Mutation &m : ms)
                     mutant = mutate(mutant, m, 0);
                 return static_cast<bool>(beamLogMutantIsSafe(mutant));
+            }));
+    EXPECT_TRUE(r.ok) << r.message;
+}
+
+/** Temp file holding the bytes a piece-read test parses. */
+class PiecesTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        path_ = ::testing::TempDir() + "radcrit_pieces_" +
+            ::testing::UnitTest::GetInstance()
+                ->current_test_info()
+                ->name() +
+            ".beamlog";
+    }
+
+    void TearDown() override { std::filesystem::remove(path_); }
+
+    /**
+     * Read `bytes` in pieces of `pieceBytes` (parsed last piece
+     * first, so no piece relies on its predecessor having run) and
+     * with the one-pass reader: both must reject, or both accept
+     * the same campaign.
+     */
+    ::testing::AssertionResult
+    piecesMatchOnePass(const std::string &bytes, uint64_t pieceBytes)
+    {
+        std::ofstream(path_, std::ios::trunc | std::ios::binary)
+            << bytes;
+        BeamLogPieces pieces(path_, pieceBytes);
+        for (size_t k = pieces.count(); k-- > 0;)
+            pieces.parse(k);
+        std::optional<CampaignRaw> joined = pieces.join();
+        std::optional<CampaignRaw> whole = tryReadBeamLogFile(path_);
+        if (joined.has_value() != whole.has_value())
+            return ::testing::AssertionFailure()
+                << "pieces of " << pieceBytes << " bytes "
+                << (joined ? "accept" : "reject")
+                << " what the one-pass reader "
+                << (whole ? "accepts" : "rejects");
+        if (!whole)
+            return ::testing::AssertionSuccess();
+        std::stringstream a;
+        std::stringstream b;
+        writeBeamLog(*joined, a);
+        writeBeamLog(*whole, b);
+        if (a.str() != b.str() ||
+            joined->sim.faultyRuns != whole->sim.faultyRuns)
+            return ::testing::AssertionFailure()
+                << "pieces of " << pieceBytes
+                << " bytes yield another campaign";
+        return ::testing::AssertionSuccess();
+    }
+
+    std::string path_;
+};
+
+TEST_F(PiecesTest, EveryPieceSizeMatchesTheOnePassReader)
+{
+    const std::string text = baseLog();
+    for (uint64_t size = 1; size <= text.size() + 1; ++size)
+        ASSERT_TRUE(piecesMatchOnePass(text, size)) << size;
+}
+
+TEST_F(PiecesTest, RunLeftOpenAtAPieceBoundaryIsRejected)
+{
+    // One run loses its #END and a copy of the last run keeps the
+    // count right: the one-pass reader sees a nested #RUN, so every
+    // cut, including one right after the open run, must reject too.
+    const std::string text = baseLog();
+    size_t end = text.find("#END idx=3\n");
+    ASSERT_NE(end, std::string::npos);
+    size_t last = text.rfind("#RUN ");
+    std::string mutant = text.substr(0, end) +
+        text.substr(end + 11) + text.substr(last);
+    for (uint64_t size = 1; size <= mutant.size() + 1; ++size)
+        ASSERT_TRUE(piecesMatchOnePass(mutant, size)) << size;
+}
+
+TEST_F(PiecesTest, PiecesParseConcurrently)
+{
+    const std::string text = baseLog();
+    std::ofstream(path_, std::ios::binary) << text;
+    BeamLogPieces pieces(path_, 64);
+    ASSERT_GT(pieces.count(), 8u);
+    WorkerPool pool(4);
+    pool.forDynamic(pieces.count(), 1,
+                    [&](unsigned, uint64_t begin, uint64_t end) {
+                        for (uint64_t k = begin; k < end; ++k)
+                            pieces.parse(k);
+                    });
+    std::optional<CampaignRaw> joined = pieces.join();
+    ASSERT_TRUE(joined.has_value());
+    std::stringstream out;
+    writeBeamLog(*joined, out);
+    EXPECT_EQ(out.str(), text);
+}
+
+TEST_F(PiecesTest, MissingFileHasNoPieces)
+{
+    BeamLogPieces pieces(path_ + ".absent", 64);
+    EXPECT_EQ(pieces.count(), 0u);
+    EXPECT_FALSE(pieces.join().has_value());
+}
+
+TEST_F(PiecesTest, MutantsMatchTheOnePassReader)
+{
+    const std::string text = baseLog();
+    check::PropResult r = check::forAll<std::vector<Mutation>>(
+        "beam-log mutants read in pieces match the one-pass reader",
+        check::gen::vectorOf(mutationGen(), 1, 3),
+        std::function<bool(const std::vector<Mutation> &)>(
+            [&](const std::vector<Mutation> &ms) {
+                std::string mutant = text;
+                for (const Mutation &m : ms)
+                    mutant = mutate(mutant, m, 0);
+                // Piece sizes from one byte to about a record.
+                uint64_t piece = 1 + (ms.front().c >> 8) % 400;
+                return static_cast<bool>(
+                    piecesMatchOnePass(mutant, piece));
             }));
     EXPECT_TRUE(r.ok) << r.message;
 }

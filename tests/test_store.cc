@@ -236,6 +236,53 @@ TEST_F(StoreTest, CorruptEntryIsQuarantinedAfterRetry)
     EXPECT_EQ(store.quarantined(), 1u);
 }
 
+TEST_F(StoreTest, EntryParsedInPiecesLoadsLikeAWholeRead)
+{
+    CampaignRaw raw = campaign(40, 11);
+    CampaignStore store(dir_);
+    store.save(raw);
+    BeamLogPieces pieces(store.pathFor(campaignKey(raw)), 512);
+    ASSERT_GT(pieces.count(), 1u);
+    for (size_t k = 0; k < pieces.count(); ++k)
+        pieces.parse(k);
+
+    std::optional<CampaignRaw> back =
+        store.load(campaignKey(raw), pieces.join());
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(store.hits(), 1u);
+    EXPECT_EQ(store.misses(), 0u);
+    EXPECT_TRUE(sameRuns(raw, *back));
+}
+
+TEST_F(StoreTest, UnparsedPiecesFallBackToTheWholeRead)
+{
+    // A corrupt entry whose pieces do not join is handed to the
+    // store as nullopt: the store re-reads it itself, so the miss,
+    // retry and quarantine are exactly load()'s.
+    CampaignRaw raw = campaign(40, 11);
+    CampaignStore store(dir_);
+    store.save(raw);
+    std::string path = store.pathFor(campaignKey(raw));
+    std::filesystem::resize_file(
+        path, std::filesystem::file_size(path) / 2);
+    BeamLogPieces pieces(path, 512);
+    for (size_t k = 0; k < pieces.count(); ++k)
+        pieces.parse(k);
+    std::optional<CampaignRaw> joined = pieces.join();
+    EXPECT_FALSE(joined.has_value());
+
+    bool quiet = isQuiet();
+    setQuiet(true);
+    std::optional<CampaignRaw> r =
+        store.load(campaignKey(raw), std::move(joined));
+    setQuiet(quiet);
+    EXPECT_FALSE(r.has_value());
+    EXPECT_EQ(store.misses(), 1u);
+    EXPECT_EQ(store.quarantined(), 1u);
+    EXPECT_TRUE(
+        std::filesystem::exists(path + ".quarantined"));
+}
+
 TEST_F(StoreTest, SimulateOrLoadRecoversFromCorruptEntry)
 {
     CampaignStore store(dir_);
