@@ -160,6 +160,16 @@ class BeamLogPieces
     void parse(size_t k);
 
     /**
+     * @return the runs piece `k` parsed, in file order, or null
+     * when it failed. Valid from parse(k) until join().
+     */
+    const std::vector<RawRun> *
+    runs(size_t k) const
+    {
+        return pieces_[k].ok ? &pieces_[k].runs : nullptr;
+    }
+
+    /**
      * Concatenate the parsed pieces. Call once, after every
      * parse() returned.
      *

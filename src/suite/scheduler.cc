@@ -8,6 +8,7 @@
 #include <set>
 #include <utility>
 
+#include "campaign/analysis.hh"
 #include "campaign/engine.hh"
 #include "campaign/stream.hh"
 #include "common/logging.hh"
@@ -60,6 +61,8 @@ struct PrepassItem
     // one plain lookup when there are none) were claimed and
     // finished.
     std::optional<BeamLogPieces> pieces;
+    /** Default analysis of each piece's runs, folded as it parses. */
+    std::vector<std::unique_ptr<AnalysisAccumulator>> pieceAnalysis;
     std::atomic<uint64_t> unitsClaimed{0};
     std::atomic<uint64_t> unitsDone{0};
 
@@ -194,8 +197,13 @@ bool
 resolveStore(PrepassItem &item, SuiteContext &ctx)
 {
     if (CampaignStore *store = ctx.store()) {
-        if (auto hit = store->load(storeKey(item),
-                                   item.pieces->join())) {
+        std::optional<CampaignRaw> joined = item.pieces->join();
+        // Runs folded from pieces that do not join are not the
+        // campaign a fallback load may still find.
+        if (!joined)
+            item.pieceAnalysis.clear();
+        if (auto hit =
+                store->load(storeKey(item), std::move(joined))) {
             item.raw = std::move(*hit);
             // jobs/ioThreads are execution details outside the
             // key; carry the caller's values (same as
@@ -218,6 +226,51 @@ resolveStore(PrepassItem &item, SuiteContext &ctx)
     item.raw.sensitiveAreaAu = item.sampler->totalWeight();
     item.raw.runs.resize(item.cfg.sim.faultyRuns);
     return false;
+}
+
+/**
+ * Fold the runs piece `k` of a store entry parsed into their own
+ * accumulator. Only the identity names matter here: merge() keeps
+ * the receiving accumulator's campaign meta.
+ */
+void
+foldPiece(PrepassItem &item, size_t k)
+{
+    const std::vector<RawRun> *runs = item.pieces->runs(k);
+    if (!runs)
+        return;
+    CampaignMeta meta;
+    meta.deviceName = item.device.name;
+    meta.workloadName = item.workload->name();
+    meta.inputLabel = item.workload->inputLabel();
+    meta.sim = item.cfg.sim;
+    auto acc = std::make_unique<AnalysisAccumulator>(
+        meta, item.cfg.analysis);
+    for (const RawRun &run : *runs)
+        acc->fold(run);
+    item.pieceAnalysis[k] = std::move(acc);
+}
+
+/**
+ * The default analysis of a store hit: the per-piece accumulators
+ * merged in run order, which analyzeCampaign() would reproduce
+ * byte for byte; analyzeCampaign() itself when the hit did not
+ * come from every piece.
+ */
+CampaignResult
+analyzeHit(PrepassItem &item)
+{
+    bool folded = !item.pieceAnalysis.empty();
+    for (const auto &piece : item.pieceAnalysis)
+        folded = folded && piece;
+    if (!folded)
+        return analyzeCampaign(item.raw, item.cfg.analysis);
+    AnalysisAccumulator acc(campaignMeta(item.raw),
+                            item.cfg.analysis);
+    for (auto &piece : item.pieceAnalysis)
+        acc.merge(std::move(*piece));
+    item.pieceAnalysis.clear();
+    return acc.finish(item.raw.stats);
 }
 
 /**
@@ -345,16 +398,20 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
         // analysis), a miss builds its raw header, sampler, and run
         // slots for the flattened dispatch below. Larger entries
         // are queued first, so the longest chain of work starts
-        // at once and the small entries fill in around it.
+        // at once and the small entries fill in around it. Each
+        // piece's runs are analyzed as soon as they are parsed.
+        bool analyze = !traceSink() && !tl;
         auto unitsOf = [](const PrepassItem &item) -> uint64_t {
             return std::max<uint64_t>(
                 item.pieces ? item.pieces->count() : 0, 1);
         };
         std::vector<PrepassItem *> queue;
         for (auto &item : items) {
-            if (CampaignStore *store = ctx.store())
+            if (CampaignStore *store = ctx.store()) {
                 item->pieces.emplace(store->pathFor(storeKey(*item)),
                                      entryPieceBytes);
+                item->pieceAnalysis.resize(item->pieces->count());
+            }
             queue.push_back(item.get());
         }
         std::stable_sort(queue.begin(), queue.end(),
@@ -384,6 +441,8 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
                     if (item.pieces && unit < item.pieces->count()) {
                         uint64_t span_begin = tl ? tl->nowNs() : 0;
                         item.pieces->parse(unit);
+                        if (analyze)
+                            foldPiece(item, unit);
                         if (tl) {
                             lane(worker).span(
                                 item.key, "prepass", span_begin,
@@ -406,9 +465,8 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
 
                     uint64_t span_begin = tl ? tl->nowNs() : 0;
                     item.simulated = !resolveStore(item, ctx);
-                    if (!item.simulated && !traceSink() && !tl)
-                        item.analysis = analyzeCampaign(
-                            item.raw, item.cfg.analysis);
+                    if (!item.simulated && analyze)
+                        item.analysis = analyzeHit(item);
                     item.wallNs =
                         elapsedNs(prepass_start) - item.startNs;
                     if (tl && !item.simulated) {
