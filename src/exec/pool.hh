@@ -170,7 +170,7 @@ class WorkerPool
      * further claims and is rethrown on the caller.
      *
      * This is the multi-client scheduling substrate for the suite's
-     * sharded campaign prepass: heterogeneous campaigns flattened
+     * campaign prepass: heterogeneous campaigns flattened
      * into one index space, grains claimed across campaign
      * boundaries so small campaigns pack alongside large ones.
      *

@@ -10,7 +10,7 @@
  * (global registry material: process-shaped, never part of a
  * campaign's jobs-independent snapshot — the campaign runner
  * strips "proc.*" from its kernel diff), and the bench/suite JSON
- * schema-8 "memory" block and the HTML campaign report surface it.
+ * "memory" block and the HTML campaign report surface it.
  *
  * On platforms without /proc the sample comes back invalid and
  * gauges are simply not set; nothing downstream depends on the

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <filesystem>
 
-#include "campaign/stream.hh"
 #include "common/logging.hh"
 #include "suite/experiment.hh"
 #include "suite/spec.hh"
@@ -108,21 +107,9 @@ SuiteContext::campaignRaw(const DeviceModel &device,
                                          workload.name(),
                                          workload.inputLabel());
     cfg.sim.jobs = options_.jobs;
-    cfg.sim.batchRuns = options_.batchRuns;
-    cfg.sim.ioThreads = options_.ioThreads;
     uint64_t hits_before = store_ ? store_->hits() : 0;
-    CampaignRaw raw;
-    if (options_.stream) {
-        // Streamed engine and store I/O; the collect sink
-        // materializes the result the experiments consume.
-        CollectRawSink collect;
-        simulateOrLoadStream(device, workload, cfg.sim, store_,
-                             collect, &pool_);
-        raw = collect.take();
-    } else {
-        raw = simulateOrLoad(device, workload, cfg.sim, store_,
-                             &pool_);
-    }
+    CampaignRaw raw =
+        simulateOrLoad(device, workload, cfg.sim, store_, &pool_);
     bool cached = store_ && store_->hits() > hits_before;
     if (cached)
         ++unplannedHits_;
@@ -142,8 +129,8 @@ SuiteContext::campaignResult(const DeviceModel &device,
     auto start = std::chrono::steady_clock::now();
     auto it = plan_.find(key);
     if (it != plan_.end() && it->second.defaultAnalysis) {
-        // The sharded prepass already folded the default analysis
-        // on the worker that simulated this campaign; serve it
+        // The prepass already folded the default analysis on the
+        // worker that simulated or loaded this campaign; serve it
         // with exactly the bookkeeping campaignRaw() would have
         // done (first consumer gets charged the simulation cost).
         PlannedCampaign &entry = it->second;
@@ -165,10 +152,11 @@ SuiteContext::campaignResult(const DeviceModel &device,
     return analyzeCampaign(raw, cfg.analysis);
 }
 
-bool
+const SuiteContext::PlannedCampaign *
 SuiteContext::planned(const std::string &key) const
 {
-    return plan_.count(key) != 0;
+    auto it = plan_.find(key);
+    return it == plan_.end() ? nullptr : &it->second;
 }
 
 void

@@ -112,31 +112,6 @@ class SuiteContext
         bool writeCsv = true;
         /** --runs override; < 0 = per-experiment default. */
         int64_t runsOverride = -1;
-        /**
-         * Simulate/persist campaigns through the streaming
-         * pipeline (--stream). The suite's dedup plan still
-         * materializes each distinct campaign once — experiments
-         * consume CampaignRaw — but the engine retires batches of
-         * batchRuns and the store saves/loads flow batch by batch.
-         */
-        bool stream = false;
-        /** Streamed batch size; resolved to 4096 under --stream. */
-        uint64_t batchRuns = 0;
-        /**
-         * Run the suite prepass sharded (--shard-campaigns):
-         * distinct campaigns become dynamically-claimed work items
-         * on the shared pool instead of executing one after the
-         * other. Outputs stay byte-identical to the sequential
-         * prepass at any --jobs.
-         */
-        bool shardCampaigns = false;
-        /**
-         * Background store-I/O threads (--io-threads); 0 = store
-         * entries parse/serialize inline. Becomes
-         * SimConfig::ioThreads on every campaign the context
-         * drives.
-         */
-        unsigned ioThreads = 0;
         /** Report campaign-granular prepass progress
          * (--progress). */
         bool progress = false;
@@ -165,21 +140,6 @@ class SuiteContext
 
     /** @return whether CSV side-outputs are wanted. */
     bool writeCsv() const { return options_.writeCsv; }
-
-    /** @return whether campaigns run the streaming pipeline. */
-    bool stream() const { return options_.stream; }
-
-    /** @return the streamed batch size (0 = single batch). */
-    uint64_t batchRuns() const { return options_.batchRuns; }
-
-    /** @return whether the suite prepass runs sharded. */
-    bool shardCampaigns() const
-    {
-        return options_.shardCampaigns;
-    }
-
-    /** @return background store-I/O threads (0 = inline). */
-    unsigned ioThreads() const { return options_.ioThreads; }
 
     /** @return whether prepass progress lines are wanted. */
     bool progress() const { return options_.progress; }
@@ -254,18 +214,18 @@ class SuiteContext
         /** Simulation cost already charged to a recorder. */
         bool charged = false;
         /**
-         * Default-config analysis precomputed by the sharded
-         * prepass on the worker that simulated the campaign (in
+         * Default-config analysis precomputed by the prepass on
+         * the worker that simulated or loaded the campaign (in
          * run order, so it is identical to a fresh
-         * analyzeCampaign()). Absent when the prepass ran
-         * sequentially or a trace/timeline side channel was
-         * armed; campaignResult() then analyzes on demand.
+         * analyzeCampaign()). Absent when a trace/timeline side
+         * channel was armed; campaignResult() then analyzes on
+         * demand.
          */
         std::optional<CampaignResult> defaultAnalysis;
     };
 
-    /** @return whether a plan entry exists for the key. */
-    bool planned(const std::string &key) const;
+    /** @return the plan entry for the key, or null. */
+    const PlannedCampaign *planned(const std::string &key) const;
 
     /** Insert a plan entry (scheduler prepass only). */
     void addPlanned(const std::string &key, PlannedCampaign entry);

@@ -13,7 +13,6 @@
 
 #include "campaign/paperconfigs.hh"
 #include "campaign/store.hh"
-#include "campaign/stream.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "exec/chaos.hh"
@@ -64,20 +63,6 @@ addStandardOptions(CliParser &cli, int64_t default_runs)
                   "output directory (default: $RADCRIT_BENCH_OUT "
                   "or bench_out)");
     cli.addFlag("no-csv", "skip CSV side-output files");
-    cli.addFlag("stream",
-                "simulate and persist campaigns through the "
-                "bounded-memory streaming pipeline (results are "
-                "byte-identical to the materialized default)");
-    cli.addInt("batch-runs", 0,
-               "runs per streamed batch (0 = 4096 with --stream)");
-    cli.addFlag("shard-campaigns",
-                "schedule distinct campaigns as concurrent work "
-                "items on the shared pool instead of one after "
-                "the other (byte-identical results at any "
-                "--jobs)");
-    cli.addInt("io-threads", 0,
-               "background store-I/O operations allowed at once "
-               "(0 = parse/serialize cache entries inline)");
     cli.addFlag("progress",
                 "report campaign-granular prepass progress "
                 "with an ETA");
@@ -87,30 +72,17 @@ addStandardOptions(CliParser &cli, int64_t default_runs)
                   "default from RADCRIT_CHAOS; empty = off)");
 }
 
-/** Resolve --stream/--batch-runs into the context options. */
-void
-resolveStreamOptions(const CliParser &cli,
-                     SuiteContext::Options &options)
+/** Resolve the standard options into the context options. */
+SuiteContext::Options
+resolveContextOptions(const CliParser &cli, unsigned jobs)
 {
-    if (cli.getInt("batch-runs") < 0)
-        fatal("--batch-runs must be >= 0 (got %lld)",
-              static_cast<long long>(cli.getInt("batch-runs")));
-    options.stream = cli.getFlag("stream");
-    options.batchRuns =
-        static_cast<uint64_t>(cli.getInt("batch-runs"));
-    if (options.stream && options.batchRuns == 0)
-        options.batchRuns = 4096;
-    if (cli.getInt("io-threads") < 0)
-        fatal("--io-threads must be >= 0 (got %lld)",
-              static_cast<long long>(cli.getInt("io-threads")));
-    options.shardCampaigns = cli.getFlag("shard-campaigns");
-    options.ioThreads =
-        static_cast<unsigned>(cli.getInt("io-threads"));
+    SuiteContext::Options options;
+    options.outDir = resolveOutputDir(cli.getString("out"));
+    options.jobs = jobs;
+    options.writeCsv = !cli.getFlag("no-csv");
+    options.runsOverride = cli.getInt("runs");
     options.progress = cli.getFlag("progress");
-    // The gate is process-wide: every async adapter leases from
-    // it, so one knob bounds concurrent background store I/O no
-    // matter how many campaigns are in flight.
-    IoThreadGate::global().configure(options.ioThreads);
+    return options;
 }
 
 /**
@@ -281,7 +253,7 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
     StatsSnapshot snap = StatsRegistry::global().snapshot();
     {
         JsonObjectWriter obj(out);
-        obj.field("schema", uint64_t{8});
+        obj.field("schema", benchJsonSchema);
         obj.field("suite", "radcrit_suite");
         obj.field("jobs", static_cast<uint64_t>(ctx.jobs()));
         obj.field("experiments_run",
@@ -327,9 +299,8 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
         }
 
         obj.beginRawField("sharding");
-        writeShardingJson(out, snap, 4, sched.sharded,
-                          sched.concurrentPeak, sched.overlapNs,
-                          sched.prepassWallNs, ctx.ioThreads());
+        writeShardingJson(out, 4, sched.concurrentPeak,
+                          sched.overlapNs, sched.prepassWallNs);
 
         obj.beginRawField("resilience");
         writeResilienceJson(out, snap, 4);
@@ -373,8 +344,8 @@ runSuite(int argc, char **argv)
                   "<out>/radcrit_suite.json)");
     cli.addString("timeline", "",
                   "write a Chrome trace-event JSON of the prepass "
-                  "(worker lanes; sharded mode records one span "
-                  "per run plus store-hit spans)");
+                  "(worker lanes: one span per simulated run and "
+                  "per store-entry piece or hit)");
     for (Experiment *exp : registry.all())
         exp->addOptions(cli);
     cli.parse(argc, argv);
@@ -412,28 +383,18 @@ runSuite(int argc, char **argv)
         store = CampaignStore::open(cache_dir);
 
     WorkerPool pool(jobs);
-    SuiteContext::Options options;
-    options.outDir = resolveOutputDir(cli.getString("out"));
-    options.jobs = jobs;
-    options.writeCsv = !cli.getFlag("no-csv");
-    options.runsOverride = cli.getInt("runs");
-    resolveStreamOptions(cli, options);
-    SuiteContext ctx(options, store.get(), pool);
+    SuiteContext ctx(resolveContextOptions(cli, jobs), store.get(),
+                     pool);
     ctx.setCli(&cli);
 
     std::printf("radcrit_suite: %zu experiment(s), jobs=%u, "
-                "cache=%s%s%s",
+                "cache=%s\n",
                 selected.size(), jobs,
-                store ? cache_dir.c_str() : "off",
-                options.stream ? ", stream" : "",
-                options.shardCampaigns ? ", sharded" : "");
-    if (options.ioThreads > 0)
-        std::printf(", io-threads=%u", options.ioThreads);
-    std::printf("\n");
+                store ? cache_dir.c_str() : "off");
 
-    // The prepass flight recorder: per-run worker-lane spans in
-    // both shapes (sharded mode adds store-hit resolution spans);
-    // campaign/run/source land in the span args.
+    // The prepass flight recorder: worker-lane spans per simulated
+    // run and per store-entry piece or store hit; campaign, run or
+    // piece, and source land in the span args.
     std::unique_ptr<Timeline> tl;
     if (!cli.getString("timeline").empty()) {
         tl = std::make_unique<Timeline>();
@@ -449,16 +410,11 @@ runSuite(int argc, char **argv)
                 static_cast<unsigned long long>(sched.simulated),
                 static_cast<unsigned long long>(sched.storeHits),
                 static_cast<double>(sched.wallNs) / 1e9);
-    if (sched.sharded) {
-        std::printf("[suite] sharded prepass: peak %llu "
-                    "concurrent campaign(s), %.2f s wall, "
-                    "%.2f s overlapped\n",
-                    static_cast<unsigned long long>(
-                        sched.concurrentPeak),
-                    static_cast<double>(sched.prepassWallNs) /
-                        1e9,
-                    static_cast<double>(sched.overlapNs) / 1e9);
-    }
+    std::printf("[suite] prepass: peak %llu concurrent "
+                "campaign(s), %.2f s wall, %.2f s overlapped\n",
+                static_cast<unsigned long long>(sched.concurrentPeak),
+                static_cast<double>(sched.prepassWallNs) / 1e9,
+                static_cast<double>(sched.overlapNs) / 1e9);
     if (tl) {
         setTimeline(nullptr);
         tl->writeJsonFile(cli.getString("timeline"));
@@ -574,13 +530,8 @@ experimentShimMain(const std::string &name, int argc, char **argv)
         store = CampaignStore::open(cache_dir);
 
     WorkerPool pool(jobs);
-    SuiteContext::Options options;
-    options.outDir = resolveOutputDir(cli.getString("out"));
-    options.jobs = jobs;
-    options.writeCsv = !cli.getFlag("no-csv");
-    options.runsOverride = cli.getInt("runs");
-    resolveStreamOptions(cli, options);
-    SuiteContext ctx(options, store.get(), pool);
+    SuiteContext ctx(resolveContextOptions(cli, jobs), store.get(),
+                     pool);
     ctx.setCli(&cli);
 
     exp->run(ctx);

@@ -12,14 +12,15 @@
  * `run all` (or any glob) selects experiments from the registry,
  * runs the scheduler's campaign-dedup prepass on one shared
  * WorkerPool, then each experiment's pure analyze/render phase,
- * and emits one schema-6 suite JSON with per-experiment blocks,
- * suite totals and dedup/cache traffic.
+ * and emits one suite JSON (version benchJsonSchema, validated by
+ * tools/check_bench_json.py) with per-experiment blocks, suite
+ * totals and dedup/cache traffic.
  *
  * experimentShimMain() is the whole body of a per-figure shim
  * executable: it resolves one experiment by name, parses the
  * standard bench CLI (plus the experiment's extra options), and
  * reproduces the standalone bench behavior — including the
- * schema-6 bench JSON — on top of the same registry.
+ * per-bench JSON — on top of the same registry.
  *
  * printCatalog() renders the `list` output (devices, workloads,
  * experiments) and is shared with radcrit_cli.

@@ -40,9 +40,9 @@ struct ExperimentInfo
     /** Default --runs when the user gives none. */
     uint64_t defaultRuns = 200;
     /**
-     * Emits bench_out/bench_<name>.json (schema 6) when run as a
-     * standalone shim. The suite driver instead folds every
-     * experiment into the one schema-6 suite document.
+     * Emits bench_out/bench_<name>.json when run as a standalone
+     * shim. The suite driver instead folds every experiment into
+     * the one suite document.
      */
     bool benchJson = false;
     /**

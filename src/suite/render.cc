@@ -122,24 +122,14 @@ writeResilienceJson(std::ostream &os, const StatsSnapshot &snap,
 }
 
 void
-writeShardingJson(std::ostream &os, const StatsSnapshot &snap,
-                  int indent, bool enabled,
+writeShardingJson(std::ostream &os, int indent,
                   uint64_t concurrent_campaigns,
-                  uint64_t overlap_ns, uint64_t prepass_wall_ns,
-                  unsigned io_threads)
+                  uint64_t overlap_ns, uint64_t prepass_wall_ns)
 {
     JsonObjectWriter sh(os, indent);
-    sh.field("enabled", static_cast<uint64_t>(enabled ? 1 : 0));
     sh.field("concurrent_campaigns", concurrent_campaigns);
     sh.field("overlap_ns", overlap_ns);
     sh.field("prepass_wall_ns", prepass_wall_ns);
-    sh.field("io_threads", static_cast<uint64_t>(io_threads));
-    sh.field("io_batches", static_cast<uint64_t>(
-        snap.value("store.io.async.batches")));
-    sh.field("io_busy_ns", static_cast<uint64_t>(
-        snap.value("store.io.async.busy_ns")));
-    sh.field("io_queue_peak", static_cast<uint64_t>(
-        snap.value("store.io.async.queue_peak")));
 }
 
 void
@@ -172,7 +162,7 @@ writeBenchJson(SuiteContext &ctx, const std::string &bench_name)
     StatsSnapshot snap = StatsRegistry::global().snapshot();
     {
         JsonObjectWriter obj(out);
-        obj.field("schema", uint64_t{8});
+        obj.field("schema", benchJsonSchema);
         obj.field("bench", bench_name);
         obj.field("campaigns", rec.campaigns);
         obj.field("jobs", static_cast<uint64_t>(rec.jobs));
@@ -213,8 +203,7 @@ writeBenchJson(SuiteContext &ctx, const std::string &bench_name)
             }
         }
         obj.beginRawField("sharding");
-        writeShardingJson(out, snap, 4, false, 0, 0, 0,
-                          ctx.ioThreads());
+        writeShardingJson(out, 4, 0, 0, 0);
         obj.beginRawField("resilience");
         writeResilienceJson(out, snap, 4);
         obj.beginRawField("memory");

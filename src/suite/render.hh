@@ -2,8 +2,8 @@
  * @file
  * Shared render steps for experiments: the paper's two figure
  * shapes (scatter + stacked locality bars) with CSV side-output,
- * and the schema-6 per-bench JSON document the standalone shims
- * emit. Ported from the old header-only bench_util.hh, with the
+ * and the per-bench JSON document the standalone shims emit.
+ * Ported from the old header-only bench_util.hh, with the
  * process-wide state replaced by the SuiteContext.
  */
 
@@ -19,6 +19,12 @@
 
 namespace radcrit
 {
+
+/**
+ * Version of the per-bench and suite JSON documents;
+ * tools/check_bench_json.py validates the same number.
+ */
+inline constexpr uint64_t benchJsonSchema = 9;
 
 /**
  * Render one scatter figure (mean relative error vs. number of
@@ -43,10 +49,10 @@ void renderLocalityFigure(
 
 /**
  * Emit one experiment's machine-readable results as
- * <outputDir>/<bench_name>.json (schema 8): campaign/run tallies
- * with worker count and cache traffic, ns-per-run and parallel
- * runs-per-second, the perf-trajectory "timings" block, the
- * scheduling/async-I/O "sharding" block, the
+ * <outputDir>/<bench_name>.json (benchJsonSchema): campaign/run
+ * tallies with worker count and cache traffic, ns-per-run and
+ * parallel runs-per-second, the perf-trajectory "timings" block,
+ * the prepass "sharding" block, the
  * execution-resilience "resilience" block, the process "memory"
  * block, and the full global stats snapshot.
  * tools/check_bench_json.py validates the shape in CI.
@@ -67,23 +73,17 @@ void writeResilienceJson(std::ostream &os,
 
 /**
  * Write the "sharding" JSON object shared by the per-bench and
- * suite documents (schema 8): whether the campaign-sharded
- * prepass ran (always 0 for standalone benches, which have no
- * prepass), its concurrency high-water mark and overlap win, and
- * the async store-I/O telemetry from the stats snapshot
- * (store.io.async.* — zeros without --io-threads). Every field is
- * present even when the feature is off so consumers never need
- * existence checks.
+ * suite documents: the suite prepass's concurrency high-water
+ * mark, overlap win and wall time (all 0 for standalone benches,
+ * which have no prepass).
  */
-void writeShardingJson(std::ostream &os, const StatsSnapshot &snap,
-                       int indent, bool enabled,
+void writeShardingJson(std::ostream &os, int indent,
                        uint64_t concurrent_campaigns,
                        uint64_t overlap_ns,
-                       uint64_t prepass_wall_ns,
-                       unsigned io_threads);
+                       uint64_t prepass_wall_ns);
 
 /**
- * Write the schema-8 "memory" JSON object: a live
+ * Write the "memory" JSON object: a live
  * /proc/self/status RSS sample (peak_rss_bytes /
  * current_rss_bytes, 0 when /proc is unavailable) plus the
  * streaming pipeline's batch accounting from the stats snapshot

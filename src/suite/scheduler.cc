@@ -10,11 +10,11 @@
 
 #include "campaign/analysis.hh"
 #include "campaign/engine.hh"
-#include "campaign/stream.hh"
 #include "common/logging.hh"
 #include "exec/chaos.hh"
 #include "exec/launch.hh"
 #include "logs/beamlog.hh"
+#include "obs/procmem.hh"
 #include "obs/timeline.hh"
 #include "obs/trace.hh"
 #include "sim/sampler.hh"
@@ -51,12 +51,12 @@ struct PrepassItem
     CampaignConfig cfg;
 
     CampaignRaw raw;
-    /** Precomputed default analysis (sharded prepass only). */
+    /** Precomputed default analysis. */
     std::optional<CampaignResult> analysis;
     uint64_t wallNs = 0;
     bool simulated = false;
 
-    // Sharded store-resolution state: the store entry in byte-range
+    // Store-resolution state: the store entry in byte-range
     // pieces, and how many of the campaign's units (its pieces, or
     // one plain lookup when there are none) were claimed and
     // finished.
@@ -66,7 +66,7 @@ struct PrepassItem
     std::atomic<uint64_t> unitsClaimed{0};
     std::atomic<uint64_t> unitsDone{0};
 
-    // Sharded-dispatch state: the strike sampler built once on the
+    // Simulation state: the strike sampler built once on the
     // caller-visible miss path (shared read-only by every worker),
     // and the claim/completion bookkeeping for a campaign whose
     // runs are spread over many workers.
@@ -78,7 +78,7 @@ struct PrepassItem
 };
 
 /**
- * Bytes per store-entry piece of the sharded prepass: large enough
+ * Bytes per store-entry piece: large enough
  * that opening the file again is noise, small enough that a
  * multi-megabyte entry spreads over every worker.
  */
@@ -95,8 +95,7 @@ storeKey(const PrepassItem &item)
 /**
  * Collect and dedup the campaigns the selected experiments
  * declare, in declaration order (which fixes owner attribution and
- * the sequential execution order, both identical to the historical
- * interleaved dedup-and-run loop).
+ * the plan's insertion order).
  */
 std::vector<std::unique_ptr<PrepassItem>>
 collectItems(const std::vector<Experiment *> &experiments,
@@ -126,8 +125,6 @@ collectItems(const std::vector<Experiment *> &experiments,
                                         workload->name(),
                                         workload->inputLabel());
             item->cfg.sim.jobs = ctx.jobs();
-            item->cfg.sim.batchRuns = ctx.batchRuns();
-            item->cfg.sim.ioThreads = ctx.ioThreads();
             item->workload = std::move(workload);
             items.push_back(std::move(item));
         }
@@ -155,35 +152,7 @@ progressLine(uint64_t done, uint64_t total,
 }
 
 /**
- * Sequential execution of one item: the full shared pool works on
- * this campaign alone, through the streaming runner when the
- * context streams. This is the historical prepass body.
- */
-void
-executeSequential(PrepassItem &item, SuiteContext &ctx)
-{
-    uint64_t hits_before = ctx.store() ? ctx.store()->hits() : 0;
-    auto start = std::chrono::steady_clock::now();
-    if (ctx.stream()) {
-        // Batched engine + streamed store I/O; the plan entry
-        // itself stays materialized for reuse.
-        CollectRawSink collect;
-        simulateOrLoadStream(item.device, *item.workload,
-                             item.cfg.sim, ctx.store(), collect,
-                             &ctx.pool());
-        item.raw = collect.take();
-    } else {
-        item.raw = simulateOrLoad(item.device, *item.workload,
-                                  item.cfg.sim, ctx.store(),
-                                  &ctx.pool());
-    }
-    item.wallNs = elapsedNs(start);
-    item.simulated =
-        !(ctx.store() && ctx.store()->hits() > hits_before);
-}
-
-/**
- * Sharded phase A for one item, on the worker that finished its
+ * Phase A for one item, on the worker that finished its
  * last piece: try the store with the joined pieces (materialized
  * hit, same sim/launch/stats carry as simulateOrLoad()), else
  * prepare the campaign for the flattened run dispatch — raw
@@ -205,9 +174,8 @@ resolveStore(PrepassItem &item, SuiteContext &ctx)
         if (auto hit =
                 store->load(storeKey(item), std::move(joined))) {
             item.raw = std::move(*hit);
-            // jobs/ioThreads are execution details outside the
-            // key; carry the caller's values (same as
-            // simulateOrLoad()).
+            // jobs is an execution detail outside the key; carry
+            // the caller's value (same as simulateOrLoad()).
             item.raw.sim = item.cfg.sim;
             item.raw.launch =
                 buildLaunch(item.device, item.workload->traits());
@@ -274,7 +242,20 @@ analyzeHit(PrepassItem &item)
 }
 
 /**
- * Sharded phase B: simulate run `i` of `item` into its
+ * One worker's phase-B timers in a private registry, so workers
+ * never contend on shared instruments; merged into the global
+ * registry after the dispatch, like the runner's stats shards.
+ */
+struct PhaseShard
+{
+    StatsRegistry reg;
+    PhaseTimer sample{reg, "campaign.phase.sample"};
+    PhaseTimer classify{reg, "campaign.phase.classify"};
+    PhaseTimer replay{reg, "campaign.phase.replay"};
+};
+
+/**
+ * Phase B for one run: simulate run `i` of `item` into its
  * pre-allocated slot. Run i draws from runRng(config, i) against a
  * pristine workload instance and a read-only sampler, so the raw
  * bytes are identical to the pool-parallel runner regardless of
@@ -283,8 +264,8 @@ analyzeHit(PrepassItem &item)
  * campaign as an infra outcome instead of killing its siblings.
  */
 void
-simulateShardedRun(PrepassItem &item, Workload &workload,
-                   uint64_t i)
+simulatePlannedRun(PrepassItem &item, Workload &workload, uint64_t i,
+                   const RunPhaseTimers &timers)
 {
     const SimConfig &config = item.cfg.sim;
     const ResilienceConfig &rz = config.resilience;
@@ -296,7 +277,8 @@ simulateShardedRun(PrepassItem &item, Workload &workload,
         if (ChaosEngine *engine = chaos())
             engine->onRunAttempt(i, attempt);
         Rng rng = runRng(config, i);
-        run = simulateRun(*item.sampler, workload, config, i, rng);
+        run = simulateRun(*item.sampler, workload, config, i, rng,
+                          timers);
     });
     if (guard.status != GuardStatus::Ok) {
         run = RawRun{};
@@ -320,35 +302,278 @@ simulateShardedRun(PrepassItem &item, Workload &workload,
 }
 
 /**
- * Sharded phase C for one missed item: rebuild the simulation
- * counters in store-hit shape (per-phase timers are execution
- * telemetry the flattened dispatch does not reconstruct), persist
- * the entry (serialized on a background I/O thread behind the
- * global gate when the context runs --io-threads), and fold the
- * default analysis — in run order, so the result is identical to a
- * later analyzeCampaign(). Analysis is skipped when a trace sink
- * or timeline is armed: both are single-writer side channels the
- * concurrent prepass must not drive from worker threads.
+ * The state the three phases of one prepass share: the items, the
+ * prepass clock, the in-flight accounting behind
+ * ScheduleStats::concurrentPeak, progress, and the pool telemetry
+ * the dispatches add up to.
  */
-void
-finalizeSharded(PrepassItem &item, SuiteContext &ctx)
+struct Prepass
 {
-    item.raw.stats =
-        rebuildSimStats(item.raw, StatsRegistry::global());
-    if (CampaignStore *store = ctx.store()) {
-        if (item.cfg.sim.ioThreads > 0) {
-            std::unique_ptr<RawSink> save = store->saveSink();
-            AsyncSaveSink async(*save, &IoThreadGate::global());
-            CampaignRawSource source(item.raw,
-                                     item.cfg.sim.batchRuns);
-            pumpRaw(source, async);
-        } else {
-            store->save(item.raw);
+    SuiteContext &ctx;
+    std::vector<std::unique_ptr<PrepassItem>> &items;
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+    Timeline *tl = timeline();
+    /**
+     * Fold default analyses on the workers. Not with a trace sink
+     * or timeline armed: both are single-writer side channels the
+     * workers must not drive, so consumers analyze on demand.
+     */
+    bool analyze = !traceSink() && !tl;
+    std::atomic<uint64_t> done{0};
+    std::atomic<uint64_t> inflight{0};
+    std::atomic<uint64_t> peak{0};
+    PoolRunStats poolStats{};
+
+    /** @return prepass-relative nanoseconds now. */
+    uint64_t nowNs() const { return elapsedNs(start); }
+
+    /** A campaign's work started on some worker. */
+    void
+    enter()
+    {
+        uint64_t now_in =
+            inflight.fetch_add(1, std::memory_order_relaxed) + 1;
+        uint64_t prev = peak.load(std::memory_order_relaxed);
+        while (now_in > prev &&
+               !peak.compare_exchange_weak(
+                   prev, now_in, std::memory_order_relaxed)) {
         }
     }
-    if (!traceSink() && !timeline())
-        item.analysis =
-            analyzeCampaign(item.raw, item.cfg.analysis);
+
+    /** A campaign's work stopped (for now). */
+    void leave() { inflight.fetch_sub(1, std::memory_order_relaxed); }
+
+    /** A campaign is ready for the plan: count and report it. */
+    void
+    finished()
+    {
+        uint64_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (ctx.progress())
+            progressLine(d, items.size(), start);
+    }
+
+    /** @return the timeline lane of a worker (timeline armed). */
+    TimelineLane &
+    lane(unsigned worker)
+    {
+        return tl->lane(worker + 1,
+                        "worker " + std::to_string(worker));
+    }
+
+    /** Run one phase over `count` grains of one unit each. */
+    void
+    dispatch(uint64_t count, const WorkerPool::ChunkBody &body)
+    {
+        PoolRunStats phase;
+        ctx.pool().forDynamic(count, 1, body, &phase);
+        poolStats.absorb(phase);
+    }
+};
+
+/**
+ * Phase A — store resolution. Every store entry is parsed in
+ * byte-range pieces claimed one by one across campaigns, so one
+ * large entry cannot serialize a warm prepass. The worker that
+ * finishes a campaign's last unit resolves it: a hit loads (and
+ * precomputes its analysis), a miss builds its raw header,
+ * sampler, and run slots for phase B. Larger entries are queued
+ * first, so the longest chain of work starts at once and the
+ * small entries fill in around it. Each piece's runs are analyzed
+ * as soon as they are parsed.
+ */
+void
+resolvePhase(Prepass &pp)
+{
+    auto unitsOf = [](const PrepassItem &item) -> uint64_t {
+        return std::max<uint64_t>(
+            item.pieces ? item.pieces->count() : 0, 1);
+    };
+    std::vector<PrepassItem *> queue;
+    for (auto &item : pp.items) {
+        if (CampaignStore *store = pp.ctx.store()) {
+            item->pieces.emplace(store->pathFor(storeKey(*item)),
+                                 entryPieceBytes);
+            item->pieceAnalysis.resize(item->pieces->count());
+        }
+        queue.push_back(item.get());
+    }
+    std::stable_sort(queue.begin(), queue.end(),
+                     [&](const PrepassItem *a, const PrepassItem *b) {
+                         return unitsOf(*a) > unitsOf(*b);
+                     });
+    std::vector<uint64_t> unitOffsets{0};
+    for (const PrepassItem *item : queue)
+        unitOffsets.push_back(unitOffsets.back() + unitsOf(*item));
+
+    Timeline *tl = pp.tl;
+    pp.dispatch(unitOffsets.back(), [&](unsigned worker,
+                                        uint64_t begin,
+                                        uint64_t end) {
+        for (uint64_t g = begin; g < end; ++g) {
+            size_t k = static_cast<size_t>(
+                std::upper_bound(unitOffsets.begin(),
+                                 unitOffsets.end(), g) -
+                unitOffsets.begin() - 1);
+            PrepassItem &item = *queue[k];
+            uint64_t unit = g - unitOffsets[k];
+            if (item.unitsClaimed.fetch_add(
+                    1, std::memory_order_relaxed) == 0) {
+                item.startNs = pp.nowNs();
+                pp.enter();
+            }
+            if (item.pieces && unit < item.pieces->count()) {
+                uint64_t span_begin = tl ? tl->nowNs() : 0;
+                item.pieces->parse(unit);
+                if (pp.analyze)
+                    foldPiece(item, unit);
+                if (tl) {
+                    pp.lane(worker).span(
+                        item.key, "prepass", span_begin,
+                        tl->nowNs() - span_begin,
+                        {{"campaign", item.key},
+                         {"piece", std::to_string(unit)},
+                         {"source", "store"}});
+                }
+            }
+            // acq_rel: the last unit's worker sees every other
+            // piece's parse. The unit count comes from the fixed
+            // offsets: join() empties the pieces.
+            uint64_t units = unitOffsets[k + 1] - unitOffsets[k];
+            if (item.unitsDone.fetch_add(
+                    1, std::memory_order_acq_rel) +
+                    1 <
+                units)
+                continue;
+
+            uint64_t span_begin = tl ? tl->nowNs() : 0;
+            item.simulated = !resolveStore(item, pp.ctx);
+            if (!item.simulated && pp.analyze)
+                item.analysis = analyzeHit(item);
+            item.wallNs = pp.nowNs() - item.startNs;
+            if (tl && !item.simulated) {
+                pp.lane(worker).span(item.key, "prepass", span_begin,
+                                     tl->nowNs() - span_begin,
+                                     {{"campaign", item.key},
+                                      {"source", "store"}});
+            }
+            pp.leave();
+            if (!item.simulated)
+                pp.finished();
+        }
+    });
+}
+
+/**
+ * Phase B — flattened simulation: every missed campaign's runs in
+ * one global index space, claimed run by run so grains cross
+ * campaign boundaries and one expensive campaign cannot serialize
+ * the tail. forDynamic() hands grains out from one atomic cursor,
+ * so each worker's claims only move forward through the campaigns:
+ * one private workload clone per worker, replaced when its
+ * campaign changes, serves them all. The sources stay pristine (no
+ * worker ever injects on them), so concurrent clone() calls are
+ * plain const reads. The per-worker phase timers and a
+ * "campaign.total" sample per campaign land in the global
+ * registry afterwards, as a runner-simulated campaign's would.
+ */
+void
+simulatePhase(Prepass &pp, const std::vector<PrepassItem *> &misses)
+{
+    std::vector<uint64_t> offsets{0};
+    for (const PrepassItem *item : misses)
+        offsets.push_back(offsets.back() + item->cfg.sim.faultyRuns);
+    unsigned jobs = pp.ctx.pool().jobs();
+    std::vector<std::unique_ptr<Workload>> clones(jobs);
+    std::vector<size_t> cloneOf(jobs, misses.size());
+    std::vector<std::unique_ptr<PhaseShard>> shards;
+    for (unsigned w = 0; w < jobs; ++w)
+        shards.push_back(std::make_unique<PhaseShard>());
+
+    Timeline *tl = pp.tl;
+    pp.dispatch(offsets.back(), [&](unsigned worker, uint64_t begin,
+                                    uint64_t end) {
+        PhaseShard &shard = *shards[worker];
+        RunPhaseTimers timers{&shard.sample, &shard.classify,
+                              &shard.replay};
+        for (uint64_t g = begin; g < end; ++g) {
+            size_t k = static_cast<size_t>(
+                std::upper_bound(offsets.begin(), offsets.end(), g) -
+                offsets.begin() - 1);
+            PrepassItem &item = *misses[k];
+            uint64_t i = g - offsets[k];
+            if (!item.claimed.exchange(true,
+                                       std::memory_order_relaxed)) {
+                item.startNs = pp.nowNs();
+                pp.enter();
+            }
+            if (cloneOf[worker] != k) {
+                // Drop the previous campaign's clone first, so a
+                // worker never holds two.
+                clones[worker].reset();
+                clones[worker] = item.workload->clone();
+                cloneOf[worker] = k;
+            }
+
+            uint64_t span_begin = tl ? tl->nowNs() : 0;
+            simulatePlannedRun(item, *clones[worker], i, timers);
+            if (tl) {
+                pp.lane(worker).span(item.key, "prepass", span_begin,
+                                     tl->nowNs() - span_begin,
+                                     {{"campaign", item.key},
+                                      {"run", std::to_string(i)},
+                                      {"source", "simulated"}});
+            }
+
+            // acq_rel: the finishing worker reads the claimer's
+            // startNs.
+            uint64_t fin =
+                item.runsDone.fetch_add(1, std::memory_order_acq_rel) +
+                1;
+            if (fin == item.cfg.sim.faultyRuns) {
+                item.wallNs = pp.nowNs() - item.startNs;
+                pp.leave();
+            }
+        }
+    });
+
+    StatsRegistry &global = StatsRegistry::global();
+    for (const auto &shard : shards)
+        global.merge(shard->reg.snapshot());
+    PhaseTimer total(global, "campaign.total");
+    for (const PrepassItem *item : misses)
+        total.recordNs(item->wallNs);
+    publishProcMem(global);
+}
+
+/**
+ * Phase C — finalization of the misses, one campaign per grain:
+ * rebuild the simulation counters in store-hit shape (the phase
+ * timers went to the global registry in phase B), save the store
+ * entry, and fold the default analysis in run order, so it is
+ * identical to a later analyzeCampaign().
+ */
+void
+finalizePhase(Prepass &pp, const std::vector<PrepassItem *> &misses)
+{
+    pp.dispatch(misses.size(), [&](unsigned, uint64_t begin,
+                                   uint64_t end) {
+        for (uint64_t idx = begin; idx < end; ++idx) {
+            PrepassItem &item = *misses[idx];
+            pp.enter();
+            auto start = std::chrono::steady_clock::now();
+            item.raw.stats =
+                rebuildSimStats(item.raw, StatsRegistry::global());
+            if (CampaignStore *store = pp.ctx.store())
+                store->save(item.raw);
+            if (pp.analyze)
+                item.analysis =
+                    analyzeCampaign(item.raw, item.cfg.analysis);
+            item.wallNs += elapsedNs(start);
+            pp.leave();
+            pp.finished();
+        }
+    });
 }
 
 } // anonymous namespace
@@ -358,250 +583,24 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
                   SuiteContext &ctx)
 {
     ScheduleStats stats;
-    stats.sharded = ctx.shardCampaigns();
-
     std::vector<std::unique_ptr<PrepassItem>> items =
         collectItems(experiments, ctx, stats);
-    auto prepass_start = std::chrono::steady_clock::now();
+    if (items.empty())
+        return stats;
 
-    if (stats.sharded && !items.empty()) {
-        std::atomic<uint64_t> done{0};
-        std::atomic<uint64_t> inflight{0};
-        std::atomic<uint64_t> peak{0};
-        Timeline *tl = timeline();
-        auto enter = [&] {
-            uint64_t now_in =
-                inflight.fetch_add(1,
-                                   std::memory_order_relaxed) +
-                1;
-            uint64_t prev = peak.load(std::memory_order_relaxed);
-            while (now_in > prev &&
-                   !peak.compare_exchange_weak(
-                       prev, now_in, std::memory_order_relaxed)) {
-            }
-        };
-        auto leave = [&] {
-            inflight.fetch_sub(1, std::memory_order_relaxed);
-        };
-        auto lane = [&](unsigned worker) -> TimelineLane & {
-            return tl->lane(worker + 1,
-                            "worker " + std::to_string(worker));
-        };
-        PoolRunStats poolStats;
-        PoolRunStats phaseStats;
-
-        // Phase A — store resolution, flattened like phase B: every
-        // store entry is parsed in byte-range pieces claimed one by
-        // one across campaigns, so one large entry cannot serialize
-        // a warm prepass. The worker that finishes a campaign's
-        // last unit resolves it: a hit loads (and precomputes its
-        // analysis), a miss builds its raw header, sampler, and run
-        // slots for the flattened dispatch below. Larger entries
-        // are queued first, so the longest chain of work starts
-        // at once and the small entries fill in around it. Each
-        // piece's runs are analyzed as soon as they are parsed.
-        bool analyze = !traceSink() && !tl;
-        auto unitsOf = [](const PrepassItem &item) -> uint64_t {
-            return std::max<uint64_t>(
-                item.pieces ? item.pieces->count() : 0, 1);
-        };
-        std::vector<PrepassItem *> queue;
-        for (auto &item : items) {
-            if (CampaignStore *store = ctx.store()) {
-                item->pieces.emplace(store->pathFor(storeKey(*item)),
-                                     entryPieceBytes);
-                item->pieceAnalysis.resize(item->pieces->count());
-            }
-            queue.push_back(item.get());
-        }
-        std::stable_sort(queue.begin(), queue.end(),
-                         [&](const PrepassItem *a,
-                             const PrepassItem *b) {
-                             return unitsOf(*a) > unitsOf(*b);
-                         });
-        std::vector<uint64_t> unitOffsets{0};
-        for (const PrepassItem *item : queue)
-            unitOffsets.push_back(unitOffsets.back() +
-                                  unitsOf(*item));
-        ctx.pool().forDynamic(
-            unitOffsets.back(), 1,
-            [&](unsigned worker, uint64_t begin, uint64_t end) {
-                for (uint64_t g = begin; g < end; ++g) {
-                    size_t k = static_cast<size_t>(
-                        std::upper_bound(unitOffsets.begin(),
-                                         unitOffsets.end(), g) -
-                        unitOffsets.begin() - 1);
-                    PrepassItem &item = *queue[k];
-                    uint64_t unit = g - unitOffsets[k];
-                    if (item.unitsClaimed.fetch_add(
-                            1, std::memory_order_relaxed) == 0) {
-                        item.startNs = elapsedNs(prepass_start);
-                        enter();
-                    }
-                    if (item.pieces && unit < item.pieces->count()) {
-                        uint64_t span_begin = tl ? tl->nowNs() : 0;
-                        item.pieces->parse(unit);
-                        if (analyze)
-                            foldPiece(item, unit);
-                        if (tl) {
-                            lane(worker).span(
-                                item.key, "prepass", span_begin,
-                                tl->nowNs() - span_begin,
-                                {{"campaign", item.key},
-                                 {"piece", std::to_string(unit)},
-                                 {"source", "store"}});
-                        }
-                    }
-                    // acq_rel: the last unit's worker sees every
-                    // other piece's parse. The unit count comes from
-                    // the fixed offsets: join() empties the pieces.
-                    uint64_t units =
-                        unitOffsets[k + 1] - unitOffsets[k];
-                    if (item.unitsDone.fetch_add(
-                            1, std::memory_order_acq_rel) +
-                            1 <
-                        units)
-                        continue;
-
-                    uint64_t span_begin = tl ? tl->nowNs() : 0;
-                    item.simulated = !resolveStore(item, ctx);
-                    if (!item.simulated && analyze)
-                        item.analysis = analyzeHit(item);
-                    item.wallNs =
-                        elapsedNs(prepass_start) - item.startNs;
-                    if (tl && !item.simulated) {
-                        lane(worker).span(
-                            item.key, "prepass", span_begin,
-                            tl->nowNs() - span_begin,
-                            {{"campaign", item.key},
-                             {"source", "store"}});
-                    }
-                    leave();
-                    if (!item.simulated) {
-                        uint64_t d =
-                            done.fetch_add(
-                                1, std::memory_order_relaxed) +
-                            1;
-                        if (ctx.progress())
-                            progressLine(d, items.size(),
-                                         prepass_start);
-                    }
-                }
-            },
-            &phaseStats);
-        poolStats.absorb(phaseStats);
-
-        // Phase B — flattened simulation: every missed campaign's
-        // runs in one global index space, claimed run by run so
-        // grains cross campaign boundaries and one expensive
-        // campaign cannot serialize the tail. Each worker replays
-        // on private lazily-taken workload clones; the sources
-        // stay pristine (no worker ever injects on them), so
-        // concurrent clone() calls are plain const reads.
-        std::vector<PrepassItem *> misses;
-        for (auto &item : items)
-            if (item->simulated)
-                misses.push_back(item.get());
-        std::vector<uint64_t> offsets;
-        offsets.reserve(misses.size() + 1);
-        offsets.push_back(0);
-        for (PrepassItem *item : misses)
-            offsets.push_back(offsets.back() +
-                              item->cfg.sim.faultyRuns);
-        uint64_t total_runs = offsets.back();
-        std::vector<std::vector<std::unique_ptr<Workload>>>
-            clones(ctx.pool().jobs());
-        for (auto &per_worker : clones)
-            per_worker.resize(misses.size());
-
-        phaseStats = PoolRunStats{};
-        ctx.pool().forDynamic(
-            total_runs, 1,
-            [&](unsigned worker, uint64_t begin, uint64_t end) {
-                for (uint64_t g = begin; g < end; ++g) {
-                    size_t k = static_cast<size_t>(
-                        std::upper_bound(offsets.begin(),
-                                         offsets.end(), g) -
-                        offsets.begin() - 1);
-                    PrepassItem &item = *misses[k];
-                    uint64_t i = g - offsets[k];
-                    if (!item.claimed.exchange(
-                            true, std::memory_order_relaxed)) {
-                        item.startNs = elapsedNs(prepass_start);
-                        enter();
-                    }
-                    auto &clone = clones[worker][k];
-                    if (!clone)
-                        clone = item.workload->clone();
-
-                    uint64_t span_begin = tl ? tl->nowNs() : 0;
-                    simulateShardedRun(item, *clone, i);
-                    if (tl) {
-                        lane(worker).span(
-                            item.key, "prepass", span_begin,
-                            tl->nowNs() - span_begin,
-                            {{"campaign", item.key},
-                             {"run", std::to_string(i)},
-                             {"source", "simulated"}});
-                    }
-
-                    // acq_rel: the finishing worker reads the
-                    // claimer's startNs.
-                    uint64_t fin =
-                        item.runsDone.fetch_add(
-                            1, std::memory_order_acq_rel) +
-                        1;
-                    if (fin == item.cfg.sim.faultyRuns) {
-                        item.wallNs =
-                            elapsedNs(prepass_start) -
-                            item.startNs;
-                        leave();
-                    }
-                }
-            },
-            &phaseStats);
-        poolStats.absorb(phaseStats);
-
-        // Phase C — per-campaign finalization of the misses:
-        // stats rebuild, store save (async behind the I/O gate),
-        // and the precomputed default analysis, all folded across
-        // the workers.
-        phaseStats = PoolRunStats{};
-        ctx.pool().forDynamic(
-            misses.size(), 1,
-            [&](unsigned worker, uint64_t begin, uint64_t end) {
-                (void)worker;
-                for (uint64_t idx = begin; idx < end; ++idx) {
-                    PrepassItem &item = *misses[idx];
-                    enter();
-                    auto start = std::chrono::steady_clock::now();
-                    finalizeSharded(item, ctx);
-                    item.wallNs += elapsedNs(start);
-                    leave();
-                    uint64_t d =
-                        done.fetch_add(
-                            1, std::memory_order_relaxed) +
-                        1;
-                    if (ctx.progress())
-                        progressLine(d, items.size(),
-                                     prepass_start);
-                }
-            },
-            &phaseStats);
-        poolStats.absorb(phaseStats);
-
-        publishPoolStats(poolStats, StatsRegistry::global());
-        stats.concurrentPeak = peak.load();
-    } else {
-        for (size_t idx = 0; idx < items.size(); ++idx) {
-            executeSequential(*items[idx], ctx);
-            if (ctx.progress())
-                progressLine(idx + 1, items.size(),
-                             prepass_start);
-        }
-        stats.concurrentPeak = items.empty() ? 0 : 1;
+    Prepass pp{ctx, items};
+    resolvePhase(pp);
+    std::vector<PrepassItem *> misses;
+    for (auto &item : items)
+        if (item->simulated)
+            misses.push_back(item.get());
+    if (!misses.empty()) {
+        simulatePhase(pp, misses);
+        finalizePhase(pp, misses);
     }
-    stats.prepassWallNs = elapsedNs(prepass_start);
+    publishPoolStats(pp.poolStats, StatsRegistry::global());
+    stats.concurrentPeak = pp.peak.load();
+    stats.prepassWallNs = pp.nowNs();
 
     // Plan insertion happens after the dispatch, on the caller
     // thread, in declaration order: addPlanned() is not

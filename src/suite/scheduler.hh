@@ -9,25 +9,21 @@
  * land in the context's plan, from which the experiments' pure
  * analyze/render phases are served from memory.
  *
- * Two execution shapes produce byte-identical plans:
+ * The prepass runs as three phases on the shared pool, each
+ * dispatched through WorkerPool::forDynamic(), so work is claimed
+ * grain by grain across campaign boundaries:
  *
- *  - sequential (default): distinct campaigns run one after the
- *    other, each parallel across the full shared WorkerPool via
- *    the streaming runner — the deterministic chunking makes
- *    results identical to any other execution shape;
- *  - sharded (--shard-campaigns): every missed campaign's runs are
- *    flattened into one global index space and claimed run by run
- *    from the shared pool (WorkerPool::forDynamic()), so grains
- *    cross campaign boundaries and small campaigns pack alongside
- *    large ones instead of draining the pool between them — one
- *    expensive campaign no longer serializes the prepass tail.
- *    Run k of a campaign still draws from runRng(config, k)
- *    against a pristine per-worker workload clone, so the raw
- *    bytes match the sequential prepass at any --jobs. Store
- *    loads, saves, and each campaign's default analysis are folded
- *    across the workers too (saves behind the --io-threads gate),
- *    taking both I/O and analysis off the suite's serial render
- *    phase.
+ *  A. store resolution: every store entry is parsed in byte-range
+ *     pieces, largest entries first, and each piece's runs are
+ *     folded into the default analysis as they parse;
+ *  B. simulation: every missed campaign's runs share one flat
+ *     index space, so small campaigns pack alongside large ones
+ *     and one expensive campaign cannot serialize the tail. Run k
+ *     of a campaign still draws from runRng(config, k) against a
+ *     pristine workload clone, so the raw bytes are identical at
+ *     any --jobs;
+ *  C. finalization: each miss's stats rebuild, store save and
+ *     default analysis.
  */
 
 #ifndef RADCRIT_SUITE_SCHEDULER_HH
@@ -59,29 +55,27 @@ struct ScheduleStats
      * simulate/load work (what the campaigns cost individually).
      */
     uint64_t wallNs = 0;
-    /** Whether the prepass ran sharded (--shard-campaigns). */
-    bool sharded = false;
     /**
-     * Peak number of distinct campaigns in flight at once: 1 for
-     * a non-empty sequential prepass, up to min(jobs, distinct)
-     * when sharded.
+     * Peak number of distinct campaigns in flight at once, up to
+     * min(jobs, distinct).
      */
     uint64_t concurrentPeak = 0;
     /** Wall-clock nanoseconds of the whole prepass. */
     uint64_t prepassWallNs = 0;
     /**
      * Wall nanoseconds won back by overlapping campaigns:
-     * max(0, wallNs - prepassWallNs). 0 when sequential.
+     * max(0, wallNs - prepassWallNs).
      */
     uint64_t overlapNs = 0;
 };
 
 /**
  * Run the dedup prepass for `experiments` (each at its
- * context-resolved run count) and fill the context's plan. The
- * execution shape follows SuiteContext::shardCampaigns(); with
- * SuiteContext::progress() the prepass reports campaign-granular
- * progress ("k/N distinct campaigns" with an ETA).
+ * context-resolved run count) and fill the context's plan, each
+ * entry with its default analysis unless a trace sink or timeline
+ * is armed. With SuiteContext::progress() the prepass reports
+ * campaign-granular progress ("k/N distinct campaigns" with an
+ * ETA).
  */
 ScheduleStats
 scheduleCampaigns(const std::vector<Experiment *> &experiments,

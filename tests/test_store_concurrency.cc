@@ -2,7 +2,7 @@
  * @file
  * Concurrency tests for CampaignStore: threads racing save(),
  * load() and loadStream() on the same and on distinct keys — the
- * access pattern the sharded suite prepass drives (every worker
+ * access pattern the suite prepass drives (every worker
  * resolves its own campaigns against one shared store). The
  * contract under test: a concurrent lookup observes either a miss
  * or a fully valid entry (save stages to a per-thread tmp file and
@@ -210,7 +210,7 @@ TEST_F(StoreConcurrencyTest, GatedAsyncSavesOnDistinctKeys)
     }
 
     // Every save funnels through one shared 2-slot gate, like the
-    // sharded prepass with --io-threads 2.
+    // streamed campaign saves with --io-threads 2.
     IoThreadGate gate(2);
     std::atomic<int> bad{0};
     std::vector<std::thread> threads;

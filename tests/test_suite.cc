@@ -2,8 +2,9 @@
  * @file
  * Tests for the experiment suite layer: the self-registration
  * registry (uniqueness, lookup, glob matching, ordering), the
- * scheduler's campaign dedup key, and the output-directory
- * resolution that replaced the hard-coded bench_out.
+ * scheduler's campaign dedup key and prepass, and the
+ * output-directory resolution that replaced the hard-coded
+ * bench_out.
  *
  * This binary links radcrit_experiments, so the full set of
  * registered paper experiments is visible — the registry tests
@@ -14,10 +15,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <set>
+#include <sstream>
 
+#include "campaign/analysis.hh"
+#include "campaign/series.hh"
+#include "logs/beamlog.hh"
+#include "obs/stats_registry.hh"
 #include "suite/context.hh"
+#include "suite/driver.hh"
 #include "suite/experiment.hh"
+#include "suite/scheduler.hh"
 #include "suite/spec.hh"
 
 namespace radcrit
@@ -255,6 +265,235 @@ TEST(CampaignPlanKey, RequestSetsDedupAcrossExperiments)
     auto other = keys_of(dgemmRequests(101));
     for (const auto &key : other)
         EXPECT_EQ(dgemm.count(key), 0u);
+}
+
+// ---------------------------------------------------------------
+// Campaign prepass
+// ---------------------------------------------------------------
+
+/** An unregistered experiment that only declares campaigns. */
+class DeclaringExperiment : public Experiment
+{
+  public:
+    DeclaringExperiment(const std::string &name,
+                        std::vector<CampaignRequest> requests)
+        : info_{.name = name, .tag = "test", .summary = "test"},
+          requests_(std::move(requests))
+    {
+    }
+
+    const ExperimentInfo &info() const override { return info_; }
+
+    std::vector<CampaignRequest>
+    campaigns(uint64_t runs) const override
+    {
+        std::vector<CampaignRequest> requests = requests_;
+        for (CampaignRequest &req : requests)
+            req.runs = runs;
+        return requests;
+    }
+
+    void run(SuiteContext &) override {}
+
+  private:
+    ExperimentInfo info_;
+    std::vector<CampaignRequest> requests_;
+};
+
+/**
+ * Two experiments sharing one small campaign (K40 DGEMM): four
+ * declarations, three distinct campaigns.
+ */
+class PrepassTest : public ::testing::Test
+{
+  protected:
+    static constexpr uint64_t kRuns = 12;
+    static constexpr uint64_t kDistinct = 3;
+
+    void
+    SetUp() override
+    {
+        const auto *info = ::testing::UnitTest::GetInstance()
+                               ->current_test_info();
+        dir_ = ::testing::TempDir() + "radcrit_prepass_" +
+            info->name();
+        std::filesystem::remove_all(dir_);
+    }
+
+    void TearDown() override { std::filesystem::remove_all(dir_); }
+
+    /** What one prepass left in the plan. */
+    struct Plan
+    {
+        ScheduleStats stats;
+        /** Beam-log bytes of every plan entry, by plan key. */
+        std::map<std::string, std::string> logs;
+    };
+
+    /**
+     * Run the prepass for both experiments on `jobs` workers and
+     * collect the plan, checking on the way that every entry
+     * carries a default analysis equal to analyzeCampaign() of
+     * its raw campaign.
+     */
+    Plan
+    schedule(unsigned jobs, CampaignStore *store)
+    {
+        WorkerPool pool(jobs);
+        SuiteContext::Options options;
+        options.jobs = jobs;
+        options.writeCsv = false;
+        options.runsOverride = static_cast<int64_t>(kRuns);
+        SuiteContext ctx(options, store, pool);
+        Plan plan;
+        plan.stats = scheduleCampaigns({&first_, &second_}, ctx);
+        for (Experiment *exp : {&first_, &second_}) {
+            for (const CampaignRequest &req : exp->campaigns(kRuns)) {
+                DeviceModel device = makeDevice(req.device);
+                auto workload = buildWorkload(device, req.workload);
+                std::string key = campaignPlanKey(
+                    device.name, workload->name(),
+                    workload->inputLabel(), kRuns);
+                const SuiteContext::PlannedCampaign *entry =
+                    ctx.planned(key);
+                if (!entry) {
+                    ADD_FAILURE() << "no plan entry for " << key;
+                    continue;
+                }
+                std::ostringstream log;
+                writeBeamLog(entry->raw, log);
+                plan.logs[key] = log.str();
+
+                if (!entry->defaultAnalysis) {
+                    ADD_FAILURE() << "no default analysis for " << key;
+                    continue;
+                }
+                CampaignConfig cfg = defaultCampaign(
+                    kRuns, device.name, workload->name(),
+                    workload->inputLabel());
+                CampaignResult fresh =
+                    analyzeCampaign(entry->raw, cfg.analysis);
+                const CampaignResult &folded = *entry->defaultAnalysis;
+                EXPECT_EQ(runRows(folded), runRows(fresh)) << key;
+                EXPECT_EQ(folded.fitTotalAu(true),
+                          fresh.fitTotalAu(true))
+                    << key;
+                EXPECT_EQ(folded.fitTotalAu(false),
+                          fresh.fitTotalAu(false))
+                    << key;
+            }
+        }
+        return plan;
+    }
+
+    DeclaringExperiment first_{
+        "prepass_first",
+        {{DeviceId::K40, dgemmSpec(128)},
+         {DeviceId::XeonPhi, dgemmSpec(128)}}};
+    DeclaringExperiment second_{
+        "prepass_second",
+        {{DeviceId::K40, dgemmSpec(128)},
+         {DeviceId::XeonPhi, lavamdSpec(LavaMdSize{6, 13})}}};
+    std::string dir_;
+};
+
+TEST_F(PrepassTest, ColdPlanIsIdenticalAtOneAndFourJobs)
+{
+    Plan one = schedule(1, nullptr);
+    Plan four = schedule(4, nullptr);
+    for (const Plan *plan : {&one, &four}) {
+        EXPECT_EQ(plan->stats.requested, 4u);
+        EXPECT_EQ(plan->stats.distinct, kDistinct);
+        EXPECT_EQ(plan->stats.simulated, kDistinct);
+        EXPECT_EQ(plan->stats.storeHits, 0u);
+    }
+    EXPECT_EQ(one.logs.size(), kDistinct);
+    EXPECT_EQ(one.logs, four.logs);
+}
+
+TEST_F(PrepassTest, WarmStoreServesTheColdPlan)
+{
+    auto store = CampaignStore::open(dir_);
+    ASSERT_TRUE(store);
+    Plan cold = schedule(4, store.get());
+    EXPECT_EQ(cold.stats.simulated, kDistinct);
+    EXPECT_EQ(cold.stats.storeHits, 0u);
+
+    for (unsigned jobs : {1u, 4u}) {
+        Plan warm = schedule(jobs, store.get());
+        EXPECT_EQ(warm.stats.simulated, 0u) << "jobs " << jobs;
+        EXPECT_EQ(warm.stats.storeHits, kDistinct) << "jobs " << jobs;
+        EXPECT_EQ(warm.logs, cold.logs) << "jobs " << jobs;
+    }
+    EXPECT_EQ(cold.logs, schedule(1, nullptr).logs);
+}
+
+TEST_F(PrepassTest, EmptyPlanSchedulesNothing)
+{
+    DeclaringExperiment idle("prepass_idle", {});
+    WorkerPool pool(4);
+    SuiteContext::Options options;
+    options.jobs = 4;
+    SuiteContext ctx(options, nullptr, pool);
+    using Selection = std::vector<Experiment *>;
+    for (const Selection &experiments :
+         {Selection{}, Selection{&idle}}) {
+        ScheduleStats stats = scheduleCampaigns(experiments, ctx);
+        EXPECT_EQ(stats.requested, 0u);
+        EXPECT_EQ(stats.distinct, 0u);
+        EXPECT_EQ(stats.simulated, 0u);
+        EXPECT_EQ(stats.storeHits, 0u);
+        EXPECT_EQ(stats.concurrentPeak, 0u);
+        EXPECT_EQ(stats.wallNs, 0u);
+    }
+}
+
+TEST_F(PrepassTest, PublishesThePhaseTimers)
+{
+    // The prepass simulates outside the campaign runner, so it
+    // must publish the timers a runner-simulated campaign would:
+    // one sample/classify tick per run, one campaign.total sample
+    // per campaign, and the process RSS gauges.
+    StatsRegistry &global = StatsRegistry::global();
+    StatsSnapshot before = global.snapshot();
+    schedule(2, nullptr);
+    StatsSnapshot after = global.snapshot();
+    auto grew = [&](const std::string &name) {
+        return after.value(name) - before.value(name);
+    };
+    EXPECT_EQ(grew("campaign.phase.sample.calls"),
+              static_cast<double>(kDistinct * kRuns));
+    EXPECT_EQ(grew("campaign.phase.classify.calls"),
+              static_cast<double>(kDistinct * kRuns));
+    EXPECT_GT(grew("campaign.phase.sample.ns"), 0.0);
+    EXPECT_GT(grew("campaign.phase.replay.calls"), 0.0);
+    EXPECT_EQ(grew("campaign.total.calls"),
+              static_cast<double>(kDistinct));
+    EXPECT_GT(after.value("proc.mem.peak_rss_bytes"), 0.0);
+}
+
+TEST(SuiteOptionsDeathTest, ExecutionShapeFlagsAreUnknown)
+{
+    // The prepass has one shape, so the suite and the shims take no
+    // flag that picks one.
+    for (const char *flag : {"--shard-campaigns", "--stream",
+                             "--batch-runs=4", "--io-threads=2"}) {
+        char prog[] = "radcrit_suite", run[] = "run", glob[] = "fig2*";
+        std::string option = flag;
+        char *suite_argv[] = {prog, run, glob, option.data()};
+        std::string name = option.substr(0, option.find('='));
+        EXPECT_EXIT(suiteMain(4, suite_argv),
+                    ::testing::ExitedWithCode(1),
+                    "unknown option " + name)
+            << flag;
+        char shim[] = "bench_fig2_dgemm_scatter";
+        char *shim_argv[] = {shim, option.data()};
+        EXPECT_EXIT(experimentShimMain("fig2_dgemm_scatter", 2,
+                                       shim_argv),
+                    ::testing::ExitedWithCode(1),
+                    "unknown option " + name)
+            << flag;
+    }
 }
 
 // ---------------------------------------------------------------

@@ -5,12 +5,19 @@ Usage:
     check_bench_json.py <bench_binary> [extra bench args...]
     check_bench_json.py --no-run <bench_binary>
     check_bench_json.py --suite <radcrit_suite.json>
+    check_bench_json.py --docs <repo_root>
 
-With --suite the argument is an existing schema-8 suite document
+With --suite the argument is an existing suite document
 (written by `radcrit_suite run`) and is validated in place: dedup
 accounting (simulated + store_hits == distinct), totals that tally
 with the per-experiment blocks, and the
 pool/sharding/resilience/memory/stats snapshots.
+
+With --docs the argument is the repository root: README.md and
+.claude/skills/verify/SKILL.md must quote the current schema
+version, and every bench/suite JSON schema version they quote
+("schema-N", "schema N", or a "schema": N literal on a line about
+bench or suite JSON) must be the current one.
 
 Runs the bench binary (by default with a small --runs count so the
 check stays fast), then parses bench_out/<bench_name>.json from the
@@ -22,7 +29,7 @@ existing file is validated as-is.
 
 Validated shape:
 
-  * schema == 8 and bench matches the binary name
+  * schema == SCHEMA (9) and bench matches the binary name
   * campaigns/runs/wall_ns are positive integers
   * jobs (worker threads per campaign) is a positive integer
   * cache_hits/cache_misses are non-negative integers and account
@@ -37,16 +44,13 @@ Validated shape:
     holds non-negative per-phase wall nanosecond totals whose
     "total" is positive whenever at least one campaign was
     actually simulated (cache_misses > 0)
-  * sharding is the schema-8 scheduling block: whether the
-    campaign-sharded suite prepass ran (always 0 for standalone
-    benches, which have no prepass), its concurrency high-water
-    mark and overlap win, and the async store-I/O telemetry
-    (io_threads/io_batches/io_busy_ns/io_queue_peak — zeros
-    without --io-threads, never absent)
+  * sharding is the suite-prepass block: its concurrency
+    high-water mark, overlap win and wall time (zeros for
+    standalone benches, which have no prepass, never absent)
   * resilience is the execution-resilience block: every counter
     (retries, resumes, quarantines, chaos faults) present as a
     non-negative integer — zero on a clean run, never absent
-  * memory is the schema-8 process-memory block: peak_rss_bytes /
+  * memory is the process-memory block: peak_rss_bytes /
     current_rss_bytes from /proc/self/status (peak >= current
     whenever both are nonzero) plus the streaming pipeline's
     stream_batches / batch_runs accounting (zero on a
@@ -60,8 +64,13 @@ Exits 0 on success, 1 with a diagnostic on any violation.
 
 import json
 import os
+import re
 import subprocess
 import sys
+
+# Version of the per-bench and suite documents (benchJsonSchema in
+# src/suite/render.hh).
+SCHEMA = 9
 
 
 def fail(msg):
@@ -107,7 +116,7 @@ RESILIENCE_KEYS = ("retries", "resumed_runs", "watchdog_overdue",
 
 
 def validate_resilience(doc):
-    """Check the schema-6 execution-resilience block.
+    """Check the execution-resilience block.
 
     Every field is always present (zero on a clean run) so
     consumers can difference documents without existence checks.
@@ -124,15 +133,14 @@ def validate_resilience(doc):
            "resilience has unexpected keys %s" % sorted(extra))
 
 
-SHARDING_KEYS = ("enabled", "concurrent_campaigns", "overlap_ns",
-                 "prepass_wall_ns", "io_threads", "io_batches",
-                 "io_busy_ns", "io_queue_peak")
+SHARDING_KEYS = ("concurrent_campaigns", "overlap_ns",
+                 "prepass_wall_ns")
 
 
 def validate_sharding(doc):
-    """Check the schema-8 scheduling/async-I/O block.
+    """Check the suite-prepass block.
 
-    Every field is always present (zero when the feature is off)
+    Every field is always present (zero for standalone benches)
     so consumers can difference documents without existence
     checks.
     """
@@ -146,21 +154,10 @@ def validate_sharding(doc):
     extra = set(sh) - set(SHARDING_KEYS)
     expect(not extra,
            "sharding has unexpected keys %s" % sorted(extra))
-    expect(sh["enabled"] in (0, 1),
-           "sharding.enabled must be 0 or 1, got %r"
-           % sh["enabled"])
-    if not sh["enabled"]:
-        expect(sh["concurrent_campaigns"] <= 1,
-               "sharding disabled but concurrent_campaigns is %d"
-               % sh["concurrent_campaigns"])
-        expect(sh["overlap_ns"] == 0,
-               "sharding disabled but overlap_ns is %d"
-               % sh["overlap_ns"])
-    if sh["io_threads"] == 0:
-        expect(sh["io_batches"] == 0 and sh["io_busy_ns"] == 0
-               and sh["io_queue_peak"] == 0,
-               "io_threads is 0 but async store-I/O telemetry is "
-               "nonzero (%r)" % sh)
+    if sh["prepass_wall_ns"] == 0:
+        expect(sh["concurrent_campaigns"] == 0
+               and sh["overlap_ns"] == 0,
+               "no prepass ran but sharding reports one (%r)" % sh)
 
 
 MEMORY_KEYS = ("peak_rss_bytes", "current_rss_bytes",
@@ -168,7 +165,7 @@ MEMORY_KEYS = ("peak_rss_bytes", "current_rss_bytes",
 
 
 def validate_memory(doc):
-    """Check the schema-8 process-memory block.
+    """Check the process-memory block.
 
     The RSS fields are zero only when /proc was unavailable; the
     stream fields are zero on a purely materialized (or all-cache-
@@ -193,7 +190,7 @@ def validate_memory(doc):
 
 
 def validate_timings(doc):
-    """Check the schema-8 perf-trajectory block."""
+    """Check the perf-trajectory block."""
     timings = doc.get("timings")
     expect(isinstance(timings, dict),
            "timings must be an object, got %r" % timings)
@@ -240,14 +237,15 @@ SUITE_EXP_KEYS = ("campaigns", "runs", "wall_ns", "cache_hits",
 
 
 def validate_suite_json(doc):
-    """Check the schema-8 suite document written by radcrit_suite.
+    """Check the suite document written by radcrit_suite.
 
     Unlike the per-bench document, a suite run may legitimately
     involve zero campaigns (e.g. `run fig1_setup`), so the totals
     only need to be non-negative and internally consistent.
     """
-    expect(doc.get("schema") == 8,
-           "suite schema must be 8, got %r" % doc.get("schema"))
+    expect(doc.get("schema") == SCHEMA,
+           "suite schema must be %d, got %r"
+           % (SCHEMA, doc.get("schema")))
     expect(doc.get("suite") == "radcrit_suite",
            "suite must be 'radcrit_suite', got %r"
            % doc.get("suite"))
@@ -349,9 +347,9 @@ def validate_suite_file(path):
             fail("%s is truncated or not valid JSON: %s"
                  % (path, e))
     validate_suite_json(doc)
-    print("check_bench_json: OK: %s (suite schema 8, %d "
+    print("check_bench_json: OK: %s (suite schema %d, %d "
           "experiments, %d/%d distinct campaigns simulated)"
-          % (path, doc["experiments_run"],
+          % (path, SCHEMA, doc["experiments_run"],
              doc["campaigns"]["simulated"],
              doc["campaigns"]["distinct"]))
 
@@ -367,8 +365,8 @@ def validate(path, bench_name):
             fail("%s is truncated or not valid JSON: %s"
                  % (path, e))
 
-    expect(doc.get("schema") == 8,
-           "schema must be 8, got %r" % doc.get("schema"))
+    expect(doc.get("schema") == SCHEMA,
+           "schema must be %d, got %r" % (SCHEMA, doc.get("schema")))
     expect(doc.get("bench") == bench_name,
            "bench name %r != binary name %r"
            % (doc.get("bench"), bench_name))
@@ -425,12 +423,53 @@ def validate(path, bench_name):
              doc["ns_per_op"], doc["runs_per_s"]))
 
 
+# The documents that quote the bench/suite JSON schema version.
+DOC_FILES = ("README.md", os.path.join(".claude", "skills", "verify",
+                                       "SKILL.md"))
+# Prose quotes ("schema-9", "schema 9") are always bench/suite
+# versions; a "schema": N literal only counts on a line about bench
+# or suite JSON (trace records and the catalog carry their own).
+PROSE_SCHEMA = re.compile(r"\bschema[- ](\d+)\b")
+LITERAL_SCHEMA = re.compile(r'"schema": (\d+)')
+
+
+def validate_docs(root):
+    """Check that the docs quote the current schema, and only it."""
+    for rel in DOC_FILES:
+        path = os.path.join(root, rel)
+        expect(os.path.exists(path), "missing doc file %s" % path)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        current = 0
+        for lineno, line in enumerate(lines, 1):
+            versions = [int(v) for v in PROSE_SCHEMA.findall(line)]
+            if "bench" in line or "suite" in line:
+                versions += [int(v)
+                             for v in LITERAL_SCHEMA.findall(line)]
+            for version in versions:
+                expect(version == SCHEMA,
+                       "%s:%d quotes bench/suite JSON schema %d, "
+                       "the current schema is %d"
+                       % (rel, lineno, version, SCHEMA))
+                current += 1
+        expect(current > 0,
+               "%s does not quote the bench/suite JSON schema "
+               "version (%d)" % (rel, SCHEMA))
+    print("check_bench_json: OK: docs quote schema %d" % SCHEMA)
+
+
 def main(argv):
     argv = argv[1:]
     no_run = "--no-run" in argv
     argv = [a for a in argv if a != "--no-run"]
+    if argv and argv[0] == "--docs":
+        if len(argv) != 2:
+            print(__doc__, file=sys.stderr)
+            return 2
+        validate_docs(argv[1])
+        return 0
     if argv and argv[0] == "--suite":
-        # Validate an existing schema-8 suite JSON (written by
+        # Validate an existing suite JSON (written by
         # `radcrit_suite run`) instead of running a bench binary.
         if len(argv) != 2:
             print(__doc__, file=sys.stderr)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end check of the sharded suite prepass + async store I/O.
+"""End-to-end check of the suite prepass.
 
 Usage:
     check_shard.py --suite <radcrit_suite> [--runs N] [--jobs N]
@@ -8,26 +8,29 @@ Usage:
 Runs the full 17-distinct-campaign suite plan (every experiment
 except the google-benchmark throughput sweep, which declares no
 campaigns and only adds wall clock) in a sandbox, and asserts the
-two claims --shard-campaigns makes:
+two claims the prepass makes:
 
-  1. Byte-identity: the sharded prepass produces per-experiment
-     CSVs byte-identical to the sequential prepass at --jobs 1, 2
-     and 8, and suite JSON documents whose campaigns / totals /
-     experiments blocks match modulo wall-clock fields. A warm
-     sharded run reading the cache a *sequential* run wrote must
-     match too (the store entries are mode-independent).
+  1. Byte-identity: cold runs at --jobs 2 and --jobs N, each on a
+     fresh cache, produce per-experiment CSVs byte-identical to a
+     cold --jobs 1 reference run, and suite JSON documents whose
+     campaigns / totals / experiments blocks match modulo
+     wall-clock fields. Every warm run below reads the cache the
+     reference wrote, must serve every campaign from it, and must
+     reproduce the reference CSVs.
 
   2. Speedup: on a warm cache — the steady-state shape of
-     `run all`, and the configuration where the prepass wall is
-     pure store I/O + analysis — the sharded prepass at --jobs 8
-     with --io-threads 2 beats the sequential prepass wall by at
-     least --min-speedup (default 1.5x). The assertion needs real
-     parallelism, so it only arms when os.cpu_count() >= 4; on
-     smaller machines the measurement still runs and is reported,
-     with a printed skip notice. Cold prepass walls are reported
-     for reference but not asserted: with one campaign holding
-     ~85% of the simulation work, both shapes are bounded by the
-     same critical path.
+     `run all`, where the prepass wall is pure store I/O +
+     analysis — the prepass at --jobs N (default 8) beats the
+     same prepass at --jobs 1 by at least --min-speedup (default
+     1.5x), each timed as the best of --reps (default 5, at
+     least 5) warm passes. The reference is the one prepass on
+     one worker, so the gate measures how the prepass scales. The
+     assertion needs real parallelism, so it only arms when
+     os.cpu_count() >= 4; on smaller machines the measurement
+     still runs and is reported, with a printed skip notice. Cold
+     prepass walls are reported for reference but not asserted:
+     with one campaign holding ~85% of the simulation work, every
+     worker count is bounded by the same critical path.
 
 Exits 0 on success, 1 with a diagnostic on any violation.
 """
@@ -56,8 +59,7 @@ def expect(cond, msg):
         fail(msg)
 
 
-def run_suite(suite, sandbox, tag, jobs, cache, sharded,
-              io_threads=0, runs=8):
+def run_suite(suite, sandbox, tag, jobs, cache, runs):
     """One suite invocation; returns its parsed JSON document."""
     out_dir = os.path.join(sandbox, "out_" + tag)
     json_path = os.path.join(sandbox, tag + ".json")
@@ -65,10 +67,6 @@ def run_suite(suite, sandbox, tag, jobs, cache, sharded,
         "--runs=%d" % runs, "--jobs=%d" % jobs,
         "--cache=%s" % os.path.join(sandbox, cache),
         "--out=%s" % out_dir, "--json=%s" % json_path]
-    if sharded:
-        cmd.append("--shard-campaigns")
-    if io_threads:
-        cmd.append("--io-threads=%d" % io_threads)
     proc = subprocess.run(cmd, cwd=sandbox,
                           stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
@@ -98,7 +96,8 @@ def compare_csvs(ref, ref_tag, got, got_tag):
     for name in sorted(ref):
         expect(ref[name] == got[name],
                "%s differs between %s (%d bytes) and %s (%d "
-               "bytes) — the sharded prepass changed output bytes"
+               "bytes) — the prepass output depends on --jobs or "
+               "on the cache"
                % (name, ref_tag, len(ref[name]), got_tag,
                   len(got[name])))
 
@@ -137,7 +136,7 @@ def main(argv):
     runs = 8
     jobs = 8
     min_speedup = 1.5
-    reps = 2
+    reps = 5
 
     i = 1
     while i < len(argv):
@@ -165,83 +164,75 @@ def main(argv):
            "radcrit_suite binary %s does not exist (build it "
            "first)" % suite)
 
-    with tempfile.TemporaryDirectory() as sandbox:
-        # --- Cold reference: the sequential prepass.
-        seq = run_suite(suite, sandbox, "seq", jobs, "cache_seq",
-                        sharded=False, runs=runs)
-        seq_csvs = read_csvs(sandbox, "seq")
-        expect(seq["campaigns"]["simulated"]
-               == seq["campaigns"]["distinct"] > 0,
-               "cold sequential run did not simulate every "
-               "distinct campaign: %s" % seq["campaigns"])
+    if reps < 5:
+        print("check_shard: --reps must be at least 5",
+              file=sys.stderr)
+        return 2
 
-        # --- Cold sharded runs at several worker counts, each on
-        # a fresh cache so every campaign really simulates.
-        cold_walls = {}
-        for j in (1, 2, jobs):
-            tag = "shard%d" % j
-            doc = run_suite(suite, sandbox, tag, j,
-                            "cache_" + tag, sharded=True,
-                            io_threads=2, runs=runs)
-            expect(doc["sharding"]["enabled"] == 1,
-                   "%s: sharding.enabled is not 1" % tag)
+    with tempfile.TemporaryDirectory() as sandbox:
+        # --- Cold reference: the prepass on one worker.
+        ref = run_suite(suite, sandbox, "ref", 1, "cache_ref", runs)
+        ref_csvs = read_csvs(sandbox, "ref")
+        expect(ref["campaigns"]["simulated"]
+               == ref["campaigns"]["distinct"] > 0,
+               "cold reference run did not simulate every "
+               "distinct campaign: %s" % ref["campaigns"])
+
+        # --- Cold runs at more workers, each on a fresh cache so
+        # every campaign really simulates.
+        cold_walls = {1: prepass_ms(ref)}
+        for j in (2, jobs):
+            tag = "cold%d" % j
+            doc = run_suite(suite, sandbox, tag, j, "cache_" + tag,
+                            runs)
             expect(doc["campaigns"]["simulated"]
-                   == seq["campaigns"]["distinct"],
+                   == ref["campaigns"]["distinct"],
                    "%s simulated %d campaigns, reference "
                    "simulated %d"
                    % (tag, doc["campaigns"]["simulated"],
-                      seq["campaigns"]["distinct"]))
-            compare_csvs(seq_csvs, "seq", read_csvs(sandbox, tag),
+                      ref["campaigns"]["distinct"]))
+            compare_csvs(ref_csvs, "ref", read_csvs(sandbox, tag),
                          tag)
-            compare_json(seq, "seq", doc, tag)
+            compare_json(ref, "ref", doc, tag)
             cold_walls[j] = prepass_ms(doc)
 
-        # --- Cross-mode cache: a warm sharded run reading the
-        # sequential run's cache must reproduce the same bytes.
-        cross = run_suite(suite, sandbox, "cross", jobs,
-                          "cache_seq", sharded=True, io_threads=2,
-                          runs=runs)
-        expect(cross["campaigns"]["store_hits"]
-               == seq["campaigns"]["distinct"],
-               "cross-mode warm run missed the cache: %s"
-               % cross["campaigns"])
-        compare_csvs(seq_csvs, "seq", read_csvs(sandbox, "cross"),
-                     "cross")
+        # --- Warm passes on the reference cache: every one must
+        # hit the store for every campaign and reproduce the
+        # reference CSVs; best-of-N damps scheduler noise.
+        def warm_ms(j, r):
+            tag = "warm%d_%d" % (j, r)
+            doc = run_suite(suite, sandbox, tag, j, "cache_ref",
+                            runs)
+            expect(doc["campaigns"]["store_hits"]
+                   == ref["campaigns"]["distinct"],
+                   "warm run %s missed the cache: %s"
+                   % (tag, doc["campaigns"]))
+            compare_csvs(ref_csvs, "ref", read_csvs(sandbox, tag),
+                         tag)
+            return prepass_ms(doc)
 
-        # --- Warm speedup: both modes replay the same warm cache;
-        # best-of-N damps scheduler noise.
-        seq_warm = min(
-            prepass_ms(run_suite(suite, sandbox,
-                                 "seq_warm%d" % r, jobs,
-                                 "cache_seq", sharded=False,
-                                 runs=runs))
-            for r in range(reps))
-        shard_warm = min(
-            prepass_ms(run_suite(suite, sandbox,
-                                 "shard_warm%d" % r, jobs,
-                                 "cache_seq", sharded=True,
-                                 io_threads=2, runs=runs))
-            for r in range(reps))
-        speedup = (seq_warm / shard_warm
-                   if shard_warm > 0 else float("inf"))
+        one_warm = min(warm_ms(1, r) for r in range(reps))
+        many_warm = min(warm_ms(jobs, r) for r in range(reps))
+        speedup = (one_warm / many_warm
+                   if many_warm > 0 else float("inf"))
 
         cold = ", ".join("jobs %d: %.0f ms" % (j, w)
                          for j, w in sorted(cold_walls.items()))
         print("check_shard: byte-identical at --jobs 1/2/%d; "
-              "cold prepass [%s] vs sequential %.0f ms; warm "
-              "prepass sharded %.0f ms vs sequential %.0f ms "
+              "cold prepass [%s]; warm prepass (best of %d) "
+              "%.0f ms at --jobs %d vs %.0f ms at --jobs 1 "
               "(%.2fx)"
-              % (jobs, cold, prepass_ms(seq), shard_warm,
-                 seq_warm, speedup))
+              % (jobs, cold, reps, many_warm, jobs, one_warm,
+                 speedup))
 
         cpus = os.cpu_count() or 1
         if cpus >= 4:
             expect(speedup >= min_speedup,
-                   "warm sharded prepass speedup %.2fx at "
-                   "--jobs %d is below the %.2fx gate "
-                   "(sequential %.0f ms, sharded %.0f ms)"
-                   % (speedup, jobs, min_speedup, seq_warm,
-                      shard_warm))
+                   "warm prepass speedup %.2fx at --jobs %d over "
+                   "--jobs 1 is below the %.2fx gate (%.0f ms vs "
+                   "%.0f ms)"
+                   % (speedup, jobs, min_speedup, many_warm,
+                      one_warm))
         else:
             print("check_shard: NOTE: %d CPU(s) < 4 — speedup "
                   "gate skipped (measured %.2fx, gate %.2fx)"

@@ -13,7 +13,7 @@ standalone bench shim, then asserts:
     store (simulated == distinct, store_hits == 0), and the second
     run re-simulated nothing (simulated == 0, all planned campaigns
     served from the store, no unplanned misses).
- 3. The suite JSON is valid schema 6 (delegated to
+ 3. The suite JSON is valid at the current schema (delegated to
     check_bench_json.py's validator).
 
 Exit code 0 on success; prints a diagnostic and exits 1 on the
@@ -190,7 +190,7 @@ def check(args, suite, bench_dir, sandbox):
         run([shim, "--runs", str(args.runs), "--out", shim_out,
              "--cache", shim_cache], sandbox)
 
-    # Shims also drop per-bench schema-6 JSON files next to the
+    # Shims also drop per-bench JSON files next to the
     # CSVs; the comparison below only looks at CSV/PPM artifacts.
     n = compare_artifacts("suite --jobs 1", suite1,
                           "suite --jobs 8", suite8)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build the tree under a sanitizer and run the concurrency- and
 # chaos-labelled tests (worker pool + parallel campaign engine
-# determinism, chaos injection, watchdog, checkpoint/resume).
+# determinism, concurrent store access, the suite prepass, chaos
+# injection, watchdog, checkpoint/resume).
 #
 # Usage: tools/sanitize_check.sh [thread|address] [build-dir]
 #
@@ -14,10 +15,13 @@
 set -euo pipefail
 
 SANITIZER="${1:-thread}"
+# Every binary carrying the concurrency or chaos label must be
+# listed: ctest only finds the tests of binaries that were built.
 # radcrit_cli is needed by the check_resume ctest (chaos label),
 # which SIGKILLs and resumes a live campaign under the sanitizer.
 TARGETS=(test_pool test_engine test_jobs_precedence test_timeline
-         test_chaos test_resume test_prop_chaos radcrit_cli)
+         test_chaos test_resume test_prop_chaos test_store_concurrency
+         test_suite radcrit_cli)
 LABELS="concurrency|chaos"
 case "$SANITIZER" in
     thread) DEFAULT_DIR=build-tsan ;;

@@ -12,6 +12,9 @@ Modes:
     schema     bench writes a well-formed but outdated schema-4
                document (no resilience block); the checker must
                reject it, not silently accept old producers
+    docs       a README that still quotes an older bench JSON
+               schema must fail the --docs check, and one quoting
+               the current schema must pass it
 
 Each mode builds a sandbox with a fake bench binary, runs
 check_bench_json.py against it, and requires a nonzero exit with
@@ -20,6 +23,7 @@ behaves, 1 otherwise.
 """
 
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -28,8 +32,11 @@ import tempfile
 CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "check_bench_json.py")
 
+sys.path.insert(0, os.path.dirname(CHECKER))
+from check_bench_json import SCHEMA  # noqa: E402
+
 STALE_JSON = """{
-  "schema": 8,
+  "schema": %d,
   "bench": "fake_bench",
   "campaigns": 1,
   "jobs": 1,
@@ -54,14 +61,9 @@ STALE_JSON = """{
     }
   },
   "sharding": {
-    "enabled": 0,
     "concurrent_campaigns": 0,
     "overlap_ns": 0,
-    "prepass_wall_ns": 0,
-    "io_threads": 0,
-    "io_batches": 0,
-    "io_busy_ns": 0,
-    "io_queue_peak": 0
+    "prepass_wall_ns": 0
   },
   "resilience": {
     "retries": 0,
@@ -86,10 +88,10 @@ STALE_JSON = """{
     "campaign.k40.dgemm.hang": {"kind": "counter", "value": 1}
   }
 }
-"""
+""" % SCHEMA
 
 # A document an old (pre-resilience) bench would emit.
-SCHEMA4_JSON = STALE_JSON.replace('"schema": 8', '"schema": 4')
+SCHEMA4_JSON = re.sub(r'"schema": \d+', '"schema": 4', STALE_JSON)
 in_block = False
 lines = []
 for line in SCHEMA4_JSON.splitlines():
@@ -108,9 +110,9 @@ def write_fake_bench(path, body):
     os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
 
 
-def run_checker(cwd, bench):
+def run_checker(cwd, *args):
     return subprocess.run(
-        [sys.executable, CHECKER, bench],
+        [sys.executable, CHECKER, *args],
         cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
 
@@ -169,14 +171,42 @@ def mode_schema(sandbox):
     proc = run_checker(sandbox, bench)
     expect(proc.returncode != 0,
            "checker accepted an outdated schema-4 document", proc)
-    expect("schema must be 8" in proc.stderr,
+    expect("schema must be %d" % SCHEMA in proc.stderr,
            "diagnostic does not name the expected schema", proc)
+
+
+def mode_docs(sandbox):
+    """Docs quoting an older schema fail --docs; current ones pass."""
+    skill = os.path.join(sandbox, ".claude", "skills", "verify")
+    os.makedirs(skill)
+    with open(os.path.join(skill, "SKILL.md"), "w") as f:
+        f.write("validate the schema-%d document\n" % SCHEMA)
+    readme = os.path.join(sandbox, "README.md")
+    with open(readme, "w") as f:
+        f.write('Trace records carry `"schema": 1`.\n'
+                'Bench JSON (schema %d) records the traffic.\n'
+                % (SCHEMA - 1))
+    proc = run_checker(sandbox, "--docs", sandbox)
+    expect(proc.returncode != 0,
+           "checker accepted a README quoting schema %d"
+           % (SCHEMA - 1), proc)
+    expect("README.md:2 quotes bench/suite JSON schema %d"
+           % (SCHEMA - 1) in proc.stderr,
+           "diagnostic does not name the stale quote", proc)
+    with open(readme, "w") as f:
+        f.write('Trace records carry `"schema": 1`.\n'
+                'Bench JSON (schema %d) records the traffic.\n'
+                % SCHEMA)
+    proc = run_checker(sandbox, "--docs", sandbox)
+    expect(proc.returncode == 0,
+           "checker rejected docs quoting the current schema", proc)
 
 
 MODES = {
     "missing": mode_missing,
     "truncated": mode_truncated,
     "schema": mode_schema,
+    "docs": mode_docs,
 }
 
 
