@@ -1,7 +1,6 @@
 #include "campaign/runner.hh"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -29,35 +28,6 @@ namespace radcrit
 
 namespace
 {
-
-/**
- * Per-worker telemetry shard: a private registry plus cached
- * instrument handles, so workers never contend on the campaign
- * counters. Shards are merged into the campaign registry in worker
- * order after the pool drains, which keeps the aggregate independent
- * of execution interleaving.
- */
-struct StatsShard
-{
-    StatsShard(const std::string &prefix)
-    {
-        for (size_t o = 0; o < numOutcomes; ++o) {
-            outcome[o] = &reg.counter(
-                prefix + "." +
-                statToken(outcomeName(static_cast<Outcome>(o))));
-        }
-        runs = &reg.counter(prefix + ".runs");
-        incorrect = &reg.histogram(prefix + ".incorrect_elements");
-    }
-
-    StatsRegistry reg;
-    std::array<Counter *, numOutcomes> outcome{};
-    Counter *runs = nullptr;
-    LogHistogram *incorrect = nullptr;
-    PhaseTimer sample{reg, "campaign.phase.sample"};
-    PhaseTimer classify{reg, "campaign.phase.classify"};
-    PhaseTimer replay{reg, "campaign.phase.replay"};
-};
 
 /** CampaignRaw shell carrying only a campaign's identity, for the
  * checkpoint header/recovery machinery (which never reads runs). */
@@ -159,6 +129,47 @@ CampaignResult::filteredOutFraction() const
         static_cast<double>(sdc);
 }
 
+GuardedRun
+simulateGuardedRun(const StrikeSampler &sampler, Workload &workload,
+                   const SimConfig &config, uint64_t index,
+                   RunShard &shard)
+{
+    const ResilienceConfig &rz = config.resilience;
+    RetryPolicy policy{std::max(rz.maxAttempts, 1u),
+                       rz.softDeadlineNs, rz.backoffBaseNs};
+    RunPhaseTimers timers{&shard.sample, &shard.classify,
+                          &shard.replay};
+    auto start = std::chrono::steady_clock::now();
+    GuardedRun out;
+    out.guard = runGuarded(policy, [&](unsigned attempt) {
+        if (ChaosEngine *engine = chaos())
+            engine->onRunAttempt(index, attempt);
+        Rng rng = runRng(config, index);
+        out.run = simulateRun(sampler, workload, config, index, rng,
+                              timers);
+    });
+    const GuardReport &guard = out.guard;
+    if (guard.status != GuardStatus::Ok) {
+        // Quarantine: the run failed its whole attempt budget. It
+        // stays in the campaign as an infra outcome (excluded from
+        // AVF, visible in every report) instead of killing the
+        // other runs.
+        out.run = RawRun{};
+        out.run.index = index;
+        out.run.outcome = guard.status == GuardStatus::Timeout
+            ? Outcome::InfraTimeout
+            : Outcome::InfraError;
+        warn("campaign run %llu quarantined after %u "
+             "attempt(s)%s%s",
+             static_cast<unsigned long long>(index), guard.attempts,
+             guard.error.empty() ? "" : ": ", guard.error.c_str());
+    }
+    out.run.wallNs = elapsedNs(start);
+    if (guard.retries() > 0)
+        shard.reg.counter("resilience.retries").inc(guard.retries());
+    return out;
+}
+
 void
 simulateCampaignStream(const DeviceModel &device,
                        Workload &workload,
@@ -226,49 +237,24 @@ simulateCampaignStream(const DeviceModel &device,
 
     sink.begin(meta);
 
-    // --- Telemetry. Workers write campaign counters into private
+    // --- Telemetry. Workers tick the phase timers into private
     // shards; kernel instruments (PhaseTimer members of workloads
     // and their clones) land directly in the global registry, whose
-    // instruments are thread-safe. The shards plus the global
-    // kernel-side diff are folded into a campaign-local registry, so
-    // the snapshot handed to sink.end() carries the same content the
-    // old fused runner did for the simulation phases.
+    // instruments are thread-safe. The outcome tally is rebuilt
+    // from each delivered batch, resumed runs included, exactly as
+    // for a store hit. Shards, tally and the global kernel-side
+    // diff are folded into a campaign-local registry: the snapshot
+    // handed to sink.end().
     StatsRegistry &global = StatsRegistry::global();
     StatsSnapshot globalBefore = global.snapshot();
     StatsRegistry campaignReg;
-    std::string prefix =
-        campaignStatsPrefix(device.name, workload.name());
-    campaignReg.gauge(prefix + ".sensitive_area_au")
-        .set(meta.sensitiveAreaAu);
-    campaignReg.gauge(prefix + ".occupancy")
-        .set(meta.launch.occupancy);
+    SimStatsRebuilder tally(meta.deviceName, meta.workloadName,
+                            meta.sensitiveAreaAu,
+                            meta.launch.occupancy);
     PhaseTimer campaignTimer(campaignReg, "campaign.total");
     auto campaign_start = std::chrono::steady_clock::now();
-
-    if (resumed > 0) {
-        // The killed process's shards counted the resumed runs
-        // before it died; rebuild their share here (index order)
-        // so the final snapshot matches an uninterrupted
-        // campaign's, and record the resume itself.
-        Counter &runsCounter = campaignReg.counter(prefix +
-                                                   ".runs");
-        LogHistogram &incorrect =
-            campaignReg.histogram(prefix + ".incorrect_elements");
-        for (const auto &entry : recovered) {
-            const RawRun &run = entry.second;
-            runsCounter.inc();
-            campaignReg
-                .counter(prefix + "." +
-                         statToken(outcomeName(run.outcome)))
-                .inc();
-            if (run.outcome == Outcome::Sdc) {
-                incorrect.add(static_cast<double>(
-                    run.record.numIncorrect()));
-            }
-        }
-        campaignReg.counter("resilience.resumed_runs")
-            .inc(resumed);
-    }
+    if (resumed > 0)
+        campaignReg.counter("resilience.resumed_runs").inc(resumed);
 
     unsigned workers = static_cast<unsigned>(std::min<uint64_t>(
         pool.jobs(), totalPending));
@@ -279,10 +265,10 @@ simulateCampaignStream(const DeviceModel &device,
                describeLaunch(meta.launch).c_str(), workers,
                workers == 1 ? "" : "s");
 
-    std::vector<std::unique_ptr<StatsShard>> shards;
+    std::vector<std::unique_ptr<RunShard>> shards;
     shards.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
-        shards.push_back(std::make_unique<StatsShard>(prefix));
+        shards.push_back(std::make_unique<RunShard>());
 
     // Per-worker workload clones, taken here on the caller thread
     // while nothing is replaying: cloning inside the worker body
@@ -297,19 +283,12 @@ simulateCampaignStream(const DeviceModel &device,
 
     std::atomic<uint64_t> completed{resumed};
 
-    // --- Resilience plumbing. A run attempt that throws (only
-    // harness faults do: workloads replay strikes and restore) or
-    // overruns the soft deadline is retried with backoff; a run
-    // that fails every attempt is quarantined as a first-class
-    // infra outcome instead of killing the campaign. The watchdog
+    // --- Resilience plumbing. simulateGuardedRun() retries a run
+    // attempt that throws or overruns the soft deadline and
+    // quarantines a run that fails every attempt. The watchdog
     // warns live about runs stuck past the deadline, and the
     // checkpoint writer appends each completed run so a killed
     // campaign can resume.
-    RetryPolicy retryPolicy;
-    retryPolicy.maxAttempts = std::max(rz.maxAttempts, 1u);
-    retryPolicy.softDeadlineNs = rz.softDeadlineNs;
-    retryPolicy.backoffBaseNs = rz.backoffBaseNs;
-
     std::optional<Watchdog> watchdog;
     if (rz.softDeadlineNs > 0 && workers > 0)
         watchdog.emplace(workers, rz.softDeadlineNs);
@@ -326,14 +305,17 @@ simulateCampaignStream(const DeviceModel &device,
     // bit-identical either way.
     Timeline *tl = timeline();
     uint64_t simulate_begin = tl ? tl->nowNs() : 0;
+    // Each worker's lane, looked up on its first claim (lane lookup
+    // takes the timeline's lock); a worker only touches its slot.
+    std::vector<TimelineLane *> lanes(workers, nullptr);
 
     // --- Batched dispatch. Each batch covers a contiguous index
     // slice; within it, runs not replayed from the checkpoint are
-    // dispatched over the pool, and the completed batch is handed
-    // to the sink before the next one starts, so a streaming sink
-    // overlaps analysis/persistence with the rest of the
-    // simulation. batchRuns == 0 delivers the campaign as one
-    // batch — the exact legacy dispatch shape.
+    // claimed one at a time over the pool, and the completed batch
+    // is handed to the sink before the next one starts, so a
+    // streaming sink overlaps analysis/persistence with the rest of
+    // the simulation. batchRuns == 0 delivers the campaign as one
+    // batch.
     uint64_t batchRuns = config.batchRuns == 0
         ? config.faultyRuns
         : std::min(config.batchRuns, config.faultyRuns);
@@ -360,79 +342,28 @@ simulateCampaignStream(const DeviceModel &device,
         }
 
         PoolRunStats batchStats;
-        pool.forChunks(pending.size(), [&](unsigned worker,
-                                           uint64_t begin,
-                                           uint64_t end) {
-            StatsShard &shard = *shards[worker];
-            RunPhaseTimers timers;
-            timers.sample = &shard.sample;
-            timers.classify = &shard.classify;
-            timers.replay = &shard.replay;
-
-            TimelineLane *lane = tl
-                ? &tl->lane(worker + 1,
-                            "worker " + std::to_string(worker))
-                : nullptr;
-
+        pool.forDynamic(pending.size(), 1, [&](unsigned worker,
+                                               uint64_t begin,
+                                               uint64_t end) {
             // Worker 0 runs on the caller thread and reuses the
             // caller's workload; the others replay strikes on the
             // private clones taken before dispatch.
-            Workload &wl =
-                worker == 0 ? workload : *clones[worker];
+            Workload &wl = worker == 0 ? workload : *clones[worker];
+            TimelineLane *&lane = lanes[worker];
+            if (tl && !lane)
+                lane = &tl->lane(worker + 1,
+                                 "worker " + std::to_string(worker));
 
             for (uint64_t p = begin; p < end; ++p) {
                 uint64_t i = pending[p];
                 uint64_t span_begin = lane ? tl->nowNs() : 0;
-                auto run_start = std::chrono::steady_clock::now();
-                RawRun run;
                 if (watchdog)
                     watchdog->beginItem(worker, i);
-                GuardReport guard = runGuarded(
-                    retryPolicy, [&](unsigned attempt) {
-                        if (ChaosEngine *engine = chaos())
-                            engine->onRunAttempt(i, attempt);
-                        Rng rng = runRng(config, i);
-                        run = simulateRun(sampler, wl, config, i,
-                                          rng, timers);
-                    });
+                GuardedRun done_run = simulateGuardedRun(
+                    sampler, wl, config, i, *shards[worker]);
                 if (watchdog)
                     watchdog->endItem(worker);
-                if (guard.status != GuardStatus::Ok) {
-                    // Quarantine: the run failed its whole attempt
-                    // budget. It stays in the campaign as an infra
-                    // outcome (excluded from AVF, visible in every
-                    // report) instead of killing the other runs.
-                    run = RawRun{};
-                    run.index = i;
-                    run.outcome =
-                        guard.status == GuardStatus::Timeout
-                        ? Outcome::InfraTimeout
-                        : Outcome::InfraError;
-                    warn("campaign run %llu quarantined after %u "
-                         "attempt(s)%s%s",
-                         static_cast<unsigned long long>(i),
-                         guard.attempts,
-                         guard.error.empty() ? "" : ": ",
-                         guard.error.c_str());
-                }
-                run.wallNs = static_cast<uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() -
-                        run_start)
-                        .count());
-                if (guard.retries() > 0) {
-                    shard.reg.counter("resilience.retries")
-                        .inc(guard.retries());
-                }
-
-                shard.runs->inc();
-                shard.outcome[static_cast<size_t>(run.outcome)]
-                    ->inc();
-                if (run.outcome == Outcome::Sdc) {
-                    shard.incorrect->add(static_cast<double>(
-                        run.record.numIncorrect()));
-                }
+                RawRun &run = done_run.run;
 
                 if (lane) {
                     lane->span(
@@ -443,7 +374,7 @@ simulateCampaignStream(const DeviceModel &device,
                          {"kernel", meta.workloadName},
                          {"outcome", outcomeName(run.outcome)},
                          {"attempts",
-                          std::to_string(guard.attempts)}});
+                          std::to_string(done_run.guard.attempts)}});
                 }
 
                 if (checkpoint)
@@ -461,12 +392,8 @@ simulateCampaignStream(const DeviceModel &device,
                     // clock the campaign timer uses; progress
                     // formatting never feeds results or the
                     // store's cache key.
-                    double elapsed_s =
-                        std::chrono::duration_cast<
-                            std::chrono::duration<double>>(
-                            std::chrono::steady_clock::now() -
-                            campaign_start)
-                            .count();
+                    double elapsed_s = static_cast<double>(
+                        elapsedNs(campaign_start)) / 1e9;
                     double rate = elapsed_s > 0.0
                         ? static_cast<double>(done) / elapsed_s
                         : 0.0;
@@ -487,14 +414,13 @@ simulateCampaignStream(const DeviceModel &device,
             }
         }, &batchStats);
         poolStats.absorb(batchStats);
+        for (const RawRun &run : batch.runs)
+            tally.fold(run);
         ++batches;
         sink.consume(std::move(batch));
     }
 
-    campaignTimer.recordNs(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - campaign_start)
-            .count()));
+    campaignTimer.recordNs(elapsedNs(campaign_start));
 
     if (tl) {
         tl->lane(0, "campaign")
@@ -509,32 +435,35 @@ simulateCampaignStream(const DeviceModel &device,
     }
 
     // Fold the shards (worker order, so the aggregate is
-    // deterministic up to timing values), pick up the kernel-side
-    // instruments that advanced in the global registry, and publish
-    // the campaign's own contribution back into the global registry
-    // so process-wide tallies stay whole. Pool utilization is
-    // published after the kernel diff is taken: it describes the
-    // execution shape (worker count, chunking), which must never
-    // leak into the campaign's own jobs-independent snapshot.
+    // deterministic up to timing values) and the outcome tally, pick
+    // up the kernel-side instruments that advanced in the global
+    // registry, and publish the campaign's own contribution back
+    // into the global registry so process-wide tallies stay whole.
+    // Pool utilization is published after the kernel diff is taken:
+    // it describes the execution shape (worker count, claims),
+    // which must never leak into the campaign's own jobs-independent
+    // snapshot.
     for (auto &shard : shards)
         campaignReg.merge(shard->reg.snapshot());
+    tally.finish(campaignReg);
     StatsSnapshot kernelDiff =
         global.snapshot().since(globalBefore);
-    // Gauges always survive a snapshot diff, so an earlier
-    // campaign's "pool.*" telemetry would ride the kernel diff into
-    // this campaign's snapshot; strip it — pool accounting is
-    // global-only by design. The same goes for the global
-    // "resilience.*" telemetry (watchdog flags, chaos fault
-    // tallies), the "stream.*" batch accounting below, and the
-    // "proc.mem.*" RSS gauges: all timing- and process-shaped,
-    // while the campaign's own resilience counters (retries,
-    // resumed runs) are merged via the shards above and stay
+    // Gauges always survive a snapshot diff, but a diff cannot
+    // attribute a level to this campaign: every gauge in it was set
+    // by the process or an earlier campaign ("pool.*", "proc.mem.*",
+    // another campaign's sensitive-area gauge), so drop them all.
+    // The same goes for the global "pool.*" and "resilience.*"
+    // telemetry (watchdog flags, chaos fault tallies) and the
+    // "stream.*" batch accounting below: all timing- and
+    // process-shaped, while the campaign's own resilience counters
+    // (retries, resumed runs) are already in campaignReg and stay
     // deterministic.
     kernelDiff.entries.erase(
         std::remove_if(kernelDiff.entries.begin(),
                        kernelDiff.entries.end(),
                        [](const StatsSnapshot::Entry &e) {
-                           return e.name.rfind("pool.", 0) == 0 ||
+                           return e.kind == StatKind::Gauge ||
+                               e.name.rfind("pool.", 0) == 0 ||
                                e.name.rfind("resilience.", 0) ==
                                    0 ||
                                e.name.rfind("stream.", 0) == 0 ||

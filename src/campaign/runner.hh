@@ -29,7 +29,9 @@
 #include "exec/pool.hh"
 #include "metrics/criticality.hh"
 #include "obs/stats_registry.hh"
+#include "obs/timer.hh"
 #include "sim/fault.hh"
+#include "sim/sampler.hh"
 #include "sim/workload.hh"
 
 namespace radcrit
@@ -102,6 +104,46 @@ struct CampaignResult
     /** @return fraction of SDC runs removed by the filter. */
     double filteredOutFraction() const;
 };
+
+/**
+ * One worker's private simulation telemetry: the three phase timers
+ * its runs tick and, in the same registry, the "resilience.retries"
+ * count of the runs that needed more than one attempt. Workers
+ * never contend on shared instruments; the campaign runner and the
+ * suite prepass keep one shard per worker and merge them in worker
+ * order after the dispatch.
+ */
+struct RunShard
+{
+    StatsRegistry reg;
+    PhaseTimer sample{reg, "campaign.phase.sample"};
+    PhaseTimer classify{reg, "campaign.phase.classify"};
+    PhaseTimer replay{reg, "campaign.phase.replay"};
+};
+
+/** One run as the guarded executor left it. */
+struct GuardedRun
+{
+    /** The simulated run, or its infra quarantine record. */
+    RawRun run;
+    GuardReport guard;
+};
+
+/**
+ * Execute run `index` of a campaign under its resilience policy:
+ * every attempt passes the chaos hook, draws from
+ * runRng(config, index) and calls simulateRun(); a run that fails
+ * its whole attempt budget is quarantined as an InfraError or
+ * InfraTimeout outcome (with a warning) instead of killing its
+ * siblings. The run's wallNs covers every attempt. Phase ticks and
+ * retries land in `shard`. The one run body of both the campaign
+ * runner and the suite prepass: run i depends only on the index,
+ * never on which worker executes it.
+ */
+GuardedRun simulateGuardedRun(const StrikeSampler &sampler,
+                              Workload &workload,
+                              const SimConfig &config,
+                              uint64_t index, RunShard &shard);
 
 /**
  * Simulate one campaign as a stream: the core engine. Executes

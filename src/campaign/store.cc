@@ -1,8 +1,10 @@
 #include "campaign/store.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <thread>
 
 #include <unistd.h>
@@ -30,6 +32,61 @@ hashString(uint64_t h, const std::string &s)
         h = Rng::hashCombine(h, static_cast<uint64_t>(
                                     static_cast<unsigned char>(c)));
     return h;
+}
+
+/** @return the quarantine reason of an entry contradicting `key`. */
+std::string
+keyMismatch(const CampaignKey &key)
+{
+    return strprintf("entry does not match its key (%s/%s %s "
+                     "seed=%llu runs=%llu)",
+                     key.device.c_str(), key.workload.c_str(),
+                     key.input.c_str(),
+                     static_cast<unsigned long long>(key.sim.seed),
+                     static_cast<unsigned long long>(
+                         key.sim.faultyRuns));
+}
+
+/**
+ * The staging file of a store entry: "<entry>.tmp.<pid>.<tid>", so
+ * neither concurrent processes nor threads of one process clobber
+ * each other's staging file.
+ */
+std::string
+stagingPath(const std::string &path)
+{
+    return path +
+        strprintf(".tmp.%ld.%zu", static_cast<long>(getpid()),
+                  std::hash<std::thread::id>{}(
+                      std::this_thread::get_id()));
+}
+
+/**
+ * Move a fully written staging file into place. Write-then-rename
+ * means concurrent writers sharing a cache directory never observe
+ * a torn entry. A planned corrupt-write fault truncates the staged
+ * entry before the rename — the torn-entry shape a crash mid-write
+ * would leave if saves were not staged, exercising the load path's
+ * retry-then-quarantine recovery.
+ */
+void
+publishStaged(const std::string &tmp, const std::string &path)
+{
+    if (ChaosEngine *engine = chaos()) {
+        if (engine->shouldCorruptWrite("store")) {
+            std::error_code tec;
+            uint64_t size = std::filesystem::file_size(tmp, tec);
+            if (!tec)
+                std::filesystem::resize_file(tmp, size / 2, tec);
+        }
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        std::filesystem::remove(tmp);
+        fatal("cannot move campaign cache entry into '%s': %s",
+              path.c_str(), ec.message().c_str());
+    }
 }
 
 } // anonymous namespace
@@ -184,14 +241,7 @@ CampaignStore::load(const CampaignKey &key,
         raw.inputLabel != key.input ||
         raw.sim.seed != key.sim.seed ||
         raw.runs.size() != key.sim.faultyRuns) {
-        std::string why = strprintf(
-            "entry does not match its key (%s/%s %s seed=%llu "
-            "runs=%llu)",
-            key.device.c_str(), key.workload.c_str(),
-            key.input.c_str(),
-            static_cast<unsigned long long>(key.sim.seed),
-            static_cast<unsigned long long>(key.sim.faultyRuns));
-        quarantine(path, why.c_str());
+        quarantine(path, keyMismatch(key).c_str());
         ++misses_;
         miss.inc();
         return std::nullopt;
@@ -207,9 +257,8 @@ namespace
 
 /**
  * The staging sink behind CampaignStore::saveSink(): streams the
- * campaign into "<entry>.tmp.<pid>.<tid>" via BeamLogWriter as
- * batches arrive and renames it into place at end(), reproducing
- * save()'s bytes, chaos corrupt-write hook, and atomicity.
+ * campaign into its staging file via BeamLogWriter as batches
+ * arrive and publishes it at end() exactly as save() does.
  */
 class StoreSaveSink : public RawSink
 {
@@ -224,11 +273,7 @@ class StoreSaveSink : public RawSink
         CampaignKey key{meta.deviceName, meta.workloadName,
                         meta.inputLabel, meta.sim};
         path_ = store_->pathFor(key);
-        tmp_ = path_ +
-            strprintf(".tmp.%ld.%zu",
-                      static_cast<long>(getpid()),
-                      std::hash<std::thread::id>{}(
-                          std::this_thread::get_id()));
+        tmp_ = stagingPath(path_);
         out_.open(tmp_);
         if (!out_)
             fatal("cannot open '%s' for beam-log output",
@@ -252,26 +297,7 @@ class StoreSaveSink : public RawSink
         if (!out_)
             fatal("write error on beam log '%s'", tmp_.c_str());
         out_.close();
-        // Same planned corrupt-write fault as save(): truncate the
-        // staged entry before the rename, exercising the load
-        // path's retry-then-quarantine recovery.
-        if (ChaosEngine *engine = chaos()) {
-            if (engine->shouldCorruptWrite("store")) {
-                std::error_code tec;
-                uint64_t size =
-                    std::filesystem::file_size(tmp_, tec);
-                if (!tec)
-                    std::filesystem::resize_file(tmp_, size / 2,
-                                                 tec);
-            }
-        }
-        std::error_code ec;
-        std::filesystem::rename(tmp_, path_, ec);
-        if (ec) {
-            std::filesystem::remove(tmp_);
-            fatal("cannot move campaign cache entry into '%s': %s",
-                  path_.c_str(), ec.message().c_str());
-        }
+        publishStaged(tmp_, path_);
     }
 
   private:
@@ -290,6 +316,53 @@ CampaignStore::loadStream(const CampaignKey &key,
                           RawSink &sink, uint64_t batchRuns,
                           unsigned ioThreads)
 {
+    // The sink must never see a batch from an entry that later
+    // turns out corrupt (a streaming consumer cannot un-consume),
+    // so every byte is validated before delivery. Entries small
+    // enough to hold go through load() — its parse attempts, key
+    // check, quarantine and hit/miss counting — and are delivered
+    // in slices moved out of the loaded campaign. The size
+    // decision keys on key.sim.faultyRuns: an entry whose header
+    // disagrees is quarantined in either path, so the two paths
+    // cannot disagree about a valid entry.
+    if (key.sim.faultyRuns <= singlePassCap()) {
+        std::optional<CampaignRaw> raw = load(key);
+        if (!raw)
+            return false;
+        // Meta carries the caller's sim config and launch
+        // (execution details outside the key), and end() gets the
+        // rebuilt simulation counters — exactly the materialized
+        // hit shape.
+        raw->sim = key.sim;
+        raw->launch = launch;
+        SimStatsRebuilder rebuilder(raw->deviceName,
+                                    raw->workloadName,
+                                    raw->sensitiveAreaAu,
+                                    launch.occupancy);
+        sink.begin(campaignMeta(*raw));
+        uint64_t total = raw->runs.size();
+        uint64_t step = batchRuns == 0 ? total
+                                       : std::min(batchRuns, total);
+        for (uint64_t first = 0; first < total; first += step) {
+            RunBatch batch;
+            batch.firstIndex = first;
+            if (step == total) {
+                batch.runs = std::move(raw->runs);
+            } else {
+                auto begin = raw->runs.begin() + first;
+                batch.runs.assign(
+                    std::make_move_iterator(begin),
+                    std::make_move_iterator(
+                        begin + std::min(step, total - first)));
+            }
+            for (const RawRun &run : batch.runs)
+                rebuilder.fold(run);
+            sink.consume(std::move(batch));
+        }
+        sink.end(rebuilder.finish(StatsRegistry::global()));
+        return true;
+    }
+
     std::string path = pathFor(key);
     Counter &hit =
         StatsRegistry::global().counter("campaign.store.hit");
@@ -300,100 +373,6 @@ CampaignStore::loadStream(const CampaignKey &key,
         ++misses_;
         miss.inc();
         return false;
-    }
-
-    std::string mismatch = strprintf(
-        "entry does not match its key (%s/%s %s seed=%llu "
-        "runs=%llu)",
-        key.device.c_str(), key.workload.c_str(),
-        key.input.c_str(),
-        static_cast<unsigned long long>(key.sim.seed),
-        static_cast<unsigned long long>(key.sim.faultyRuns));
-
-    // The sink must never see a batch from an entry that later
-    // turns out corrupt (a streaming consumer cannot un-consume),
-    // so every byte is validated before delivery. Entries small
-    // enough to buffer take the single-pass shape: parse once into
-    // a held-back prefix, deliver only after the whole entry
-    // proved clean. The size decision keys on key.sim.faultyRuns —
-    // an entry whose header disagrees is quarantined in either
-    // path, so the two paths cannot disagree about a valid entry.
-    if (key.sim.faultyRuns <= singlePassCap()) {
-        std::vector<RunBatch> buffered;
-        CampaignMeta meta;
-        // Two parse attempts, like load(): the first failure may
-        // be a torn read racing another process's atomic rename.
-        auto attempt = [&](std::string *error) -> bool {
-            buffered.clear();
-            std::ifstream in(path);
-            if (!in) {
-                if (error)
-                    *error = strprintf(
-                        "cannot open beam log '%s'",
-                        path.c_str());
-                return false;
-            }
-            try {
-                BeamLogSource source(in, batchRuns);
-                meta = source.meta();
-                if (meta.deviceName != key.device ||
-                    meta.workloadName != key.workload ||
-                    meta.inputLabel != key.input ||
-                    meta.sim.seed != key.sim.seed ||
-                    meta.sim.faultyRuns != key.sim.faultyRuns) {
-                    if (error)
-                        *error = mismatch;
-                    return false;
-                }
-                uint64_t total = 0;
-                RunBatch batch;
-                while (source.next(batch)) {
-                    total += batch.runs.size();
-                    buffered.push_back(std::move(batch));
-                    batch = RunBatch{};
-                }
-                if (total != key.sim.faultyRuns) {
-                    if (error)
-                        *error = mismatch;
-                    return false;
-                }
-            } catch (const BeamLogParseError &e) {
-                if (error)
-                    *error = e.what();
-                return false;
-            }
-            return true;
-        };
-
-        std::string error;
-        if (!attempt(&error) && !attempt(&error)) {
-            quarantine(path, error.c_str());
-            ++misses_;
-            miss.inc();
-            return false;
-        }
-
-        // Deliver the validated buffer. Meta carries the caller's
-        // sim config and launch (execution details outside the
-        // key), and end() gets the rebuilt simulation counters —
-        // exactly the materialized hit shape.
-        meta.sim = key.sim;
-        meta.launch = launch;
-        SimStatsRebuilder rebuilder(meta.deviceName,
-                                    meta.workloadName,
-                                    meta.sensitiveAreaAu,
-                                    launch.occupancy);
-        sink.begin(meta);
-        for (RunBatch &batch : buffered) {
-            for (const RawRun &run : batch.runs)
-                rebuilder.fold(run);
-            sink.consume(std::move(batch));
-        }
-        buffered.clear();
-        sink.end(rebuilder.finish(StatsRegistry::global()));
-        ++hits_;
-        hit.inc();
-        return true;
     }
 
     // Bounded-memory shape for entries too big to buffer:
@@ -417,7 +396,7 @@ CampaignStore::loadStream(const CampaignKey &key,
                 reader.seed() != key.sim.seed ||
                 reader.declaredRuns() != key.sim.faultyRuns) {
                 if (error)
-                    *error = mismatch;
+                    *error = keyMismatch(key);
                 return false;
             }
             while (reader.next()) {
@@ -500,34 +479,9 @@ void
 CampaignStore::save(const CampaignRaw &raw)
 {
     std::string path = pathFor(campaignKey(raw));
-    // Write-then-rename so concurrent writers sharing a cache
-    // directory never observe a torn entry. The tmp name carries
-    // pid and thread id so neither concurrent processes nor
-    // threads of one process clobber each other's staging file.
-    std::string tmp = path +
-        strprintf(".tmp.%ld.%zu", static_cast<long>(getpid()),
-                  std::hash<std::thread::id>{}(
-                      std::this_thread::get_id()));
+    std::string tmp = stagingPath(path);
     writeBeamLogFile(raw, tmp);
-    // A planned corrupt-write fault truncates the staged entry
-    // before the rename — the torn-entry shape a crash mid-write
-    // would leave if saves were not staged, exercising the load
-    // path's retry-then-quarantine recovery.
-    if (ChaosEngine *engine = chaos()) {
-        if (engine->shouldCorruptWrite("store")) {
-            std::error_code tec;
-            uint64_t size = std::filesystem::file_size(tmp, tec);
-            if (!tec)
-                std::filesystem::resize_file(tmp, size / 2, tec);
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp);
-        fatal("cannot move campaign cache entry into '%s': %s",
-              path.c_str(), ec.message().c_str());
-    }
+    publishStaged(tmp, path);
 }
 
 std::unique_ptr<CampaignStore>

@@ -127,9 +127,9 @@ class CampaignStore
      * end() gets the rebuilt simulation counters — matching what
      * simulateOrLoad() puts in a materialized hit.
      *
-     * Entries no larger than singlePassCap() runs are validated
-     * *while* parsing into a buffered prefix and delivered from
-     * that buffer — one parse total, which is what makes a warm
+     * Entries no larger than singlePassCap() runs go through
+     * load() and are delivered in slices moved out of the loaded
+     * campaign — one parse total, which is what makes a warm
      * streamed hit cheaper than re-simulating. Larger entries keep
      * the legacy bounded-memory two-pass shape (validate pass,
      * then stream pass) so a huge campaign never materializes;
@@ -144,8 +144,8 @@ class CampaignStore
                     uint64_t batchRuns, unsigned ioThreads = 0);
 
     /**
-     * Largest entry (in runs) the single-pass buffered-validate
-     * hit path may hold in memory; bigger entries take the
+     * Largest entry (in runs) the single-pass load() hit path
+     * may hold in memory; bigger entries take the
      * bounded-memory two-pass path. Tunable so tests can force
      * either path with small campaigns.
      */

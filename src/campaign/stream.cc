@@ -4,22 +4,10 @@
 #include <chrono>
 #include <utility>
 
+#include "obs/timer.hh"
+
 namespace radcrit
 {
-
-namespace
-{
-
-uint64_t
-elapsedNs(std::chrono::steady_clock::time_point since)
-{
-    auto dt = std::chrono::steady_clock::now() - since;
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-            .count());
-}
-
-} // anonymous namespace
 
 CampaignMeta
 campaignMeta(const CampaignRaw &raw)

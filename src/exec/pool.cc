@@ -3,26 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <utility>
 
 #include "common/logging.hh"
 #include "obs/stats_registry.hh"
+#include "obs/timer.hh"
 
 namespace radcrit
 {
-
-namespace
-{
-
-uint64_t
-elapsedNs(std::chrono::steady_clock::time_point since)
-{
-    auto dt = std::chrono::steady_clock::now() - since;
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-            .count());
-}
-
-} // anonymous namespace
 
 uint64_t
 PoolRunStats::busyNs() const
@@ -128,21 +116,6 @@ WorkerPool::envJobs(unsigned fallback)
     return resolveJobs(static_cast<unsigned>(v));
 }
 
-std::pair<uint64_t, uint64_t>
-WorkerPool::chunkBounds(uint64_t count, unsigned workers,
-                        unsigned worker)
-{
-    if (workers == 0)
-        panic("chunkBounds needs at least one worker");
-    if (worker >= workers)
-        return {count, count};
-    uint64_t base = count / workers;
-    uint64_t rem = count % workers;
-    uint64_t begin = worker * base + std::min<uint64_t>(worker, rem);
-    uint64_t end = begin + base + (worker < rem ? 1 : 0);
-    return {begin, end};
-}
-
 void
 WorkerPool::runChunk(unsigned worker, const Dispatch &dispatch)
 {
@@ -150,26 +123,17 @@ WorkerPool::runChunk(unsigned worker, const Dispatch &dispatch)
     uint64_t chunks = 0;
     auto chunk_start = std::chrono::steady_clock::now();
     try {
-        if (dispatch.cursor) {
-            // Dynamic mode: claim grains until the range drains.
-            for (;;) {
-                uint64_t begin = dispatch.cursor->fetch_add(
-                    dispatch.grain, std::memory_order_relaxed);
-                if (begin >= dispatch.count)
-                    break;
-                uint64_t end = std::min(begin + dispatch.grain,
-                                        dispatch.count);
-                (*dispatch.body)(worker, begin, end);
-                items += end - begin;
-                ++chunks;
-            }
-        } else {
-            auto [begin, end] = chunkBounds(dispatch.count,
-                                            dispatch.workers,
-                                            worker);
-            items = end - begin;
-            chunks = 1;
+        // Claim grains until the range drains.
+        for (;;) {
+            uint64_t begin = dispatch.cursor->fetch_add(
+                dispatch.grain, std::memory_order_relaxed);
+            if (begin >= dispatch.count)
+                break;
+            uint64_t end =
+                std::min(begin + dispatch.grain, dispatch.count);
             (*dispatch.body)(worker, begin, end);
+            items += end - begin;
+            ++chunks;
         }
     } catch (...) {
         {
@@ -179,10 +143,8 @@ WorkerPool::runChunk(unsigned worker, const Dispatch &dispatch)
         }
         // Fast-forward the cursor so the surviving workers stop
         // claiming fresh work for a dispatch that already failed.
-        if (dispatch.cursor) {
-            dispatch.cursor->store(dispatch.count,
-                                   std::memory_order_relaxed);
-        }
+        dispatch.cursor->store(dispatch.count,
+                               std::memory_order_relaxed);
     }
     // Each worker writes only its own stats slot (the vector is
     // sized before the dispatch is published), so accounting needs
@@ -247,39 +209,6 @@ WorkerPool::runParallel(const Dispatch &dispatch)
 }
 
 void
-WorkerPool::forChunks(uint64_t count, const ChunkBody &body,
-                      PoolRunStats *stats)
-{
-    if (stats)
-        *stats = PoolRunStats{};
-    if (count == 0)
-        return;
-    ++dispatches_;
-    unsigned workers = static_cast<unsigned>(
-        std::min<uint64_t>(jobs_, count));
-    if (stats)
-        stats->workers.resize(workers);
-    auto dispatch_start = std::chrono::steady_clock::now();
-
-    if (workers == 1) {
-        body(0, 0, count);
-        if (stats) {
-            stats->wallNs = elapsedNs(dispatch_start);
-            stats->workers[0].busyNs = stats->wallNs;
-            stats->workers[0].items = count;
-        }
-        return;
-    }
-
-    std::exception_ptr error =
-        runParallel(Dispatch{count, workers, &body, stats});
-    if (stats)
-        stats->wallNs = elapsedNs(dispatch_start);
-    if (error)
-        std::rethrow_exception(error);
-}
-
-void
 WorkerPool::forDynamic(uint64_t count, uint64_t grain,
                        const ChunkBody &body, PoolRunStats *stats)
 {
@@ -312,8 +241,12 @@ WorkerPool::forDynamic(uint64_t count, uint64_t grain,
     } else {
         error = runParallel(dispatch);
     }
-    if (stats)
+    if (stats) {
         stats->wallNs = elapsedNs(dispatch_start);
+        // A lone worker is the whole dispatch: fully utilized.
+        if (workers == 1)
+            stats->workers[0].busyNs = stats->wallNs;
+    }
     if (error)
         std::rethrow_exception(error);
 }

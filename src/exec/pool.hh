@@ -1,15 +1,14 @@
 /**
  * @file
- * Deterministic worker pool for embarrassingly parallel index
- * ranges.
+ * Worker pool for embarrassingly parallel index ranges.
  *
- * The pool partitions [0, count) into one contiguous chunk per
- * worker (static chunking, no work stealing), so the mapping from
- * item index to worker is a pure function of (count, jobs). Work
- * whose output depends only on the item index — like the campaign
- * engine's seed-split runs — therefore produces identical results
- * for any worker count. Used by the campaign runner, the suite
- * scheduler, and available to benches.
+ * Workers claim fixed-size grains of [0, count) from one shared
+ * atomic cursor until the range drains, so a worker stuck on a slow
+ * item does not hold back the rest. Which worker runs which index
+ * is timing-dependent; work whose output depends only on the item
+ * index — like the campaign engine's seed-split runs — therefore
+ * still produces identical results for any worker count. Used by
+ * the campaign runner and the suite prepass.
  *
  * Worker threads are persistent: they are spawned lazily on the
  * first parallel dispatch and then parked on a per-thread semaphore
@@ -33,17 +32,16 @@
 #include <semaphore>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace radcrit
 {
 
 /**
- * Utilization accounting of one forChunks() dispatch: how long the
+ * Utilization accounting of one forDynamic() dispatch: how long the
  * dispatch took wall-clock, and how much of it each worker spent
- * inside the body versus idle (its chunk finished before the
- * slowest worker's). Filled by the pool itself so the numbers are
+ * inside the body versus idle (it found the range drained before
+ * the slowest worker finished). Filled by the pool itself so the numbers are
  * measured around exactly the code the pool ran; the campaign
  * runner publishes them into the stats registry under "pool.*".
  */
@@ -54,13 +52,11 @@ struct PoolRunStats
     {
         /** Nanoseconds this worker spent inside the body. */
         uint64_t busyNs = 0;
-        /** Items in this worker's chunk(s). */
+        /** Items in this worker's claimed grains. */
         uint64_t items = 0;
         /**
-         * Chunks this worker executed: always 1 for a static
-         * forChunks() dispatch, the number of claimed grains for a
-         * dynamic forDynamic() dispatch (the load-balance view: a
-         * worker stuck on a slow item claims fewer chunks).
+         * Grains this worker claimed (the load-balance view: a
+         * worker stuck on a slow item claims fewer).
          */
         uint64_t chunks = 0;
     };
@@ -75,7 +71,7 @@ struct PoolRunStats
 
     /**
      * @return summed idle nanoseconds: wall time each worker was
-     * alive but not executing its chunk (clamped at 0 per worker).
+     * alive but not executing the body (clamped at 0 per worker).
      */
     uint64_t idleNs() const;
 
@@ -97,9 +93,9 @@ struct PoolRunStats
 };
 
 /**
- * Fixed-width thread pool over static contiguous chunks.
+ * Fixed-width thread pool over dynamically claimed grains.
  *
- * Dispatches are issued from one thread at a time: forChunks() is
+ * Dispatches are issued from one thread at a time: forDynamic() is
  * not reentrant and must not be called concurrently on the same
  * pool (each dispatch blocks its caller until the pool drains, so
  * sequential callers compose naturally).
@@ -108,11 +104,11 @@ class WorkerPool
 {
   public:
     /**
-     * Body invoked once per non-empty chunk.
+     * Body invoked once per claimed grain.
      *
-     * @param worker Zero-based worker index (chunk index).
-     * @param begin First item index of the chunk.
-     * @param end One past the last item index of the chunk.
+     * @param worker Zero-based index of the claiming worker.
+     * @param begin First item index of the grain.
+     * @param end One past the last item index of the grain.
      */
     using ChunkBody =
         std::function<void(unsigned worker, uint64_t begin,
@@ -140,43 +136,23 @@ class WorkerPool
     uint64_t dispatches() const { return dispatches_; }
 
     /**
-     * Partition [0, count) into at most jobs() contiguous chunks
-     * and run `body` on each chunk concurrently. Worker 0 runs on
-     * the calling thread; with a single worker (or a single item)
-     * no thread is spawned at all, so the serial path is exactly a
-     * plain loop. Blocks until every chunk completed. The first
-     * exception thrown by a body is rethrown on the caller after
-     * all workers drained.
-     *
-     * @param stats When non-null, overwritten with the dispatch's
-     * utilization accounting (valid once forChunks returns; an
-     * empty dispatch leaves it zeroed with no workers).
-     */
-    void forChunks(uint64_t count, const ChunkBody &body,
-                   PoolRunStats *stats = nullptr);
-
-    /**
-     * Dynamically scheduled counterpart of forChunks(): workers
-     * claim fixed-size grains of [0, count) from a shared atomic
-     * cursor until the range is exhausted, so a worker stuck on a
-     * slow item does not hold back the rest of the range. The body
-     * contract is the same as forChunks() — each claimed
-     * [begin, end) is contiguous and every index is delivered
-     * exactly once — but the (index -> worker) mapping is now
-     * timing-dependent, so callers needing deterministic output
-     * must make the body's effect a pure function of the index
-     * range, not of `worker`. Worker 0 runs on the calling thread;
-     * blocks until the range drains; the first body exception stops
-     * further claims and is rethrown on the caller.
-     *
-     * This is the multi-client scheduling substrate for the suite's
-     * campaign prepass: heterogeneous campaigns flattened
-     * into one index space, grains claimed across campaign
-     * boundaries so small campaigns pack alongside large ones.
+     * Run `body` over [0, count): workers claim `grain`-sized
+     * chunks from a shared atomic cursor until the range is
+     * exhausted. Each claimed [begin, end) is contiguous and every
+     * index is delivered exactly once, but the (index -> worker)
+     * mapping is timing-dependent, so callers needing deterministic
+     * output must make the body's effect a pure function of the
+     * index range, not of `worker`. Worker 0 runs on the calling
+     * thread; with a single worker (jobs() == 1, or a single grain)
+     * no thread is spawned at all. Blocks until the range drains;
+     * the first body exception stops further claims and is
+     * rethrown on the caller.
      *
      * @param grain Items per claimed chunk (0 is treated as 1).
-     * @param stats As with forChunks(); Worker::chunks counts the
-     * grains each worker claimed.
+     * @param stats When non-null, overwritten with the dispatch's
+     * utilization accounting (valid once forDynamic returns; an
+     * empty dispatch leaves it zeroed with no workers).
+     * Worker::chunks counts the grains each worker claimed.
      */
     void forDynamic(uint64_t count, uint64_t grain,
                     const ChunkBody &body,
@@ -196,17 +172,6 @@ class WorkerPool
      */
     static unsigned envJobs(unsigned fallback);
 
-    /**
-     * Chunk of worker `worker` when `count` items are split over
-     * `workers` chunks: the first count % workers chunks get one
-     * extra item.
-     *
-     * @return [begin, end) item range (empty when there is no work
-     * left for this worker).
-     */
-    static std::pair<uint64_t, uint64_t>
-    chunkBounds(uint64_t count, unsigned workers, unsigned worker);
-
   private:
     /** One parked dispatch, shared with the worker threads. */
     struct Dispatch
@@ -216,11 +181,9 @@ class WorkerPool
         const ChunkBody *body = nullptr;
         PoolRunStats *stats = nullptr;
         /**
-         * Non-null selects dynamic scheduling: workers claim
-         * `grain`-sized chunks from this cursor instead of taking
-         * one static chunkBounds() slice. Points at a stack local
-         * of forDynamic(), which outlives the dispatch (it blocks
-         * until the pool drains).
+         * The claim cursor workers take `grain`-sized chunks from.
+         * Points at a stack local of forDynamic(), which outlives
+         * the dispatch (it blocks until the pool drains).
          */
         std::atomic<uint64_t> *cursor = nullptr;
         uint64_t grain = 0;
@@ -241,7 +204,7 @@ class WorkerPool
      */
     std::exception_ptr runParallel(const Dispatch &dispatch);
 
-    /** Run one worker's chunk, recording stats and first error. */
+    /** Run one worker's claims, recording stats and first error. */
     void runChunk(unsigned worker, const Dispatch &dispatch);
 
     unsigned jobs_;

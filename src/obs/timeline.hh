@@ -10,14 +10,15 @@
  * each lane is only ever appended to by the thread that owns it, so
  * the hot recording path is a plain vector push_back with no lock.
  * The only lock in the subsystem guards lane creation/lookup, which
- * workers hit once per chunk, not once per run.
+ * the campaign runner's workers hit once per campaign, not once per
+ * run.
  *
  * Export is Chrome trace-event JSON ("X" complete events plus
  * thread-name metadata), loadable in Perfetto / chrome://tracing;
  * tools/check_timeline.py validates the structure in CI. Export
  * must be quiescent — call writeJson() only after every recording
  * thread has been joined (the campaign runner records inside
- * WorkerPool::forChunks(), which joins before returning, so any
+ * WorkerPool::forDynamic(), which joins before returning, so any
  * point after simulateCampaign()/analyzeCampaign() is safe).
  *
  * The process-wide recorder is attached with setTimeline(); the

@@ -24,6 +24,16 @@
 namespace radcrit
 {
 
+/** @return steady-clock nanoseconds elapsed since `since`. */
+inline uint64_t
+elapsedNs(std::chrono::steady_clock::time_point since)
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - since)
+            .count());
+}
+
 /**
  * One named phase accumulating call count and total nanoseconds
  * (plus an optional latency histogram) into a registry.
@@ -82,13 +92,7 @@ class ScopedTick
     ScopedTick &operator=(const ScopedTick &) = delete;
 
     /** @return nanoseconds elapsed since construction. */
-    uint64_t elapsedNs() const
-    {
-        auto dt = std::chrono::steady_clock::now() - start_;
-        return static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                dt).count());
-    }
+    uint64_t elapsedNs() const { return radcrit::elapsedNs(start_); }
 
   private:
     PhaseTimer &timer_;

@@ -5,25 +5,12 @@
 #include <filesystem>
 
 #include "common/logging.hh"
+#include "obs/timer.hh"
 #include "suite/experiment.hh"
 #include "suite/spec.hh"
 
 namespace radcrit
 {
-
-namespace
-{
-
-uint64_t
-elapsedNs(std::chrono::steady_clock::time_point since)
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - since)
-            .count());
-}
-
-} // anonymous namespace
 
 std::string
 resolveOutputDir(const std::string &cli_value)

@@ -9,13 +9,13 @@
 #include <utility>
 
 #include "campaign/analysis.hh"
-#include "campaign/engine.hh"
+#include "campaign/runner.hh"
 #include "common/logging.hh"
-#include "exec/chaos.hh"
 #include "exec/launch.hh"
 #include "logs/beamlog.hh"
 #include "obs/procmem.hh"
 #include "obs/timeline.hh"
+#include "obs/timer.hh"
 #include "obs/trace.hh"
 #include "sim/sampler.hh"
 #include "suite/experiment.hh"
@@ -26,15 +26,6 @@ namespace radcrit
 
 namespace
 {
-
-uint64_t
-elapsedNs(std::chrono::steady_clock::time_point since)
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - since)
-            .count());
-}
 
 /**
  * One distinct campaign of the prepass: identity and the
@@ -242,66 +233,6 @@ analyzeHit(PrepassItem &item)
 }
 
 /**
- * One worker's phase-B timers in a private registry, so workers
- * never contend on shared instruments; merged into the global
- * registry after the dispatch, like the runner's stats shards.
- */
-struct PhaseShard
-{
-    StatsRegistry reg;
-    PhaseTimer sample{reg, "campaign.phase.sample"};
-    PhaseTimer classify{reg, "campaign.phase.classify"};
-    PhaseTimer replay{reg, "campaign.phase.replay"};
-};
-
-/**
- * Phase B for one run: simulate run `i` of `item` into its
- * pre-allocated slot. Run i draws from runRng(config, i) against a
- * pristine workload instance and a read-only sampler, so the raw
- * bytes are identical to the pool-parallel runner regardless of
- * which worker claims which run. Retry/quarantine policy matches
- * the runner: a run that exhausts its attempt budget stays in the
- * campaign as an infra outcome instead of killing its siblings.
- */
-void
-simulatePlannedRun(PrepassItem &item, Workload &workload, uint64_t i,
-                   const RunPhaseTimers &timers)
-{
-    const SimConfig &config = item.cfg.sim;
-    const ResilienceConfig &rz = config.resilience;
-    RetryPolicy policy{std::max(rz.maxAttempts, 1u),
-                       rz.softDeadlineNs, rz.backoffBaseNs};
-    auto run_start = std::chrono::steady_clock::now();
-    RawRun run;
-    GuardReport guard = runGuarded(policy, [&](unsigned attempt) {
-        if (ChaosEngine *engine = chaos())
-            engine->onRunAttempt(i, attempt);
-        Rng rng = runRng(config, i);
-        run = simulateRun(*item.sampler, workload, config, i, rng,
-                          timers);
-    });
-    if (guard.status != GuardStatus::Ok) {
-        run = RawRun{};
-        run.index = i;
-        run.outcome = guard.status == GuardStatus::Timeout
-            ? Outcome::InfraTimeout
-            : Outcome::InfraError;
-        warn("campaign run %llu quarantined after %u "
-             "attempt(s)%s%s",
-             static_cast<unsigned long long>(i), guard.attempts,
-             guard.error.empty() ? "" : ": ",
-             guard.error.c_str());
-    }
-    run.wallNs = elapsedNs(run_start);
-    if (guard.retries() > 0) {
-        StatsRegistry::global()
-            .counter("resilience.retries")
-            .inc(guard.retries());
-    }
-    item.raw.runs[i] = std::move(run);
-}
-
-/**
  * The state the three phases of one prepass share: the items, the
  * prepass clock, the in-flight accounting behind
  * ScheduleStats::concurrentPeak, progress, and the pool telemetry
@@ -473,9 +404,12 @@ resolvePhase(Prepass &pp)
  * one private workload clone per worker, replaced when its
  * campaign changes, serves them all. The sources stay pristine (no
  * worker ever injects on them), so concurrent clone() calls are
- * plain const reads. The per-worker phase timers and a
- * "campaign.total" sample per campaign land in the global
- * registry afterwards, as a runner-simulated campaign's would.
+ * plain const reads. Each run goes through simulateGuardedRun(),
+ * the campaign runner's own run body, so run i of a campaign is
+ * byte-identical to the runner's whichever worker claims it. The
+ * per-worker run shards and a "campaign.total" sample per campaign
+ * land in the global registry afterwards, as a runner-simulated
+ * campaign's would.
  */
 void
 simulatePhase(Prepass &pp, const std::vector<PrepassItem *> &misses)
@@ -486,16 +420,13 @@ simulatePhase(Prepass &pp, const std::vector<PrepassItem *> &misses)
     unsigned jobs = pp.ctx.pool().jobs();
     std::vector<std::unique_ptr<Workload>> clones(jobs);
     std::vector<size_t> cloneOf(jobs, misses.size());
-    std::vector<std::unique_ptr<PhaseShard>> shards;
+    std::vector<std::unique_ptr<RunShard>> shards;
     for (unsigned w = 0; w < jobs; ++w)
-        shards.push_back(std::make_unique<PhaseShard>());
+        shards.push_back(std::make_unique<RunShard>());
 
     Timeline *tl = pp.tl;
     pp.dispatch(offsets.back(), [&](unsigned worker, uint64_t begin,
                                     uint64_t end) {
-        PhaseShard &shard = *shards[worker];
-        RunPhaseTimers timers{&shard.sample, &shard.classify,
-                              &shard.replay};
         for (uint64_t g = begin; g < end; ++g) {
             size_t k = static_cast<size_t>(
                 std::upper_bound(offsets.begin(), offsets.end(), g) -
@@ -516,7 +447,10 @@ simulatePhase(Prepass &pp, const std::vector<PrepassItem *> &misses)
             }
 
             uint64_t span_begin = tl ? tl->nowNs() : 0;
-            simulatePlannedRun(item, *clones[worker], i, timers);
+            item.raw.runs[i] =
+                simulateGuardedRun(*item.sampler, *clones[worker],
+                                   item.cfg.sim, i, *shards[worker])
+                    .run;
             if (tl) {
                 pp.lane(worker).span(item.key, "prepass", span_begin,
                                      tl->nowNs() - span_begin,

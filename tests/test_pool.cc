@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the deterministic worker pool: static chunking math,
- * job-count resolution (flag and environment), exactly-once
- * execution, and exception propagation.
+ * Tests for the worker pool: job-count resolution (flag and
+ * environment), exactly-once execution over dynamically claimed
+ * grains, utilization accounting, and exception propagation.
  */
 
 #include <gtest/gtest.h>
@@ -22,50 +22,6 @@ namespace radcrit
 {
 namespace
 {
-
-TEST(ChunkBounds, PartitionsExactlyOnce)
-{
-    for (uint64_t count : {0ull, 1ull, 7ull, 8ull, 9ull, 100ull}) {
-        for (unsigned workers : {1u, 2u, 3u, 8u, 13u}) {
-            std::vector<int> hits(count, 0);
-            uint64_t expected_begin = 0;
-            for (unsigned w = 0; w < workers; ++w) {
-                auto [begin, end] =
-                    WorkerPool::chunkBounds(count, workers, w);
-                EXPECT_EQ(begin, expected_begin);
-                EXPECT_LE(begin, end);
-                expected_begin = end;
-                for (uint64_t i = begin; i < end; ++i)
-                    hits[i]++;
-            }
-            EXPECT_EQ(expected_begin, count);
-            for (uint64_t i = 0; i < count; ++i)
-                EXPECT_EQ(hits[i], 1) << "index " << i;
-        }
-    }
-}
-
-TEST(ChunkBounds, FirstChunksGetTheRemainder)
-{
-    // 10 items over 4 workers: 3, 3, 2, 2.
-    EXPECT_EQ(WorkerPool::chunkBounds(10, 4, 0),
-              (std::pair<uint64_t, uint64_t>{0, 3}));
-    EXPECT_EQ(WorkerPool::chunkBounds(10, 4, 1),
-              (std::pair<uint64_t, uint64_t>{3, 6}));
-    EXPECT_EQ(WorkerPool::chunkBounds(10, 4, 2),
-              (std::pair<uint64_t, uint64_t>{6, 8}));
-    EXPECT_EQ(WorkerPool::chunkBounds(10, 4, 3),
-              (std::pair<uint64_t, uint64_t>{8, 10}));
-}
-
-TEST(ChunkBounds, MoreWorkersThanItems)
-{
-    // Trailing workers get empty ranges.
-    auto [b2, e2] = WorkerPool::chunkBounds(2, 5, 2);
-    EXPECT_EQ(b2, e2);
-    auto [b0, e0] = WorkerPool::chunkBounds(2, 5, 0);
-    EXPECT_EQ(e0 - b0, 1u);
-}
 
 TEST(ResolveJobs, ZeroSelectsHardware)
 {
@@ -97,33 +53,13 @@ TEST_P(PoolTest, EveryIndexRunsExactlyOnce)
     const uint64_t count = 1000;
     WorkerPool pool(GetParam());
     std::vector<std::atomic<int>> hits(count);
-    pool.forChunks(count, [&](unsigned, uint64_t begin,
-                              uint64_t end) {
+    pool.forDynamic(count, 7, [&](unsigned, uint64_t begin,
+                                  uint64_t end) {
         for (uint64_t i = begin; i < end; ++i)
             hits[i].fetch_add(1);
     });
     for (uint64_t i = 0; i < count; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST_P(PoolTest, WorkerIndicesMatchChunkBounds)
-{
-    const uint64_t count = 37;
-    WorkerPool pool(GetParam());
-    auto workers = static_cast<unsigned>(
-        std::min<uint64_t>(pool.jobs(), count));
-    std::mutex mutex;
-    std::vector<std::pair<uint64_t, uint64_t>> seen(workers,
-                                                    {0, 0});
-    pool.forChunks(count, [&](unsigned worker, uint64_t begin,
-                              uint64_t end) {
-        std::lock_guard<std::mutex> lock(mutex);
-        ASSERT_LT(worker, workers);
-        seen[worker] = {begin, end};
-    });
-    for (unsigned w = 0; w < workers; ++w)
-        EXPECT_EQ(seen[w],
-                  WorkerPool::chunkBounds(count, workers, w));
 }
 
 INSTANTIATE_TEST_SUITE_P(JobCounts, PoolTest,
@@ -133,9 +69,9 @@ TEST(Pool, ZeroCountRunsNothing)
 {
     WorkerPool pool(4);
     bool ran = false;
-    pool.forChunks(0,
-                   [&](unsigned, uint64_t, uint64_t)
-                   { ran = true; });
+    pool.forDynamic(0, 1,
+                    [&](unsigned, uint64_t, uint64_t)
+                    { ran = true; });
     EXPECT_FALSE(ran);
 }
 
@@ -143,12 +79,17 @@ TEST(Pool, MoreJobsThanItems)
 {
     WorkerPool pool(16);
     std::vector<std::atomic<int>> hits(3);
-    pool.forChunks(3, [&](unsigned, uint64_t begin, uint64_t end) {
+    PoolRunStats stats;
+    pool.forDynamic(3, 1, [&](unsigned worker, uint64_t begin,
+                              uint64_t end) {
+        // Only as many workers as grains take part.
+        EXPECT_LT(worker, 3u);
         for (uint64_t i = begin; i < end; ++i)
             hits[i].fetch_add(1);
-    });
+    }, &stats);
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+    EXPECT_EQ(stats.workers.size(), 3u);
 }
 
 TEST(PoolStats, WorkersSizedAndItemsAccounted)
@@ -156,8 +97,8 @@ TEST(PoolStats, WorkersSizedAndItemsAccounted)
     for (unsigned jobs : {1u, 4u}) {
         WorkerPool pool(jobs);
         PoolRunStats stats;
-        pool.forChunks(100, [](unsigned, uint64_t, uint64_t) {},
-                       &stats);
+        pool.forDynamic(100, 1, [](unsigned, uint64_t, uint64_t) {},
+                        &stats);
         auto workers = static_cast<unsigned>(
             std::min<uint64_t>(pool.jobs(), 100));
         ASSERT_EQ(stats.workers.size(), workers);
@@ -176,10 +117,11 @@ TEST(PoolStats, SerialPathIsFullyUtilized)
 {
     WorkerPool pool(1);
     PoolRunStats stats;
-    pool.forChunks(10, [](unsigned, uint64_t, uint64_t) {},
-                   &stats);
+    pool.forDynamic(10, 1, [](unsigned, uint64_t, uint64_t) {},
+                    &stats);
     ASSERT_EQ(stats.workers.size(), 1u);
     EXPECT_EQ(stats.workers[0].items, 10u);
+    EXPECT_EQ(stats.workers[0].chunks, 10u);
     EXPECT_EQ(stats.busyNs(), stats.wallNs);
     EXPECT_EQ(stats.idleNs(), 0u);
     EXPECT_DOUBLE_EQ(stats.utilization(), 1.0);
@@ -189,9 +131,9 @@ TEST(PoolStats, ZeroCountLeavesStatsEmpty)
 {
     WorkerPool pool(4);
     PoolRunStats stats;
-    stats.wallNs = 123; // must be reset by forChunks
-    pool.forChunks(0, [](unsigned, uint64_t, uint64_t) {},
-                   &stats);
+    stats.wallNs = 123; // must be reset by forDynamic
+    pool.forDynamic(0, 1, [](unsigned, uint64_t, uint64_t) {},
+                    &stats);
     EXPECT_TRUE(stats.workers.empty());
     EXPECT_EQ(stats.wallNs, 0u);
     EXPECT_EQ(stats.busyNs(), 0u);
@@ -202,12 +144,13 @@ TEST(Pool, BodyExceptionPropagates)
 {
     for (unsigned jobs : {1u, 4u}) {
         WorkerPool pool(jobs);
+        // The throw comes from a later grain than the first.
         EXPECT_THROW(
-            pool.forChunks(8,
-                           [](unsigned, uint64_t begin, uint64_t) {
-                               if (begin == 0)
-                                   throw std::runtime_error("boom");
-                           }),
+            pool.forDynamic(8, 3,
+                            [](unsigned, uint64_t begin, uint64_t) {
+                                if (begin == 3)
+                                    throw std::runtime_error("boom");
+                            }),
             std::runtime_error);
     }
 }

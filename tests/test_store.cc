@@ -421,6 +421,40 @@ TEST_F(StoreTest, SimulateOrLoadHitsOnSecondCall)
     EXPECT_EQ(a.fitTotalAu(true), b.fitTotalAu(true));
 }
 
+TEST_F(StoreTest, SimulatedStatsCarryTheRebuiltTally)
+{
+    // A simulated campaign counts its outcomes the way a store hit
+    // rebuilds them: every counter, gauge and histogram of
+    // rebuildSimStats() is in the campaign's stats, value for
+    // value. An earlier campaign under the same stats prefix but
+    // with another launch must not leak its gauges into them.
+    SimConfig cfg;
+    cfg.faultyRuns = 40;
+    cfg.seed = 11;
+    Dgemm larger{device_, 128, 42};
+    CampaignRaw earlier = simulateCampaign(device_, larger, cfg);
+    for (unsigned jobs : {1u, 4u}) {
+        cfg.jobs = jobs;
+        CampaignRaw raw = simulateCampaign(device_, dgemm_, cfg);
+        ASSERT_NE(raw.sensitiveAreaAu, earlier.sensitiveAreaAu);
+        StatsRegistry scratch;
+        StatsSnapshot rebuilt = rebuildSimStats(raw, scratch);
+        ASSERT_FALSE(rebuilt.entries.empty());
+        for (const StatsSnapshot::Entry &want : rebuilt.entries) {
+            const StatsSnapshot::Entry *got =
+                raw.stats.find(want.name);
+            ASSERT_NE(got, nullptr) << want.name;
+            EXPECT_EQ(got->kind, want.kind) << want.name;
+            EXPECT_EQ(got->value, want.value) << want.name;
+            EXPECT_EQ(got->count, want.count) << want.name;
+            EXPECT_EQ(got->sum, want.sum) << want.name;
+            EXPECT_EQ(got->min, want.min) << want.name;
+            EXPECT_EQ(got->max, want.max) << want.name;
+            EXPECT_EQ(got->buckets, want.buckets) << want.name;
+        }
+    }
+}
+
 TEST_F(StoreTest, NullStoreIsPlainSimulation)
 {
     SimConfig cfg;

@@ -22,6 +22,7 @@
 
 #include "campaign/analysis.hh"
 #include "campaign/series.hh"
+#include "exec/chaos.hh"
 #include "logs/beamlog.hh"
 #include "obs/stats_registry.hh"
 #include "suite/context.hh"
@@ -470,6 +471,59 @@ TEST_F(PrepassTest, PublishesThePhaseTimers)
     EXPECT_EQ(grew("campaign.total.calls"),
               static_cast<double>(kDistinct));
     EXPECT_GT(after.value("proc.mem.peak_rss_bytes"), 0.0);
+}
+
+TEST_F(PrepassTest, ChaosRunsMatchTheRunner)
+{
+    // The prepass executes runs through the runner's own guarded
+    // run body, so under one chaos plan it must quarantine the same
+    // run and absorb the same transient fault as simulateCampaign().
+    const uint64_t permanent = 3;
+    const uint64_t transient = 7;
+    ChaosPlan plan;
+    plan.faults.push_back({ChaosFaultKind::Throw, permanent, 3, 0});
+    plan.faults.push_back({ChaosFaultKind::Throw, transient, 1, 0});
+
+    DeclaringExperiment single("prepass_chaos",
+                               {{DeviceId::K40, dgemmSpec(128)}});
+    DeviceModel device = makeDevice(DeviceId::K40);
+    auto workload = buildWorkload(device, dgemmSpec(128));
+    CampaignConfig cfg =
+        defaultCampaign(kRuns, device.name, workload->name(),
+                        workload->inputLabel());
+    ASSERT_EQ(cfg.sim.resilience.maxAttempts, 3u);
+
+    WorkerPool pool(4);
+    SuiteContext::Options options;
+    options.jobs = 4;
+    options.writeCsv = false;
+    options.runsOverride = static_cast<int64_t>(kRuns);
+    SuiteContext ctx(options, nullptr, pool);
+    ChaosEngine prepassChaos(plan);
+    setChaos(&prepassChaos);
+    ScheduleStats stats = scheduleCampaigns({&single}, ctx);
+    setChaos(nullptr);
+    EXPECT_EQ(stats.simulated, 1u);
+    const SuiteContext::PlannedCampaign *entry =
+        ctx.planned(campaignPlanKey(device.name, workload->name(),
+                                    workload->inputLabel(), kRuns));
+    ASSERT_NE(entry, nullptr);
+
+    ChaosEngine runnerChaos(plan);
+    setChaos(&runnerChaos);
+    const CampaignRaw runner =
+        simulateCampaign(device, *workload, cfg.sim);
+    setChaos(nullptr);
+
+    ASSERT_EQ(entry->raw.runs.size(), kRuns);
+    const CampaignRaw &prepass = entry->raw;
+    for (const CampaignRaw *raw : {&prepass, &runner}) {
+        EXPECT_EQ(raw->runs[permanent].outcome, Outcome::InfraError);
+        EXPECT_EQ(raw->count(Outcome::InfraError), 1u);
+        EXPECT_NE(raw->runs[transient].outcome, Outcome::InfraError);
+    }
+    EXPECT_EQ(runRows(analyzeCampaign(prepass, cfg.analysis)),
+              runRows(analyzeCampaign(runner, cfg.analysis)));
 }
 
 TEST(SuiteOptionsDeathTest, ExecutionShapeFlagsAreUnknown)
