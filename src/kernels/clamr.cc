@@ -232,7 +232,7 @@ Clamr::Clamr(const DeviceModel &device, int64_t grid, int64_t steps,
     double amr_factor = static_cast<double>(mean_amr) /
         (static_cast<double>(n_) * static_cast<double>(n_));
 
-    traits_.name = name_;
+    traits_.name = "CLAMR";
     traits_.totalThreads = static_cast<uint64_t>(
         static_cast<double>(n_eff) * static_cast<double>(n_eff) *
         amr_factor);
@@ -281,7 +281,13 @@ Clamr::Clamr(const DeviceModel &device, int64_t grid, int64_t steps,
 std::string
 Clamr::inputLabel() const
 {
-    int64_t n_eff = n_ * paperScale_;
+    return labelFor(n_, paperScale_);
+}
+
+std::string
+Clamr::labelFor(int64_t grid, int64_t paper_scale)
+{
+    int64_t n_eff = grid * paper_scale;
     return std::to_string(n_eff) + "x" + std::to_string(n_eff) +
         " cells";
 }

@@ -65,7 +65,7 @@ class Clamr : public Workload
           int64_t steps = 512, uint64_t seed = 42,
           int64_t paper_scale = 4);
 
-    const std::string &name() const override { return name_; }
+    const std::string &name() const override { return traits_.name; }
     std::string inputLabel() const override;
     const WorkloadTraits &traits() const override { return traits_; }
     SdcRecord inject(const Strike &strike, Rng &rng) override;
@@ -82,6 +82,14 @@ class Clamr : public Workload
 
     /** @return time-step count. */
     int64_t steps() const { return steps_; }
+
+    /**
+     * The input label of a grid-side workload, as inputLabel()
+     * reports it. Unlike the other kernels' traits, CLAMR's launch
+     * traits come from the AMR series of its golden run, so only
+     * the label is available without building the workload.
+     */
+    static std::string labelFor(int64_t grid, int64_t paper_scale = 4);
 
     /** @return golden final height field. */
     const std::vector<double> &goldenH() const
@@ -149,7 +157,6 @@ class Clamr : public Workload
     void injectMisscheduledBlock(const Strike &strike, Rng &rng,
                                  SdcRecord &out);
 
-    std::string name_ = "CLAMR";
     DeviceModel device_;
     int64_t n_;
     int64_t steps_;

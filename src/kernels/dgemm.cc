@@ -76,64 +76,79 @@ Dgemm::Dgemm(const DeviceModel &device, int64_t n, uint64_t seed,
         gold.cRms = 1.0;
     gold_ = std::make_shared<const Golden>(std::move(gold));
 
-    // --- Launch traits at paper-equivalent scale -------------------
-    int64_t n_eff = n_ * paperScale_;
-    traits_.name = name_;
+    traits_ = traitsFor(device_, n_, paperScale_);
+}
+
+std::string
+Dgemm::inputLabel() const
+{
+    return labelFor(n_, paperScale_);
+}
+
+std::string
+Dgemm::labelFor(int64_t n, int64_t paper_scale)
+{
+    int64_t n_eff = n * paper_scale;
+    return std::to_string(n_eff) + "x" + std::to_string(n_eff);
+}
+
+WorkloadTraits
+Dgemm::traitsFor(const DeviceModel &device, int64_t n,
+                 int64_t paper_scale)
+{
+    // Launch traits at paper-equivalent scale.
+    WorkloadTraits traits;
+    int64_t n_eff = n * paper_scale;
+    traits.name = "DGEMM";
     // Table II: side^2 / 16 threads.
-    traits_.totalThreads =
+    traits.totalThreads =
         static_cast<uint64_t>(n_eff) * n_eff / 16;
-    traits_.blockThreads = (blockTile * blockTile) / 16; // 256
+    traits.blockThreads = (blockTile * blockTile) / 16; // 256
     // Two 64x8 double panels double-buffered per block: the small
     // footprint keeps occupancy high (the paper reports >97.5%
     // multiprocessor activity for the selected inputs).
-    traits_.perBlockLocalBytes = 2 * blockTile * 8 * 8;
-    traits_.registersPerThread = 64;
-    traits_.flopsPerThread = 2.0 * static_cast<double>(n_eff) * 16.0;
-    traits_.controlFlowIntensity = 0.05;
-    traits_.sfuIntensity = 0.0;
-    traits_.kernelInvocations = 1;
-    traits_.doublePrecision = true;
+    traits.perBlockLocalBytes = 2 * blockTile * 8 * 8;
+    traits.registersPerThread = 64;
+    traits.flopsPerThread = 2.0 * static_cast<double>(n_eff) * 16.0;
+    traits.controlFlowIntensity = 0.05;
+    traits.sfuIntensity = 0.0;
+    traits.kernelInvocations = 1;
+    traits.doublePrecision = true;
 
     double ws_bits = 3.0 * static_cast<double>(n_eff) * n_eff * 64.0;
-    bool gpu = device_.schedulerKind == SchedulerKind::Hardware;
+    bool gpu = device.schedulerKind == SchedulerKind::Hardware;
 
     // Register liveness is the paper's V-A reason (2): the K40
     // time-multiplexes thousands of resident threads, so accumulator
     // values sit idle in the register file for long stretches. The
     // Phi's four hardware threads touch their accumulators every few
     // cycles, leaving almost no idle window.
-    traits_.setUtil(ResourceKind::RegisterFile, gpu ? 1.0 : 0.1);
-    if (device_.hasResource(ResourceKind::L1Cache)) {
-        traits_.setUtil(ResourceKind::L1Cache, cacheUtil(
-            ws_bits, device_.resource(ResourceKind::L1Cache)
+    traits.setUtil(ResourceKind::RegisterFile, gpu ? 1.0 : 0.1);
+    if (device.hasResource(ResourceKind::L1Cache)) {
+        traits.setUtil(ResourceKind::L1Cache, cacheUtil(
+            ws_bits, device.resource(ResourceKind::L1Cache)
             .sizeBits, gpu ? 0.5 : 0.15));
     }
-    if (device_.hasResource(ResourceKind::SharedMemory))
-        traits_.setUtil(ResourceKind::SharedMemory, 0.8);
-    if (device_.hasResource(ResourceKind::L2Cache)) {
+    if (device.hasResource(ResourceKind::SharedMemory))
+        traits.setUtil(ResourceKind::SharedMemory, 0.8);
+    if (device.hasResource(ResourceKind::L2Cache)) {
         // DGEMM is compute-bound (Table I): panels stream through
         // the LLC with short liveness, especially on the Phi whose
         // blocking targets L1/registers.
-        traits_.setUtil(ResourceKind::L2Cache, cacheUtil(
-            ws_bits, device_.resource(ResourceKind::L2Cache)
+        traits.setUtil(ResourceKind::L2Cache, cacheUtil(
+            ws_bits, device.resource(ResourceKind::L2Cache)
             .sizeBits, gpu ? 0.6 : 0.08));
     }
-    traits_.setUtil(ResourceKind::Scheduler, 1.0);
-    traits_.setUtil(ResourceKind::Dispatcher, 0.8);
-    traits_.setUtil(ResourceKind::Fpu, 1.0);
-    if (device_.hasResource(ResourceKind::Sfu))
-        traits_.setUtil(ResourceKind::Sfu, 0.0);
-    traits_.setUtil(ResourceKind::ControlLogic, 0.2);
-    traits_.setUtil(ResourceKind::PipelineLatch, 0.9);
-    if (device_.hasResource(ResourceKind::Interconnect))
-        traits_.setUtil(ResourceKind::Interconnect, 0.3);
-}
-
-std::string
-Dgemm::inputLabel() const
-{
-    int64_t n_eff = n_ * paperScale_;
-    return std::to_string(n_eff) + "x" + std::to_string(n_eff);
+    traits.setUtil(ResourceKind::Scheduler, 1.0);
+    traits.setUtil(ResourceKind::Dispatcher, 0.8);
+    traits.setUtil(ResourceKind::Fpu, 1.0);
+    if (device.hasResource(ResourceKind::Sfu))
+        traits.setUtil(ResourceKind::Sfu, 0.0);
+    traits.setUtil(ResourceKind::ControlLogic, 0.2);
+    traits.setUtil(ResourceKind::PipelineLatch, 0.9);
+    if (device.hasResource(ResourceKind::Interconnect))
+        traits.setUtil(ResourceKind::Interconnect, 0.3);
+    return traits;
 }
 
 SdcRecord

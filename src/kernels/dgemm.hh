@@ -45,7 +45,7 @@ class Dgemm : public Workload
     Dgemm(const DeviceModel &device, int64_t n, uint64_t seed = 42,
           int64_t paper_scale = 8);
 
-    const std::string &name() const override { return name_; }
+    const std::string &name() const override { return traits_.name; }
     std::string inputLabel() const override;
     const WorkloadTraits &traits() const override { return traits_; }
     SdcRecord inject(const Strike &strike, Rng &rng) override;
@@ -57,6 +57,16 @@ class Dgemm : public Workload
 
     /** @return scaled matrix side. */
     int64_t n() const { return n_; }
+
+    /**
+     * The input label and launch traits of a side-n workload, as
+     * inputLabel() and traits() report them, without computing
+     * inputs or the golden output.
+     */
+    static std::string labelFor(int64_t n, int64_t paper_scale = 8);
+    static WorkloadTraits traitsFor(const DeviceModel &device,
+                                    int64_t n,
+                                    int64_t paper_scale = 8);
 
     /** @return input matrix A (row-major, n x n). */
     const std::vector<double> &a() const { return gold_->a; }
@@ -118,7 +128,6 @@ class Dgemm : public Workload
         double cRms = 1.0;
     };
 
-    std::string name_ = "DGEMM";
     DeviceModel device_;
     int64_t n_;
     int64_t paperScale_;

@@ -83,46 +83,67 @@ HotSpot::HotSpot(const DeviceModel &device, int64_t grid,
         const std::vector<std::vector<float>>>(std::move(snaps));
     golden_ = cur;
 
-    // --- Launch traits at paper-equivalent scale -------------------
-    int64_t n_eff = n_ * paperScale_;
-    traits_.name = name_;
-    traits_.totalThreads = static_cast<uint64_t>(n_eff) * n_eff;
-    traits_.blockThreads = tile * tile;
+    traits_ = traitsFor(device_, n_, iters_, paperScale_);
+}
+
+std::string
+HotSpot::inputLabel() const
+{
+    return labelFor(n_, paperScale_);
+}
+
+std::string
+HotSpot::labelFor(int64_t grid, int64_t paper_scale)
+{
+    int64_t n_eff = grid * paper_scale;
+    return std::to_string(n_eff) + "x" + std::to_string(n_eff);
+}
+
+WorkloadTraits
+HotSpot::traitsFor(const DeviceModel &device, int64_t grid,
+                   int64_t iterations, int64_t paper_scale)
+{
+    // Launch traits at paper-equivalent scale.
+    WorkloadTraits traits;
+    int64_t n_eff = grid * paper_scale;
+    traits.name = "HotSpot";
+    traits.totalThreads = static_cast<uint64_t>(n_eff) * n_eff;
+    traits.blockThreads = tile * tile;
     // Small local-memory footprint: highest occupancy of the
     // tested codes (paper IV-B).
-    traits_.perBlockLocalBytes = tile * tile * 4 * 2;
-    traits_.registersPerThread = 24;
-    traits_.flopsPerThread = static_cast<double>(iters_) * 12.0;
-    traits_.controlFlowIntensity = 0.05;
-    traits_.sfuIntensity = 0.0;
-    traits_.kernelInvocations = static_cast<uint64_t>(iters_);
-    traits_.doublePrecision = false;
+    traits.perBlockLocalBytes = tile * tile * 4 * 2;
+    traits.registersPerThread = 24;
+    traits.flopsPerThread = static_cast<double>(iterations) * 12.0;
+    traits.controlFlowIntensity = 0.05;
+    traits.sfuIntensity = 0.0;
+    traits.kernelInvocations = static_cast<uint64_t>(iterations);
+    traits.doublePrecision = false;
     // Small resident footprint keeps corrupted addresses mapped on
     // the K40; the Phi's 57 coherent L2s + ring carry much more
     // tag/coherence state, so its storage strikes escalate more
     // often (paper Section V: HotSpot SDC:det is ~7x on the K40
     // but only ~3x on the Phi).
-    traits_.crashExposure =
-        device_.schedulerKind == SchedulerKind::Hardware ? 0.25
-                                                         : 0.65;
+    traits.crashExposure =
+        device.schedulerKind == SchedulerKind::Hardware ? 0.25
+                                                        : 0.65;
 
     double ws_bits = 2.0 * static_cast<double>(n_eff) * n_eff *
         32.0;
-    bool gpu = device_.schedulerKind == SchedulerKind::Hardware;
+    bool gpu = device.schedulerKind == SchedulerKind::Hardware;
 
-    traits_.setUtil(ResourceKind::RegisterFile, 0.5);
-    if (device_.hasResource(ResourceKind::L1Cache)) {
-        traits_.setUtil(ResourceKind::L1Cache, cacheUtil(
-            ws_bits, device_.resource(ResourceKind::L1Cache)
+    traits.setUtil(ResourceKind::RegisterFile, 0.5);
+    if (device.hasResource(ResourceKind::L1Cache)) {
+        traits.setUtil(ResourceKind::L1Cache, cacheUtil(
+            ws_bits, device.resource(ResourceKind::L1Cache)
             .sizeBits, 0.8));
     }
-    if (device_.hasResource(ResourceKind::SharedMemory))
-        traits_.setUtil(ResourceKind::SharedMemory, 0.7);
-    if (device_.hasResource(ResourceKind::L2Cache)) {
+    if (device.hasResource(ResourceKind::SharedMemory))
+        traits.setUtil(ResourceKind::SharedMemory, 0.7);
+    if (device.hasResource(ResourceKind::L2Cache)) {
         // Memory-bound (Table I): the whole grid streams through
         // the LLC every iteration.
-        traits_.setUtil(ResourceKind::L2Cache, cacheUtil(
-            ws_bits, device_.resource(ResourceKind::L2Cache)
+        traits.setUtil(ResourceKind::L2Cache, cacheUtil(
+            ws_bits, device.resource(ResourceKind::L2Cache)
             .sizeBits, gpu ? 0.8 : 0.9));
     }
     // Iterative re-launches of an identical, perfectly regular grid
@@ -131,22 +152,16 @@ HotSpot::HotSpot(const DeviceModel &device, int64_t grid,
     // the next relaunch): the scheduler is barely a criticality
     // source for stencils, which is why HotSpot shows the highest
     // SDC:(crash+hang) ratio on the K40 (paper Section V).
-    traits_.setUtil(ResourceKind::Scheduler, 0.1);
-    traits_.setUtil(ResourceKind::Dispatcher, 0.6);
-    traits_.setUtil(ResourceKind::Fpu, 0.5);
-    if (device_.hasResource(ResourceKind::Sfu))
-        traits_.setUtil(ResourceKind::Sfu, 0.0);
-    traits_.setUtil(ResourceKind::ControlLogic, 0.15);
-    traits_.setUtil(ResourceKind::PipelineLatch, 0.6);
-    if (device_.hasResource(ResourceKind::Interconnect))
-        traits_.setUtil(ResourceKind::Interconnect, 0.6);
-}
-
-std::string
-HotSpot::inputLabel() const
-{
-    int64_t n_eff = n_ * paperScale_;
-    return std::to_string(n_eff) + "x" + std::to_string(n_eff);
+    traits.setUtil(ResourceKind::Scheduler, 0.1);
+    traits.setUtil(ResourceKind::Dispatcher, 0.6);
+    traits.setUtil(ResourceKind::Fpu, 0.5);
+    if (device.hasResource(ResourceKind::Sfu))
+        traits.setUtil(ResourceKind::Sfu, 0.0);
+    traits.setUtil(ResourceKind::ControlLogic, 0.15);
+    traits.setUtil(ResourceKind::PipelineLatch, 0.6);
+    if (device.hasResource(ResourceKind::Interconnect))
+        traits.setUtil(ResourceKind::Interconnect, 0.6);
+    return traits;
 }
 
 SdcRecord

@@ -58,7 +58,7 @@ class HotSpot : public Workload
             int64_t iterations = 192, uint64_t seed = 42,
             int64_t paper_scale = 4);
 
-    const std::string &name() const override { return name_; }
+    const std::string &name() const override { return traits_.name; }
     std::string inputLabel() const override;
     const WorkloadTraits &traits() const override { return traits_; }
     SdcRecord inject(const Strike &strike, Rng &rng) override;
@@ -75,6 +75,17 @@ class HotSpot : public Workload
 
     /** @return iteration count. */
     int64_t iterations() const { return iters_; }
+
+    /**
+     * The input label and launch traits of a grid-side workload,
+     * as inputLabel() and traits() report them, without running
+     * the golden simulation.
+     */
+    static std::string labelFor(int64_t grid, int64_t paper_scale = 4);
+    static WorkloadTraits traitsFor(const DeviceModel &device,
+                                    int64_t grid,
+                                    int64_t iterations = 192,
+                                    int64_t paper_scale = 4);
 
     /** @return golden final temperature field (row-major). */
     const std::vector<float> &goldenTemp() const { return golden_; }
@@ -128,7 +139,6 @@ class HotSpot : public Workload
     void injectMisscheduledBlock(const Strike &strike, Rng &rng,
                                  SdcRecord &out) const;
 
-    std::string name_ = "HotSpot";
     DeviceModel device_;
     int64_t n_;
     int64_t iters_;

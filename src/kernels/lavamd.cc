@@ -80,65 +80,79 @@ LavaMd::LavaMd(const DeviceModel &device, int64_t boxes1d,
     if (fRms_ <= 0.0)
         fRms_ = 1.0;
 
-    // --- Launch traits at paper-equivalent scale -------------------
-    int64_t nb_eff = paperBoxes_;
-    uint64_t p_eff = device_.particlesPerBoxHint;
-    traits_.name = name_;
-    traits_.totalThreads =
-        static_cast<uint64_t>(nb_eff) * nb_eff * nb_eff * p_eff;
-    traits_.blockThreads = p_eff;
-    // Home box + one neighbor box staged locally: 2 * P * 4 doubles
-    // (~12-14 KB per block on the K40, as the paper notes).
-    traits_.perBlockLocalBytes = 2 * p_eff * 4 * 8;
-    traits_.registersPerThread = 48;
-    traits_.flopsPerThread = 27.0 * static_cast<double>(p_eff) *
-        10.0;
-    traits_.controlFlowIntensity = 0.15;
-    traits_.sfuIntensity = 0.9;
-    traits_.kernelInvocations = 1;
-    traits_.doublePrecision = true;
-
-    double ws_bits = static_cast<double>(nb_eff) * nb_eff * nb_eff *
-        static_cast<double>(p_eff) * 4.0 * 64.0;
-    bool gpu = device_.schedulerKind == SchedulerKind::Hardware;
-
-    // The inner interaction loop touches its registers every cycle
-    // (short idle windows) and the low occupancy keeps the
-    // multiplexing depth shallow: small register liveness.
-    traits_.setUtil(ResourceKind::RegisterFile, 0.04);
-    if (device_.hasResource(ResourceKind::L1Cache)) {
-        traits_.setUtil(ResourceKind::L1Cache, cacheUtil(
-            ws_bits, device_.resource(ResourceKind::L1Cache)
-            .sizeBits, 0.35));
-    }
-    if (device_.hasResource(ResourceKind::SharedMemory))
-        traits_.setUtil(ResourceKind::SharedMemory, 0.5);
-    if (device_.hasResource(ResourceKind::L2Cache)) {
-        // Memory-bound (Table I): boxes live long in the LLC. The
-        // Phi's huge coherent L2 keeps most of the dataset resident
-        // (paper V-E), and its utilization grows with input size;
-        // the K40's small L2 evicts quickly (short liveness).
-        traits_.setUtil(ResourceKind::L2Cache, cacheUtil(
-            ws_bits, device_.resource(ResourceKind::L2Cache)
-            .sizeBits, gpu ? 0.5 : 0.9));
-    }
-    // Few, heavy, long-lived blocks: the dispatch duty cycle of
-    // the scheduler is low even though the block count is large.
-    traits_.setUtil(ResourceKind::Scheduler, 0.12);
-    traits_.setUtil(ResourceKind::Dispatcher, 0.7);
-    traits_.setUtil(ResourceKind::Fpu, 1.0);
-    if (device_.hasResource(ResourceKind::Sfu))
-        traits_.setUtil(ResourceKind::Sfu, 1.0);
-    traits_.setUtil(ResourceKind::ControlLogic, 0.2);
-    traits_.setUtil(ResourceKind::PipelineLatch, 0.8);
-    if (device_.hasResource(ResourceKind::Interconnect))
-        traits_.setUtil(ResourceKind::Interconnect, 0.7);
+    traits_ = traitsFor(device_, paperBoxes_);
 }
 
 std::string
 LavaMd::inputLabel() const
 {
-    return std::to_string(paperBoxes_) + " boxes/dim";
+    return labelFor(paperBoxes_);
+}
+
+std::string
+LavaMd::labelFor(int64_t paper_boxes1d)
+{
+    return std::to_string(paper_boxes1d) + " boxes/dim";
+}
+
+WorkloadTraits
+LavaMd::traitsFor(const DeviceModel &device, int64_t paper_boxes1d)
+{
+    // Launch traits at paper-equivalent scale.
+    WorkloadTraits traits;
+    int64_t nb_eff = paper_boxes1d;
+    uint64_t p_eff = device.particlesPerBoxHint;
+    traits.name = "LavaMD";
+    traits.totalThreads =
+        static_cast<uint64_t>(nb_eff) * nb_eff * nb_eff * p_eff;
+    traits.blockThreads = p_eff;
+    // Home box + one neighbor box staged locally: 2 * P * 4 doubles
+    // (~12-14 KB per block on the K40, as the paper notes).
+    traits.perBlockLocalBytes = 2 * p_eff * 4 * 8;
+    traits.registersPerThread = 48;
+    traits.flopsPerThread = 27.0 * static_cast<double>(p_eff) *
+        10.0;
+    traits.controlFlowIntensity = 0.15;
+    traits.sfuIntensity = 0.9;
+    traits.kernelInvocations = 1;
+    traits.doublePrecision = true;
+
+    double ws_bits = static_cast<double>(nb_eff) * nb_eff * nb_eff *
+        static_cast<double>(p_eff) * 4.0 * 64.0;
+    bool gpu = device.schedulerKind == SchedulerKind::Hardware;
+
+    // The inner interaction loop touches its registers every cycle
+    // (short idle windows) and the low occupancy keeps the
+    // multiplexing depth shallow: small register liveness.
+    traits.setUtil(ResourceKind::RegisterFile, 0.04);
+    if (device.hasResource(ResourceKind::L1Cache)) {
+        traits.setUtil(ResourceKind::L1Cache, cacheUtil(
+            ws_bits, device.resource(ResourceKind::L1Cache)
+            .sizeBits, 0.35));
+    }
+    if (device.hasResource(ResourceKind::SharedMemory))
+        traits.setUtil(ResourceKind::SharedMemory, 0.5);
+    if (device.hasResource(ResourceKind::L2Cache)) {
+        // Memory-bound (Table I): boxes live long in the LLC. The
+        // Phi's huge coherent L2 keeps most of the dataset resident
+        // (paper V-E), and its utilization grows with input size;
+        // the K40's small L2 evicts quickly (short liveness).
+        traits.setUtil(ResourceKind::L2Cache, cacheUtil(
+            ws_bits, device.resource(ResourceKind::L2Cache)
+            .sizeBits, gpu ? 0.5 : 0.9));
+    }
+    // Few, heavy, long-lived blocks: the dispatch duty cycle of
+    // the scheduler is low even though the block count is large.
+    traits.setUtil(ResourceKind::Scheduler, 0.12);
+    traits.setUtil(ResourceKind::Dispatcher, 0.7);
+    traits.setUtil(ResourceKind::Fpu, 1.0);
+    if (device.hasResource(ResourceKind::Sfu))
+        traits.setUtil(ResourceKind::Sfu, 1.0);
+    traits.setUtil(ResourceKind::ControlLogic, 0.2);
+    traits.setUtil(ResourceKind::PipelineLatch, 0.8);
+    if (device.hasResource(ResourceKind::Interconnect))
+        traits.setUtil(ResourceKind::Interconnect, 0.7);
+    return traits;
 }
 
 SdcRecord

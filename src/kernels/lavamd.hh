@@ -54,7 +54,7 @@ class LavaMd : public Workload
            uint64_t seed = 42, int64_t paper_scale = 2,
            int64_t particle_scale = 4, int64_t paper_boxes1d = 0);
 
-    const std::string &name() const override { return name_; }
+    const std::string &name() const override { return traits_.name; }
     std::string inputLabel() const override;
     const WorkloadTraits &traits() const override { return traits_; }
     SdcRecord inject(const Strike &strike, Rng &rng) override;
@@ -69,6 +69,16 @@ class LavaMd : public Workload
 
     /** @return scaled boxes per dimension. */
     int64_t boxes1d() const { return nb_; }
+
+    /**
+     * The input label and launch traits of a workload standing for
+     * a paper grid of paper_boxes1d boxes per dimension, as
+     * inputLabel() and traits() report them, without generating
+     * particles or the golden forces.
+     */
+    static std::string labelFor(int64_t paper_boxes1d);
+    static WorkloadTraits traitsFor(const DeviceModel &device,
+                                    int64_t paper_boxes1d);
 
     /** @return scaled particles per box. */
     int64_t particlesPerBox() const { return p_; }
@@ -127,7 +137,6 @@ class LavaMd : public Workload
 
     void record(SdcRecord &out, int64_t gi, double read) const;
 
-    std::string name_ = "LavaMD";
     DeviceModel device_;
     int64_t nb_;
     int64_t p_;

@@ -63,10 +63,9 @@ SuiteContext::setRecorder(BenchRecorder *recorder)
 
 CampaignRaw
 SuiteContext::campaignRaw(const DeviceModel &device,
-                          Workload &workload, uint64_t runs)
+                          const WorkloadSpec &spec, uint64_t runs)
 {
-    std::string key = campaignPlanKey(device.name, workload.name(),
-                                      workload.inputLabel(), runs);
+    std::string key = campaignPlanKey(device.name, spec, runs);
     auto start = std::chrono::steady_clock::now();
 
     auto it = plan_.find(key);
@@ -90,13 +89,14 @@ SuiteContext::campaignRaw(const DeviceModel &device,
 
     // Not in the plan: an undeclared campaign (shim mode, or an
     // ad-hoc device variant). Same path a standalone bench took.
+    std::unique_ptr<Workload> workload = buildWorkload(device, spec);
     CampaignConfig cfg = defaultCampaign(runs, device.name,
-                                         workload.name(),
-                                         workload.inputLabel());
+                                         workload->name(),
+                                         workload->inputLabel());
     cfg.sim.jobs = options_.jobs;
     uint64_t hits_before = store_ ? store_->hits() : 0;
     CampaignRaw raw =
-        simulateOrLoad(device, workload, cfg.sim, store_, &pool_);
+        simulateOrLoad(device, *workload, cfg.sim, store_, &pool_);
     bool cached = store_ && store_->hits() > hits_before;
     if (cached)
         ++unplannedHits_;
@@ -109,10 +109,9 @@ SuiteContext::campaignRaw(const DeviceModel &device,
 
 CampaignResult
 SuiteContext::campaignResult(const DeviceModel &device,
-                             Workload &workload, uint64_t runs)
+                             const WorkloadSpec &spec, uint64_t runs)
 {
-    std::string key = campaignPlanKey(device.name, workload.name(),
-                                      workload.inputLabel(), runs);
+    std::string key = campaignPlanKey(device.name, spec, runs);
     auto start = std::chrono::steady_clock::now();
     auto it = plan_.find(key);
     if (it != plan_.end() && it->second.defaultAnalysis) {
@@ -132,10 +131,10 @@ SuiteContext::campaignResult(const DeviceModel &device,
         return *entry.defaultAnalysis;
     }
 
+    CampaignRaw raw = campaignRaw(device, spec, runs);
     CampaignConfig cfg = defaultCampaign(runs, device.name,
-                                         workload.name(),
-                                         workload.inputLabel());
-    CampaignRaw raw = campaignRaw(device, workload, runs);
+                                         raw.workloadName,
+                                         raw.inputLabel);
     return analyzeCampaign(raw, cfg.analysis);
 }
 

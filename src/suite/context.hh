@@ -27,6 +27,7 @@
 #include "campaign/runner.hh"
 #include "campaign/store.hh"
 #include "exec/pool.hh"
+#include "suite/spec.hh"
 
 namespace radcrit
 {
@@ -185,20 +186,22 @@ class SuiteContext
 
     /**
      * The campaign front door for experiments: the raw canonical
-     * campaign for (device, workload, runs) with the seed derived
+     * campaign for (device, spec, runs) with the seed derived
      * from the labels. Served, in order of preference, from the
-     * suite scheduler's plan (memory), the campaign store, or a
-     * fresh simulation on the shared pool. Work and cache traffic
-     * are tallied into the active recorder; a plan entry the
-     * scheduler simulated charges its simulation cost to the first
-     * consumer (reproducing standalone cache semantics).
+     * suite scheduler's plan (memory, no workload built), the
+     * campaign store, or a fresh simulation on the shared pool;
+     * the last two build the workload through buildWorkload().
+     * Work and cache traffic are tallied into the active recorder;
+     * a plan entry the scheduler simulated charges its simulation
+     * cost to the first consumer (reproducing standalone cache
+     * semantics).
      */
     CampaignRaw campaignRaw(const DeviceModel &device,
-                            Workload &workload, uint64_t runs);
+                            const WorkloadSpec &spec, uint64_t runs);
 
     /** campaignRaw() + analyzeCampaign() under default analysis. */
     CampaignResult campaignResult(const DeviceModel &device,
-                                  Workload &workload,
+                                  const WorkloadSpec &spec,
                                   uint64_t runs);
 
     /** One pre-simulated campaign in the scheduler's plan. */

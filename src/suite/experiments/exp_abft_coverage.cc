@@ -67,8 +67,8 @@ class AbftCoverage : public Experiment
                 CampaignConfig cfg = defaultCampaign(
                     runs, device.name, dgemm.name(),
                     dgemm.inputLabel());
-                CampaignResult res =
-                    ctx.campaignResult(device, dgemm, runs);
+                CampaignResult res = ctx.campaignResult(
+                    device, dgemmSpec(side), runs);
 
                 uint64_t sdc = 0, corrected = 0, detected = 0,
                     missed = 0;

@@ -65,8 +65,8 @@ class AblationFilterThreshold : public Experiment
         std::vector<CampaignRaw> raws;
         for (DeviceId id : allDevices()) {
             DeviceModel device = makeDevice(id);
-            auto w = makeDgemmWorkload(device, 256);
-            raws.push_back(ctx.campaignRaw(device, *w, runs));
+            raws.push_back(
+                ctx.campaignRaw(device, dgemmSpec(256), runs));
         }
 
         std::vector<double> thresholds{0.0, 0.5, 1.0, 2.0, 4.0,

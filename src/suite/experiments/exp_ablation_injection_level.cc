@@ -71,7 +71,7 @@ class AblationInjectionLevel : public Experiment
 
         // Architectural campaign.
         CampaignResult arch =
-            ctx.campaignResult(device, dgemm, runs);
+            ctx.campaignResult(device, dgemmSpec(256), runs);
         std::array<uint64_t, numPatterns> arch_pat{};
         uint64_t arch_sdc = 0;
         for (const auto &run : arch.runs) {

@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "common/table.hh"
-#include "kernels/dgemm.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
 #include "suite/render.hh"
@@ -25,11 +24,9 @@ double
 fitGrowth(SuiteContext &ctx, const DeviceModel &device,
           uint64_t runs)
 {
-    auto small = makeDgemmWorkload(device, 128);
-    auto big = makeDgemmWorkload(device, 512);
-    double lo = ctx.campaignResult(device, *small, runs)
+    double lo = ctx.campaignResult(device, dgemmSpec(128), runs)
         .fitTotalAu(false);
-    double hi = ctx.campaignResult(device, *big, runs)
+    double hi = ctx.campaignResult(device, dgemmSpec(512), runs)
         .fitTotalAu(false);
     return hi / lo;
 }

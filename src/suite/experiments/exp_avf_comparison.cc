@@ -10,13 +10,9 @@
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
 #include "avf/avf.hh"
 #include "common/table.hh"
-#include "kernels/dgemm.hh"
-#include "kernels/hotspot.hh"
-#include "kernels/lavamd.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
 #include "suite/render.hh"
@@ -88,21 +84,18 @@ class AvfComparison : public Experiment
 
         for (DeviceId id : allDevices()) {
             DeviceModel device = makeDevice(id);
-            std::vector<std::unique_ptr<Workload>> workloads;
-            workloads.push_back(makeDgemmWorkload(device, 256));
-            workloads.push_back(makeLavamdWorkload(
-                device, LavaMdSize{7, 15}));
-            workloads.push_back(makeHotspotWorkload(device));
-            for (auto &w : workloads) {
+            for (const WorkloadSpec &spec :
+                 {dgemmSpec(256), lavamdSpec(LavaMdSize{7, 15}),
+                  hotspotSpec()}) {
                 CampaignResult res =
-                    ctx.campaignResult(device, *w, runs);
+                    ctx.campaignResult(device, spec, runs);
                 avfTable(res);
                 std::printf("\n");
                 InjectorCoverage cov = injectorCoverage(res);
                 auto pct = [](double f) {
                     return TextTable::num(100.0 * f, 0) + "%";
                 };
-                coverage.addRow({device.name, w->name(),
+                coverage.addRow({device.name, res.workloadName,
                                  pct(cov.strikeCoverage),
                                  pct(cov.sdcCoverage),
                                  pct(cov.criticalFitCoverage),

@@ -189,9 +189,8 @@ class Calibration : public Experiment
 
             if (only.empty() || only == "DGEMM") {
                 for (int64_t side : dgemmScaledSides(id)) {
-                    auto w = makeDgemmWorkload(device, side);
-                    auto res =
-                        ctx.campaignResult(device, *w, runs);
+                    auto res = ctx.campaignResult(
+                        device, dgemmSpec(side), runs);
                     if (want_detail)
                         detail(res);
                     summarize(res, table);
@@ -200,9 +199,8 @@ class Calibration : public Experiment
             }
             if (only.empty() || only == "LavaMD") {
                 for (const auto &size : lavamdScaledSizes(id)) {
-                    auto w = makeLavamdWorkload(device, size);
-                    auto res =
-                        ctx.campaignResult(device, *w, runs);
+                    auto res = ctx.campaignResult(
+                        device, lavamdSpec(size), runs);
                     if (want_detail)
                         detail(res);
                     summarize(res, table);
@@ -210,8 +208,8 @@ class Calibration : public Experiment
                 table.addSeparator();
             }
             if (only.empty() || only == "HotSpot") {
-                auto w = makeHotspotWorkload(device);
-                auto res = ctx.campaignResult(device, *w, runs);
+                auto res =
+                    ctx.campaignResult(device, hotspotSpec(), runs);
                 if (want_detail)
                     detail(res);
                 summarize(res, table);
@@ -219,8 +217,8 @@ class Calibration : public Experiment
             }
             if ((only.empty() || only == "CLAMR") &&
                 id == DeviceId::XeonPhi) {
-                auto w = makeClamrWorkload(device);
-                auto res = ctx.campaignResult(device, *w, runs);
+                auto res =
+                    ctx.campaignResult(device, clamrSpec(), runs);
                 if (want_detail)
                     detail(res);
                 summarize(res, table);

@@ -48,9 +48,8 @@ class Fig3DgemmLocality : public Experiment
             DeviceModel device = makeDevice(id);
             std::vector<CampaignResult> results;
             for (int64_t side : dgemmScaledSides(id)) {
-                auto w = makeDgemmWorkload(device, side);
-                results.push_back(
-                    ctx.campaignResult(device, *w, runs));
+                results.push_back(ctx.campaignResult(
+                    device, dgemmSpec(side), runs));
             }
             std::string panel = id == DeviceId::K40
                 ? "(a) K40"

@@ -45,9 +45,8 @@ class Fig4LavamdScatter : public Experiment
             DeviceModel device = makeDevice(id);
             std::vector<CampaignResult> results;
             for (const auto &size : lavamdScaledSizes(id)) {
-                auto w = makeLavamdWorkload(device, size);
-                results.push_back(
-                    ctx.campaignResult(device, *w, runs));
+                results.push_back(ctx.campaignResult(
+                    device, lavamdSpec(size), runs));
             }
             std::string panel = id == DeviceId::K40
                 ? "(a) K40"

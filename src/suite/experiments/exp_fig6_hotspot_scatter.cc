@@ -50,10 +50,9 @@ class Fig6HotspotScatter : public Experiment
 
         for (DeviceId id : allDevices()) {
             DeviceModel device = makeDevice(id);
-            auto w = makeHotspotWorkload(device);
             std::vector<CampaignResult> results;
             results.push_back(
-                ctx.campaignResult(device, *w, runs));
+                ctx.campaignResult(device, hotspotSpec(), runs));
             std::string panel = id == DeviceId::K40
                 ? "(a) K40"
                 : "(b) Xeon Phi";

@@ -45,10 +45,9 @@ class Fig7HotspotLocality : public Experiment
         uint64_t runs = ctx.runsFor(*this);
         for (DeviceId id : allDevices()) {
             DeviceModel device = makeDevice(id);
-            auto w = makeHotspotWorkload(device);
             std::vector<CampaignResult> results;
             results.push_back(
-                ctx.campaignResult(device, *w, runs));
+                ctx.campaignResult(device, hotspotSpec(), runs));
             std::string panel = id == DeviceId::K40
                 ? "(a) K40"
                 : "(b) Xeon Phi";

@@ -42,9 +42,9 @@ class Fig8ClamrScatter : public Experiment
     {
         uint64_t runs = ctx.runsFor(*this);
         DeviceModel device = makeDevice(DeviceId::XeonPhi);
-        auto w = makeClamrWorkload(device);
         std::vector<CampaignResult> results;
-        results.push_back(ctx.campaignResult(device, *w, runs));
+        results.push_back(
+            ctx.campaignResult(device, clamrSpec(), runs));
         renderScatterFigure(
             ctx,
             "Fig. 8: CLAMR Mean relative error and Incorrect "

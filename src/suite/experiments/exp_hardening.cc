@@ -15,7 +15,6 @@
 #include "harden/advisor.hh"
 #include "harden/attribution.hh"
 #include "kernels/dgemm.hh"
-#include "kernels/lavamd.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
 #include "suite/render.hh"
@@ -27,14 +26,13 @@ namespace
 
 void
 attributionTable(SuiteContext &ctx, const DeviceModel &device,
-                 Workload &workload, uint64_t runs)
+                 const WorkloadSpec &spec, uint64_t runs)
 {
-    CampaignResult res =
-        ctx.campaignResult(device, workload, runs);
+    CampaignResult res = ctx.campaignResult(device, spec, runs);
     auto attribution = attributeCriticality(res);
     TextTable table("Criticality attribution: " + device.name +
-                    " / " + workload.name() + " " +
-                    workload.inputLabel());
+                    " / " + res.workloadName + " " +
+                    res.inputLabel);
     table.setHeader({"resource", "weight%", "strikes", "SDC",
                      "critical", "crash+hang", "criticalFIT"});
     for (const auto &r : attribution) {
@@ -131,10 +129,9 @@ class Hardening : public Experiment
 
         for (DeviceId id : allDevices()) {
             DeviceModel device = makeDevice(id);
-            Dgemm dgemm(device, 256, 42);
-            attributionTable(ctx, device, dgemm, runs);
-            LavaMd lavamd(device, 7, 42, 2, 4, 15);
-            attributionTable(ctx, device, lavamd, runs);
+            attributionTable(ctx, device, dgemmSpec(256), runs);
+            attributionTable(ctx, device,
+                             lavamdSpec(LavaMdSize{7, 15}), runs);
         }
         for (DeviceId id : allDevices())
             advisorStudy(makeDevice(id), budget, runs);

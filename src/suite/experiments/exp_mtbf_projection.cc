@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
 #include "common/cli.hh"
 #include "common/table.hh"
@@ -86,16 +85,13 @@ class MtbfProjection : public Experiment
 
         for (DeviceId id : allDevices()) {
             DeviceModel device = makeDevice(id);
-            std::vector<std::unique_ptr<Workload>> workloads;
-            workloads.push_back(makeDgemmWorkload(device, 256));
-            workloads.push_back(makeLavamdWorkload(
-                device, LavaMdSize{7, 15}));
-            workloads.push_back(makeHotspotWorkload(device));
-            for (auto &w : workloads) {
+            for (const WorkloadSpec &spec :
+                 {dgemmSpec(256), lavamdSpec(LavaMdSize{7, 15}),
+                  hotspotSpec()}) {
                 CampaignResult res =
-                    ctx.campaignResult(device, *w, runs);
+                    ctx.campaignResult(device, spec, runs);
                 SystemProjection p = projectToSystem(res, system);
-                table.addRow({device.name, w->name(),
+                table.addRow({device.name, res.workloadName,
                               TextTable::num(
                                   p.mtbfDetectableHours, 1),
                               TextTable::num(p.mtbsSdcHours, 1),

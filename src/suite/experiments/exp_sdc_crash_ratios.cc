@@ -88,23 +88,23 @@ class SdcCrashRatios : public Experiment
             DeviceModel device = makeDevice(id);
             bool k40 = id == DeviceId::K40;
             for (int64_t side : dgemmScaledSides(id)) {
-                auto w = makeDgemmWorkload(device, side);
-                auto res = ctx.campaignResult(device, *w, runs);
+                auto res = ctx.campaignResult(
+                    device, dgemmSpec(side), runs);
                 addRow(table, res,
                        k40 ? "1.1-4x, falls w/ input"
                            : "~4x flat");
                 all.push_back(std::move(res));
             }
             for (const auto &size : lavamdScaledSizes(id)) {
-                auto w = makeLavamdWorkload(device, size);
-                auto res = ctx.campaignResult(device, *w, runs);
+                auto res = ctx.campaignResult(
+                    device, lavamdSpec(size), runs);
                 addRow(table, res,
                        k40 ? "~3x" : "3-12x, rises w/ input");
                 all.push_back(std::move(res));
             }
             {
-                auto w = makeHotspotWorkload(device);
-                auto res = ctx.campaignResult(device, *w, runs);
+                auto res =
+                    ctx.campaignResult(device, hotspotSpec(), runs);
                 addRow(table, res, k40 ? "~7x" : "~3x");
                 all.push_back(std::move(res));
             }

@@ -10,14 +10,13 @@
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
 #include "common/table.hh"
 #include "kernels/amr.hh"
 #include "kernels/clamr.hh"
-#include "kernels/lavamd.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
+#include "suite/spec.hh"
 
 namespace radcrit
 {
@@ -52,41 +51,30 @@ class Table1Kernels : public Experiment
         DeviceModel k40 = makeDevice(DeviceId::K40);
         DeviceModel phi = makeDevice(DeviceId::XeonPhi);
 
-        auto dgemm = makeDgemmWorkload(k40, 128);
-        table.addRow({"DGEMM", "CPU", "Balanced", "Regular",
-                      TextTable::num(
-                          dgemm->traits().controlFlowIntensity, 2),
-                      TextTable::num(dgemm->traits().sfuIntensity,
-                                     2)});
-
-        auto lavamd = makeLavamdWorkload(
-            k40, lavamdScaledSizes(DeviceId::K40)[0]);
-        table.addRow({"LavaMD", "Memory", "Imbalanced", "Regular",
-                      TextTable::num(
-                          lavamd->traits().controlFlowIntensity,
-                          2),
-                      TextTable::num(lavamd->traits().sfuIntensity,
-                                     2)});
-
-        auto hotspot = makeHotspotWorkload(k40);
-        table.addRow({"HotSpot", "Memory", "Balanced", "Regular",
-                      TextTable::num(
-                          hotspot->traits().controlFlowIntensity,
-                          2),
-                      TextTable::num(
-                          hotspot->traits().sfuIntensity, 2)});
-
-        auto clamr = makeClamrWorkload(phi);
-        table.addRow({"CLAMR", "CPU", "Imbalanced", "Irregular",
-                      TextTable::num(
-                          clamr->traits().controlFlowIntensity, 2),
-                      TextTable::num(clamr->traits().sfuIntensity,
-                                     2)});
+        auto addRow = [&](const WorkloadTraits &traits,
+                          const char *bound, const char *balance,
+                          const char *access) {
+            table.addRow({traits.name, bound, balance, access,
+                          TextTable::num(
+                              traits.controlFlowIntensity, 2),
+                          TextTable::num(traits.sfuIntensity, 2)});
+        };
+        addRow(describeWorkload(k40, dgemmSpec(128)).traits, "CPU",
+               "Balanced", "Regular");
+        addRow(describeWorkload(
+                   k40, lavamdSpec(lavamdScaledSizes(DeviceId::K40)[0]))
+                   .traits,
+               "Memory", "Imbalanced", "Regular");
+        addRow(describeWorkload(k40, hotspotSpec()).traits, "Memory",
+               "Balanced", "Regular");
+        // CLAMR's traits come from its golden run: the one built
+        // instance serves the row and the AMR evidence below.
+        Clamr clamr_impl(phi, clamrScaledGrid());
+        addRow(clamr_impl.traits(), "CPU", "Imbalanced", "Irregular");
 
         table.render(std::cout);
 
         // Measured imbalance evidence: CLAMR's AMR work map.
-        Clamr clamr_impl(phi, clamrScaledGrid());
         AmrMap amr(clamr_impl.grid(), 0.5);
         amr.update(clamr_impl.goldenH());
         std::printf("\nmeasured CLAMR AMR imbalance (fraction of "
@@ -100,7 +88,6 @@ class Table1Kernels : public Experiment
                                            clamr_impl.grid()));
 
         // Measured LavaMD border imbalance: neighbor-count spread.
-        LavaMd lava(k40, 7, 42, 2, 4, 15);
         std::printf("measured LavaMD interaction imbalance: corner "
                     "boxes compute 8/27 of a center box's "
                     "neighborhood\n");

@@ -2,17 +2,19 @@
  * @file
  * Paper Table II: parallel kernels' details — domain, input sizes
  * and thread counts, computed from the launch descriptors of the
- * actual implementations on both devices.
+ * actual implementations on both devices. The labels and traits
+ * come from describeWorkload(), so only CLAMR (whose traits need
+ * its golden run) is built.
  */
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
 #include "common/table.hh"
 #include "exec/launch.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
+#include "suite/spec.hh"
 
 namespace radcrit
 {
@@ -20,50 +22,30 @@ namespace
 {
 
 void
-addRows(TextTable &table, const DeviceModel &device)
+addRow(TextTable &table, const DeviceModel &device,
+       const WorkloadSpec &spec, const char *domain,
+       const char *label_suffix = "")
 {
-    DeviceId id = device.name == "K40" ? DeviceId::K40
-                                       : DeviceId::XeonPhi;
-    for (int64_t side : dgemmScaledSides(id)) {
-        auto w = makeDgemmWorkload(device, side);
-        KernelLaunch l = buildLaunch(device, w->traits());
-        table.addRow({device.name, "DGEMM", "Linear algebra",
-                      w->inputLabel(),
-                      TextTable::num(w->traits().totalThreads),
-                      TextTable::num(l.residentThreads),
-                      TextTable::num(l.occupancy, 2),
-                      TextTable::num(l.schedulerStrain, 2)});
-    }
-    for (const auto &size : lavamdScaledSizes(id)) {
-        auto w = makeLavamdWorkload(device, size);
-        KernelLaunch l = buildLaunch(device, w->traits());
-        table.addRow({device.name, "LavaMD",
-                      "Molecular dynamics", w->inputLabel(),
-                      TextTable::num(w->traits().totalThreads),
-                      TextTable::num(l.residentThreads),
-                      TextTable::num(l.occupancy, 2),
-                      TextTable::num(l.schedulerStrain, 2)});
-    }
-    {
-        auto w = makeHotspotWorkload(device);
-        KernelLaunch l = buildLaunch(device, w->traits());
-        table.addRow({device.name, "HotSpot",
-                      "Physics simulation", w->inputLabel(),
-                      TextTable::num(w->traits().totalThreads),
-                      TextTable::num(l.residentThreads),
-                      TextTable::num(l.occupancy, 2),
-                      TextTable::num(l.schedulerStrain, 2)});
-    }
-    {
-        auto w = makeClamrWorkload(device);
-        KernelLaunch l = buildLaunch(device, w->traits());
-        table.addRow({device.name, "CLAMR", "Fluid dynamics",
-                      w->inputLabel() + " (+AMR)",
-                      TextTable::num(w->traits().totalThreads),
-                      TextTable::num(l.residentThreads),
-                      TextTable::num(l.occupancy, 2),
-                      TextTable::num(l.schedulerStrain, 2)});
-    }
+    WorkloadIdentity w = describeWorkload(device, spec);
+    KernelLaunch l = buildLaunch(device, w.traits);
+    table.addRow({device.name, w.traits.name, domain,
+                  w.inputLabel + label_suffix,
+                  TextTable::num(w.traits.totalThreads),
+                  TextTable::num(l.residentThreads),
+                  TextTable::num(l.occupancy, 2),
+                  TextTable::num(l.schedulerStrain, 2)});
+}
+
+void
+addRows(TextTable &table, DeviceId id)
+{
+    DeviceModel device = makeDevice(id);
+    for (int64_t side : dgemmScaledSides(id))
+        addRow(table, device, dgemmSpec(side), "Linear algebra");
+    for (const auto &size : lavamdScaledSizes(id))
+        addRow(table, device, lavamdSpec(size), "Molecular dynamics");
+    addRow(table, device, hotspotSpec(), "Physics simulation");
+    addRow(table, device, clamrSpec(), "Fluid dynamics", " (+AMR)");
     table.addSeparator();
 }
 
@@ -92,7 +74,7 @@ class Table2Inputs : public Experiment
                          "Input size", "#Threads", "resident",
                          "occupancy", "sched strain"});
         for (DeviceId id : allDevices())
-            addRows(table, makeDevice(id));
+            addRows(table, id);
         table.render(std::cout);
         std::printf("\nLavaMD particles/box: 192 on K40, 100 on "
                     "Xeon Phi (paper IV-C, scaled /4 "

@@ -28,7 +28,7 @@ namespace
 {
 
 /**
- * One distinct campaign of the prepass: identity and the
+ * One distinct campaign of the prepass: its spec and identity,
  * everything needed to execute it, plus the results the plan entry
  * is assembled from after the dispatch.
  */
@@ -38,6 +38,14 @@ struct PrepassItem
     /** First experiment that declared it. */
     std::string owner;
     DeviceModel device;
+    WorkloadSpec spec;
+    /** Where the plan key, store key and a hit's launch come from. */
+    WorkloadIdentity id;
+    /**
+     * Built only when the campaign must be simulated, by the
+     * phase-A worker that resolves it as a miss. A CLAMR workload
+     * is built up front: its identity needs its golden run.
+     */
     std::unique_ptr<Workload> workload;
     CampaignConfig cfg;
 
@@ -79,14 +87,15 @@ constexpr uint64_t entryPieceBytes = 256 * 1024;
 CampaignKey
 storeKey(const PrepassItem &item)
 {
-    return CampaignKey{item.device.name, item.workload->name(),
-                       item.workload->inputLabel(), item.cfg.sim};
+    return CampaignKey{item.device.name, item.id.traits.name,
+                       item.id.inputLabel, item.cfg.sim};
 }
 
 /**
  * Collect and dedup the campaigns the selected experiments
  * declare, in declaration order (which fixes owner attribution and
- * the plan's insertion order).
+ * the plan's insertion order). Only CLAMR items build their
+ * workload here, before the prepass clock starts.
  */
 std::vector<std::unique_ptr<PrepassItem>>
 collectItems(const std::vector<Experiment *> &experiments,
@@ -99,11 +108,8 @@ collectItems(const std::vector<Experiment *> &experiments,
         for (const CampaignRequest &req : exp->campaigns(runs)) {
             ++stats.requested;
             DeviceModel device = makeDevice(req.device);
-            std::unique_ptr<Workload> workload =
-                buildWorkload(device, req.workload);
-            std::string key = campaignPlanKey(
-                device.name, workload->name(),
-                workload->inputLabel(), req.runs);
+            std::string key =
+                campaignPlanKey(device.name, req.workload, req.runs);
             if (ctx.planned(key) || !seen.insert(key).second)
                 continue;
             ++stats.distinct;
@@ -112,11 +118,18 @@ collectItems(const std::vector<Experiment *> &experiments,
             item->key = std::move(key);
             item->owner = exp->info().name;
             item->device = std::move(device);
+            item->spec = req.workload;
+            if (req.workload.kind == WorkloadKind::Clamr) {
+                item->workload =
+                    buildWorkload(item->device, req.workload);
+                item->id = describeWorkload(*item->workload);
+            } else {
+                item->id = describeWorkload(item->device, req.workload);
+            }
             item->cfg = defaultCampaign(req.runs, item->device.name,
-                                        workload->name(),
-                                        workload->inputLabel());
+                                        item->id.traits.name,
+                                        item->id.inputLabel);
             item->cfg.sim.jobs = ctx.jobs();
-            item->workload = std::move(workload);
             items.push_back(std::move(item));
         }
     }
@@ -146,10 +159,10 @@ progressLine(uint64_t done, uint64_t total,
  * Phase A for one item, on the worker that finished its
  * last piece: try the store with the joined pieces (materialized
  * hit, same sim/launch/stats carry as simulateOrLoad()), else
- * prepare the campaign for the flattened run dispatch — raw
- * header, launch view, the shared read-only strike sampler, and
- * pre-sized run slots so phase B workers write disjoint elements
- * of a vector that never reallocates.
+ * prepare the campaign for the flattened run dispatch — its
+ * workload, raw header, launch view, the shared read-only strike
+ * sampler, and pre-sized run slots so phase B workers write
+ * disjoint elements of a vector that never reallocates.
  *
  * @return true when the store served the campaign.
  */
@@ -168,19 +181,19 @@ resolveStore(PrepassItem &item, SuiteContext &ctx)
             // jobs is an execution detail outside the key; carry
             // the caller's value (same as simulateOrLoad()).
             item.raw.sim = item.cfg.sim;
-            item.raw.launch =
-                buildLaunch(item.device, item.workload->traits());
+            item.raw.launch = buildLaunch(item.device, item.id.traits);
             item.raw.stats = rebuildSimStats(
                 item.raw, StatsRegistry::global());
             return true;
         }
     }
+    if (!item.workload)
+        item.workload = buildWorkload(item.device, item.spec);
     item.raw.deviceName = item.device.name;
-    item.raw.workloadName = item.workload->name();
-    item.raw.inputLabel = item.workload->inputLabel();
+    item.raw.workloadName = item.id.traits.name;
+    item.raw.inputLabel = item.id.inputLabel;
     item.raw.sim = item.cfg.sim;
-    item.raw.launch =
-        buildLaunch(item.device, item.workload->traits());
+    item.raw.launch = buildLaunch(item.device, item.id.traits);
     item.sampler.emplace(item.device, item.raw.launch);
     item.raw.sensitiveAreaAu = item.sampler->totalWeight();
     item.raw.runs.resize(item.cfg.sim.faultyRuns);
@@ -200,8 +213,8 @@ foldPiece(PrepassItem &item, size_t k)
         return;
     CampaignMeta meta;
     meta.deviceName = item.device.name;
-    meta.workloadName = item.workload->name();
-    meta.inputLabel = item.workload->inputLabel();
+    meta.workloadName = item.id.traits.name;
+    meta.inputLabel = item.id.inputLabel;
     meta.sim = item.cfg.sim;
     auto acc = std::make_unique<AnalysisAccumulator>(
         meta, item.cfg.analysis);
@@ -307,8 +320,9 @@ struct Prepass
  * byte-range pieces claimed one by one across campaigns, so one
  * large entry cannot serialize a warm prepass. The worker that
  * finishes a campaign's last unit resolves it: a hit loads (and
- * precomputes its analysis), a miss builds its raw header,
- * sampler, and run slots for phase B. Larger entries are queued
+ * precomputes its analysis), a miss builds its workload, raw
+ * header, sampler, and run slots for phase B, so misses build in
+ * parallel and a hit builds nothing. Larger entries are queued
  * first, so the longest chain of work starts at once and the
  * small entries fill in around it. Each piece's runs are analyzed
  * as soon as they are parsed.

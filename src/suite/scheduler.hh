@@ -5,7 +5,11 @@
  * Collects every campaign the selected experiments declare,
  * deduplicates them by (device, workload, input, seed, runs)
  * identity, and simulates each distinct campaign exactly once
- * (through the campaign store when one is armed). The raw results
+ * (through the campaign store when one is armed). Keys and a store
+ * hit's launch view come from describeWorkload(), so a campaign's
+ * workload — and its golden output — is built only when the
+ * campaign is simulated (CLAMR, whose launch traits need its
+ * golden run, is built before the prepass clock starts). The raw results
  * land in the context's plan, from which the experiments' pure
  * analyze/render phases are served from memory.
  *
@@ -15,7 +19,8 @@
  *
  *  A. store resolution: every store entry is parsed in byte-range
  *     pieces, largest entries first, and each piece's runs are
- *     folded into the default analysis as they parse;
+ *     folded into the default analysis as they parse; the worker
+ *     that resolves a miss builds its workload;
  *  B. simulation: every missed campaign's runs share one flat
  *     index space, so small campaigns pack alongside large ones
  *     and one expensive campaign cannot serialize the tail. Run k

@@ -1,9 +1,38 @@
 #include "suite/spec.hh"
 
 #include "common/logging.hh"
+#include "kernels/clamr.hh"
+#include "kernels/dgemm.hh"
+#include "kernels/hotspot.hh"
+#include "kernels/lavamd.hh"
 
 namespace radcrit
 {
+
+namespace
+{
+
+/**
+ * @return the input label buildWorkload() of the spec reports, on
+ * any device and for every kind without building it.
+ */
+std::string
+specInputLabel(const WorkloadSpec &spec)
+{
+    switch (spec.kind) {
+      case WorkloadKind::Dgemm:
+        return Dgemm::labelFor(spec.param0);
+      case WorkloadKind::LavaMd:
+        return LavaMd::labelFor(spec.param1);
+      case WorkloadKind::HotSpot:
+        return HotSpot::labelFor(hotspotScaledGrid());
+      case WorkloadKind::Clamr:
+        return Clamr::labelFor(clamrScaledGrid());
+    }
+    panic("bad WorkloadKind %d", static_cast<int>(spec.kind));
+}
+
+} // anonymous namespace
 
 const char *
 workloadKindName(WorkloadKind kind)
@@ -63,6 +92,35 @@ buildWorkload(const DeviceModel &device, const WorkloadSpec &spec)
     panic("bad WorkloadKind %d", static_cast<int>(spec.kind));
 }
 
+// The kernel parameters below are the ones the paperconfigs
+// factories pass; DescribeWorkload.MatchesTheBuiltWorkload holds
+// the two in step.
+WorkloadIdentity
+describeWorkload(const DeviceModel &device, const WorkloadSpec &spec)
+{
+    WorkloadTraits traits;
+    switch (spec.kind) {
+      case WorkloadKind::Dgemm:
+        traits = Dgemm::traitsFor(device, spec.param0);
+        break;
+      case WorkloadKind::LavaMd:
+        traits = LavaMd::traitsFor(device, spec.param1);
+        break;
+      case WorkloadKind::HotSpot:
+        traits = HotSpot::traitsFor(device, hotspotScaledGrid());
+        break;
+      case WorkloadKind::Clamr:
+        return describeWorkload(*buildWorkload(device, spec));
+    }
+    return {specInputLabel(spec), std::move(traits)};
+}
+
+WorkloadIdentity
+describeWorkload(const Workload &workload)
+{
+    return {workload.inputLabel(), workload.traits()};
+}
+
 std::string
 campaignPlanKey(const std::string &device_name,
                 const std::string &workload_name,
@@ -72,6 +130,14 @@ campaignPlanKey(const std::string &device_name,
     // concatenation is injective.
     return device_name + '\x1f' + workload_name + '\x1f' +
         input_label + '\x1f' + std::to_string(runs);
+}
+
+std::string
+campaignPlanKey(const std::string &device_name,
+                const WorkloadSpec &spec, uint64_t runs)
+{
+    return campaignPlanKey(device_name, workloadKindName(spec.kind),
+                           specInputLabel(spec), runs);
 }
 
 std::vector<CampaignRequest>

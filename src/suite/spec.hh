@@ -10,6 +10,10 @@
  * its size parameters; buildWorkload() materializes it through the
  * canonical campaign/paperconfigs factories, so a spec always
  * denotes the same workload a standalone bench would have built.
+ * describeWorkload() gives the same workload's identity (name,
+ * input label, launch traits) without its golden run: that is all
+ * the plan key, the store key, the seed and a store hit need, so
+ * only a campaign that must be simulated builds its workload.
  */
 
 #ifndef RADCRIT_SUITE_SPEC_HH
@@ -61,6 +65,29 @@ std::unique_ptr<Workload>
 buildWorkload(const DeviceModel &device, const WorkloadSpec &spec);
 
 /**
+ * What identifies a workload apart from its golden output: its
+ * input label and its launch traits on the bound device, which
+ * carry its name.
+ */
+struct WorkloadIdentity
+{
+    std::string inputLabel;
+    WorkloadTraits traits;
+};
+
+/**
+ * @return the identity of buildWorkload(device, spec). DGEMM,
+ * LavaMD and HotSpot are described without their golden run.
+ * CLAMR's traits come from the AMR series of its golden run, so a
+ * CLAMR spec is built to be described.
+ */
+WorkloadIdentity describeWorkload(const DeviceModel &device,
+                                  const WorkloadSpec &spec);
+
+/** @return the identity of a built workload. */
+WorkloadIdentity describeWorkload(const Workload &workload);
+
+/**
  * One campaign an experiment needs: device, workload, run count.
  * The seed is not a member — it derives from the labels through
  * defaultCampaign(), exactly as the standalone benches derive it.
@@ -83,6 +110,10 @@ std::string campaignPlanKey(const std::string &device_name,
                             const std::string &workload_name,
                             const std::string &input_label,
                             uint64_t runs);
+
+/** @return the plan key of a spec's campaign on a device. */
+std::string campaignPlanKey(const std::string &device_name,
+                            const WorkloadSpec &spec, uint64_t runs);
 
 /**
  * Helpers enumerating the canonical request sets the paper

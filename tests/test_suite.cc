@@ -244,12 +244,8 @@ TEST(CampaignPlanKey, RequestSetsDedupAcrossExperiments)
     auto keys_of = [](const std::vector<CampaignRequest> &reqs) {
         std::set<std::string> keys;
         for (const auto &req : reqs) {
-            DeviceModel device = makeDevice(req.device);
-            auto workload = buildWorkload(device, req.workload);
-            keys.insert(campaignPlanKey(device.name,
-                                        workload->name(),
-                                        workload->inputLabel(),
-                                        req.runs));
+            keys.insert(campaignPlanKey(deviceIdName(req.device),
+                                        req.workload, req.runs));
         }
         return keys;
     };
@@ -266,6 +262,72 @@ TEST(CampaignPlanKey, RequestSetsDedupAcrossExperiments)
     auto other = keys_of(dgemmRequests(101));
     for (const auto &key : other)
         EXPECT_EQ(dgemm.count(key), 0u);
+}
+
+// ---------------------------------------------------------------
+// Workload identity without the golden run
+// ---------------------------------------------------------------
+
+TEST(DescribeWorkload, MatchesTheBuiltWorkload)
+{
+    // Every canonical spec, on both devices: the described
+    // identity is what the built workload reports, so keys, seeds
+    // and a store hit's launch view cannot tell the two apart.
+    std::vector<WorkloadSpec> specs;
+    for (const auto &reqs :
+         {dgemmRequests(1), lavamdRequests(1), hotspotRequests(1),
+          clamrRequests(1)}) {
+        for (const CampaignRequest &req : reqs)
+            specs.push_back(req.workload);
+    }
+    for (DeviceId id : allDevices()) {
+        DeviceModel device = makeDevice(id);
+        for (const WorkloadSpec &spec : specs) {
+            WorkloadIdentity described = describeWorkload(device, spec);
+            auto built = buildWorkload(device, spec);
+            std::string where = device.name + " " + built->name() +
+                " " + built->inputLabel();
+            EXPECT_EQ(described.traits.name, built->name()) << where;
+            EXPECT_EQ(described.inputLabel, built->inputLabel())
+                << where;
+
+            const WorkloadTraits &a = described.traits;
+            const WorkloadTraits &b = built->traits();
+            EXPECT_EQ(a.totalThreads, b.totalThreads) << where;
+            EXPECT_EQ(a.blockThreads, b.blockThreads) << where;
+            EXPECT_EQ(a.perBlockLocalBytes, b.perBlockLocalBytes)
+                << where;
+            EXPECT_EQ(a.registersPerThread, b.registersPerThread)
+                << where;
+            EXPECT_EQ(a.flopsPerThread, b.flopsPerThread) << where;
+            for (size_t r = 0; r < numResourceKinds; ++r) {
+                auto kind = static_cast<ResourceKind>(r);
+                EXPECT_EQ(a.util(kind), b.util(kind))
+                    << where << " " << resourceKindName(kind);
+            }
+            EXPECT_EQ(a.controlFlowIntensity, b.controlFlowIntensity)
+                << where;
+            EXPECT_EQ(a.sfuIntensity, b.sfuIntensity) << where;
+            EXPECT_EQ(a.kernelInvocations, b.kernelInvocations)
+                << where;
+            EXPECT_EQ(a.doublePrecision, b.doublePrecision) << where;
+            EXPECT_EQ(a.crashExposure, b.crashExposure) << where;
+
+            EXPECT_EQ(campaignPlanKey(device.name, spec, 100),
+                      campaignPlanKey(device.name, built->name(),
+                                      built->inputLabel(), 100))
+                << where;
+            EXPECT_EQ(defaultCampaign(100, device.name,
+                                      described.traits.name,
+                                      described.inputLabel)
+                          .sim.seed,
+                      defaultCampaign(100, device.name,
+                                      built->name(),
+                                      built->inputLabel())
+                          .sim.seed)
+                << where;
+        }
+    }
 }
 
 // ---------------------------------------------------------------
@@ -331,6 +393,59 @@ class PrepassTest : public ::testing::Test
         std::map<std::string, std::string> logs;
     };
 
+    /** What one prepass served the experiments. */
+    struct Served
+    {
+        ScheduleStats stats;
+        /** runRows() of every declared campaign, by plan key. */
+        std::map<std::string, std::vector<std::vector<std::string>>>
+            rows;
+    };
+
+    /**
+     * @return golden-output computations so far of the kernels
+     * whose identity needs none (CLAMR's does).
+     */
+    static double
+    goldenCalls()
+    {
+        StatsSnapshot snap = StatsRegistry::global().snapshot();
+        double calls = 0.0;
+        for (const char *kernel : {"dgemm", "lavamd", "hotspot"}) {
+            calls += snap.value(std::string("kernel.") + kernel +
+                                ".golden.calls");
+        }
+        return calls;
+    }
+
+    /**
+     * Run the prepass for both experiments on a fresh context, then
+     * read every declared campaign back the way an experiment's
+     * run() does.
+     */
+    Served
+    serve(unsigned jobs, CampaignStore *store)
+    {
+        WorkerPool pool(jobs);
+        SuiteContext::Options options;
+        options.jobs = jobs;
+        options.writeCsv = false;
+        options.runsOverride = static_cast<int64_t>(kRuns);
+        SuiteContext ctx(options, store, pool);
+        Served served;
+        served.stats = scheduleCampaigns({&first_, &second_}, ctx);
+        for (Experiment *exp : {&first_, &second_}) {
+            for (const CampaignRequest &req : exp->campaigns(kRuns)) {
+                DeviceModel device = makeDevice(req.device);
+                served.rows[campaignPlanKey(device.name, req.workload,
+                                            kRuns)] =
+                    runRows(ctx.campaignResult(device, req.workload,
+                                               kRuns));
+            }
+        }
+        return served;
+    }
+
     /**
      * Run the prepass for both experiments on `jobs` workers and
      * collect the plan, checking on the way that every entry
@@ -351,10 +466,8 @@ class PrepassTest : public ::testing::Test
         for (Experiment *exp : {&first_, &second_}) {
             for (const CampaignRequest &req : exp->campaigns(kRuns)) {
                 DeviceModel device = makeDevice(req.device);
-                auto workload = buildWorkload(device, req.workload);
-                std::string key = campaignPlanKey(
-                    device.name, workload->name(),
-                    workload->inputLabel(), kRuns);
+                std::string key =
+                    campaignPlanKey(device.name, req.workload, kRuns);
                 const SuiteContext::PlannedCampaign *entry =
                     ctx.planned(key);
                 if (!entry) {
@@ -370,8 +483,8 @@ class PrepassTest : public ::testing::Test
                     continue;
                 }
                 CampaignConfig cfg = defaultCampaign(
-                    kRuns, device.name, workload->name(),
-                    workload->inputLabel());
+                    kRuns, device.name, entry->raw.workloadName,
+                    entry->raw.inputLabel);
                 CampaignResult fresh =
                     analyzeCampaign(entry->raw, cfg.analysis);
                 const CampaignResult &folded = *entry->defaultAnalysis;
@@ -427,6 +540,38 @@ TEST_F(PrepassTest, WarmStoreServesTheColdPlan)
         EXPECT_EQ(warm.logs, cold.logs) << "jobs " << jobs;
     }
     EXPECT_EQ(cold.logs, schedule(1, nullptr).logs);
+}
+
+TEST_F(PrepassTest, WarmPlanComputesNoGolden)
+{
+    // A warm suite run only loads and analyzes: neither the
+    // prepass nor the experiments' reads may build a workload.
+    auto store = CampaignStore::open(dir_);
+    ASSERT_TRUE(store);
+    Served cold = serve(4, store.get());
+    EXPECT_EQ(cold.stats.simulated, kDistinct);
+
+    double before = goldenCalls();
+    Served warm = serve(4, store.get());
+    EXPECT_EQ(goldenCalls(), before);
+    EXPECT_EQ(warm.stats.storeHits, kDistinct);
+    EXPECT_EQ(warm.rows.size(), kDistinct);
+    EXPECT_EQ(warm.rows, cold.rows);
+}
+
+TEST_F(PrepassTest, ColdPlanBuildsEachMissOnce)
+{
+    // The two experiments share one campaign: four declarations,
+    // three misses, so three golden outputs at any --jobs.
+    for (unsigned jobs : {1u, 4u}) {
+        double before = goldenCalls();
+        Served cold = serve(jobs, nullptr);
+        EXPECT_EQ(cold.stats.requested, 4u) << "jobs " << jobs;
+        EXPECT_EQ(cold.stats.simulated, kDistinct) << "jobs " << jobs;
+        EXPECT_EQ(goldenCalls() - before,
+                  static_cast<double>(kDistinct))
+            << "jobs " << jobs;
+    }
 }
 
 TEST_F(PrepassTest, EmptyPlanSchedulesNothing)

@@ -13,7 +13,13 @@ standalone bench shim, then asserts:
     store (simulated == distinct, store_hits == 0), and the second
     run re-simulated nothing (simulated == 0, all planned campaigns
     served from the store, no unplanned misses).
- 3. The suite JSON is valid at the current schema (delegated to
+ 3. Warm figure run builds no workload: a `run 'fig2*' ... 'fig7*'`
+    on the cold run's cache simulates nothing, its JSON stats record
+    no kernel.<dgemm|lavamd|hotspot>.golden calls (store hits are
+    keyed and launched from the workload's identity, not from a
+    built workload), and its CSVs are byte-identical to the cold
+    run's.
+ 4. The suite JSON is valid at the current schema (delegated to
     check_bench_json.py's validator).
 
 Exit code 0 on success; prints a diagnostic and exits 1 on the
@@ -24,6 +30,7 @@ import argparse
 import filecmp
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -39,6 +46,14 @@ from check_bench_json import validate_suite_json  # noqa: E402
 RAW_CLI_EXPERIMENTS = {"kernel_throughput"}
 
 ARTIFACT_EXTS = (".csv", ".ppm")
+
+# The figures whose campaigns a warm store must serve without
+# computing a golden output (CLAMR's identity needs its golden run,
+# so fig8/fig9 are not among them).
+WARM_FIGURE_GLOBS = ["fig2*", "fig3*", "fig4*", "fig5*", "fig6*",
+                     "fig7*"]
+GOLDEN_CALLS = re.compile(
+    r"kernel\.(dgemm|lavamd|hotspot)\.golden\.calls")
 
 
 def fail(msg):
@@ -87,6 +102,39 @@ def compare_artifacts(label_a, dir_a, label_b, dir_b):
     print("check_suite: %d artifacts byte-identical (%s vs %s)" %
           (len(files_a), label_a, label_b))
     return len(files_a)
+
+
+def check_warm_figures(args, suite, cache, cold_out, sandbox):
+    """Warm figure run on the cold run's cache: no golden, same CSVs."""
+    out = os.path.join(sandbox, "suite_figures_warm")
+    run([suite, "run"] + WARM_FIGURE_GLOBS +
+        ["--runs", str(args.runs), "--jobs", "4", "--cache", cache,
+         "--out", out], sandbox)
+    doc = json.load(open(os.path.join(out, "radcrit_suite.json")))
+    validate_suite_json(doc)
+    if doc["campaigns"]["simulated"] != 0:
+        fail("warm figure run simulated %d campaigns" %
+             doc["campaigns"]["simulated"])
+    golden = {name: entry["value"]
+              for name, entry in doc["stats"].items()
+              if GOLDEN_CALLS.fullmatch(name) and entry["value"]}
+    if golden:
+        fail("warm figure run computed golden outputs: %s" % golden)
+    csvs = [name for name in artifact_files(out)
+            if name.endswith(".csv")]
+    if not csvs:
+        fail("warm figure run wrote no CSVs")
+    for name in csvs:
+        cold = os.path.join(cold_out, name)
+        if not os.path.exists(cold):
+            fail("%s written by the warm figure run only" % name)
+        if not filecmp.cmp(os.path.join(out, name), cold,
+                           shallow=False):
+            fail("%s differs between the cold run and the warm "
+                 "figure run" % name)
+    print("check_suite: warm figure run: 0 simulated, no golden "
+          "outputs, %d CSVs byte-identical to the cold run" %
+          len(csvs))
 
 
 def main():
@@ -154,6 +202,8 @@ def check(args, suite, bench_dir, sandbox):
     print("check_suite: cold run: %d requested -> %d distinct, "
           "each simulated once" %
           (camp1["requested"], camp1["distinct"]))
+
+    check_warm_figures(args, suite, cache, suite1, sandbox)
 
     # --- Suite run 2: warm cache, parallel pool. ---------------
     run([suite, "run", "all", "--runs", str(args.runs),
