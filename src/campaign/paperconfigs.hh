@@ -1,7 +1,8 @@
 /**
  * @file
  * Canonical experiment configurations for every paper table and
- * figure, shared by bench/, examples/ and the integration tests.
+ * figure, shared by the suite experiments, examples/ and the
+ * integration tests.
  *
  * Paper sizes and their scaled stand-ins (scale factors documented
  * per kernel; EXPERIMENTS.md records the mapping):

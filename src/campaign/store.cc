@@ -493,6 +493,15 @@ storeFromEnv()
     return CampaignStore::open(dir);
 }
 
+void
+completeStoreHit(CampaignRaw &raw, const DeviceModel &device,
+                 const WorkloadTraits &traits, const SimConfig &config)
+{
+    raw.sim = config;
+    raw.launch = buildLaunch(device, traits);
+    raw.stats = rebuildSimStats(raw, StatsRegistry::global());
+}
+
 CampaignRaw
 simulateOrLoad(const DeviceModel &device, Workload &workload,
                const SimConfig &config, CampaignStore *store,
@@ -502,14 +511,9 @@ simulateOrLoad(const DeviceModel &device, Workload &workload,
         CampaignKey key{device.name, workload.name(),
                         workload.inputLabel(), config};
         if (auto cached = store->load(key)) {
-            CampaignRaw raw = std::move(*cached);
-            // jobs/progressEvery are execution details outside the
-            // key; carry the caller's values.
-            raw.sim = config;
-            raw.launch = buildLaunch(device, workload.traits());
-            raw.stats =
-                rebuildSimStats(raw, StatsRegistry::global());
-            return raw;
+            completeStoreHit(*cached, device, workload.traits(),
+                             config);
+            return std::move(*cached);
         }
     }
     CampaignRaw raw = pool

@@ -17,7 +17,7 @@
  * (logs/beamlog.hh), so anything the store wrote can also be fed to
  * `radcrit_cli analyze` directly.
  *
- * The cache is off by default; benches and the CLI enable it with
+ * The cache is off by default; the suite and the CLI enable it with
  * `--cache <dir>` or the RADCRIT_CAMPAIGN_CACHE environment
  * variable. Hits and misses are counted in the global stats
  * registry under "campaign.store.{hit,miss}".
@@ -186,9 +186,9 @@ class CampaignStore
     void quarantine(const std::string &path, const char *why);
 
     std::string dir_;
-    // Atomic so a store shared across threads (the suite's single
-    // store serving shim-compatible per-experiment lookups) tallies
-    // correctly without external locking.
+    // Atomic so a store shared across threads (the suite prepass
+    // loads entries from every worker) tallies correctly without
+    // external locking.
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> quarantined_{0};
@@ -202,6 +202,17 @@ class CampaignStore
  * unusable path (warned and disabled, see CampaignStore::open()).
  */
 std::unique_ptr<CampaignStore> storeFromEnv();
+
+/**
+ * Complete a store hit into what a fresh simulation of the same
+ * campaign returns: the caller's sim config (jobs and
+ * progressEvery are execution details outside the key), the launch
+ * view of `traits` on `device`, and the simulation counters
+ * rebuilt from the runs (rebuildSimStats()).
+ */
+void completeStoreHit(CampaignRaw &raw, const DeviceModel &device,
+                      const WorkloadTraits &traits,
+                      const SimConfig &config);
 
 /**
  * The store-aware front door to simulation: return the cached raw

@@ -9,7 +9,7 @@
  * "proc.mem.peak_rss_bytes" / "proc.mem.current_rss_bytes" gauges
  * (global registry material: process-shaped, never part of a
  * campaign's jobs-independent snapshot — the campaign runner
- * strips "proc.*" from its kernel diff), and the bench/suite JSON
+ * strips "proc.*" from its kernel diff), and the suite JSON
  * "memory" block and the HTML campaign report surface it.
  *
  * On platforms without /proc the sample comes back invalid and

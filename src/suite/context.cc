@@ -1,11 +1,9 @@
 #include "suite/context.hh"
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 
 #include "common/logging.hh"
-#include "obs/timer.hh"
 #include "suite/experiment.hh"
 #include "suite/spec.hh"
 
@@ -28,7 +26,6 @@ SuiteContext::SuiteContext(const Options &options,
     : options_(options), store_(store), pool_(pool),
       recorder_(&ownRecorder_)
 {
-    ownRecorder_.jobs = options_.jobs;
 }
 
 const std::string &
@@ -58,52 +55,41 @@ void
 SuiteContext::setRecorder(BenchRecorder *recorder)
 {
     recorder_ = recorder ? recorder : &ownRecorder_;
-    recorder_->jobs = options_.jobs;
 }
 
 CampaignRaw
 SuiteContext::campaignRaw(const DeviceModel &device,
                           const WorkloadSpec &spec, uint64_t runs)
 {
-    std::string key = campaignPlanKey(device.name, spec, runs);
-    auto start = std::chrono::steady_clock::now();
-
-    auto it = plan_.find(key);
+    auto it = plan_.find(campaignPlanKey(device.name, spec, runs));
     if (it != plan_.end()) {
-        PlannedCampaign &entry = it->second;
         ++memoryServes_;
-        // The prepass simulation is charged to the first consumer
-        // as a cache miss (with the real simulation wall time), so
-        // per-experiment tallies keep the standalone-bench
-        // semantics: every simulated campaign is some experiment's
-        // miss, every re-use a hit.
-        bool charge = entry.simulated && !entry.charged;
-        if (charge)
-            entry.charged = true;
-        recorder_->addCampaign(entry.raw.runs.size(),
-                               charge ? entry.wallNs
-                                      : elapsedNs(start),
-                               !charge);
-        return entry.raw;
+        recorder_->addCampaign(it->second.raw.runs.size(), true);
+        return it->second.raw;
     }
 
-    // Not in the plan: an undeclared campaign (shim mode, or an
-    // ad-hoc device variant). Same path a standalone bench took.
-    std::unique_ptr<Workload> workload = buildWorkload(device, spec);
+    // Not in the plan: a campaign on an ad-hoc device variant. The
+    // store is looked up by the workload's identity, so a hit builds
+    // no workload and computes no golden output.
+    WorkloadIdentity id = describeWorkload(device, spec);
     CampaignConfig cfg = defaultCampaign(runs, device.name,
-                                         workload->name(),
-                                         workload->inputLabel());
+                                         id.traits.name, id.inputLabel);
     cfg.sim.jobs = options_.jobs;
-    uint64_t hits_before = store_ ? store_->hits() : 0;
-    CampaignRaw raw =
-        simulateOrLoad(device, *workload, cfg.sim, store_, &pool_);
-    bool cached = store_ && store_->hits() > hits_before;
-    if (cached)
-        ++unplannedHits_;
-    else
-        ++unplannedMisses_;
-    recorder_->addCampaign(raw.runs.size(), elapsedNs(start),
-                           cached);
+    if (store_) {
+        if (auto hit = store_->load(CampaignKey{
+                device.name, id.traits.name, id.inputLabel, cfg.sim})) {
+            completeStoreHit(*hit, device, id.traits, cfg.sim);
+            ++unplannedHits_;
+            recorder_->addCampaign(hit->runs.size(), true);
+            return std::move(*hit);
+        }
+    }
+    std::unique_ptr<Workload> workload = buildWorkload(device, spec);
+    CampaignRaw raw = simulateCampaign(device, *workload, cfg.sim, pool_);
+    if (store_)
+        store_->save(raw);
+    ++unplannedMisses_;
+    recorder_->addCampaign(raw.runs.size(), false);
     return raw;
 }
 
@@ -111,24 +97,14 @@ CampaignResult
 SuiteContext::campaignResult(const DeviceModel &device,
                              const WorkloadSpec &spec, uint64_t runs)
 {
-    std::string key = campaignPlanKey(device.name, spec, runs);
-    auto start = std::chrono::steady_clock::now();
-    auto it = plan_.find(key);
-    if (it != plan_.end() && it->second.defaultAnalysis) {
+    const PlannedCampaign *entry =
+        planned(campaignPlanKey(device.name, spec, runs));
+    if (entry && entry->defaultAnalysis) {
         // The prepass already folded the default analysis on the
-        // worker that simulated or loaded this campaign; serve it
-        // with exactly the bookkeeping campaignRaw() would have
-        // done (first consumer gets charged the simulation cost).
-        PlannedCampaign &entry = it->second;
+        // worker that simulated or loaded this campaign.
         ++memoryServes_;
-        bool charge = entry.simulated && !entry.charged;
-        if (charge)
-            entry.charged = true;
-        recorder_->addCampaign(entry.raw.runs.size(),
-                               charge ? entry.wallNs
-                                      : elapsedNs(start),
-                               !charge);
-        return *entry.defaultAnalysis;
+        recorder_->addCampaign(entry->raw.runs.size(), true);
+        return *entry->defaultAnalysis;
     }
 
     CampaignRaw raw = campaignRaw(device, spec, runs);

@@ -1,18 +1,16 @@
 /**
  * @file
- * SuiteContext: the explicit state threaded through experiments,
- * replacing the process-wide mutable singletons the old
- * bench_util.hh header kept (benchRecorder(), benchStore(), the
- * hard-coded bench_out directory).
+ * SuiteContext: the explicit state threaded through experiments.
  *
  * A context owns the output directory policy (--out /
  * RADCRIT_BENCH_OUT / bench_out), points at the campaign store
- * (null = cache off) and the shared WorkerPool, tracks work into a
- * BenchRecorder, and serves raw campaigns: from the scheduler's
- * dedup plan when the suite prepass ran, through the store-aware
- * simulateOrLoad() otherwise. One context serves a whole suite
- * invocation; the driver swaps the active recorder per experiment
- * so the suite JSON can attribute work.
+ * (null = cache off) and the shared WorkerPool, tallies the
+ * campaigns each experiment consumes into a BenchRecorder, and
+ * serves raw campaigns: from the scheduler's dedup plan when the
+ * campaign was declared, from the store or a fresh simulation
+ * otherwise. One context serves a whole suite invocation; the
+ * driver swaps the active recorder per experiment so the suite
+ * JSON can attribute the traffic.
  */
 
 #ifndef RADCRIT_SUITE_CONTEXT_HH
@@ -22,7 +20,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "campaign/runner.hh"
 #include "campaign/store.hh"
@@ -36,39 +33,36 @@ class CliParser;
 class Experiment;
 
 /**
- * Tally of campaign work done on behalf of one experiment (or one
- * whole shim process), feeding the machine-readable results
- * emitters.
+ * Tally of the campaigns one experiment consumed, feeding the suite
+ * JSON. Simulation work is not counted here: the prepass reports it
+ * once for the whole suite.
  */
 struct BenchRecorder
 {
     uint64_t campaigns = 0;
     uint64_t runs = 0;
+    /** Wall ns of the experiment's run() (set by the driver). */
     uint64_t wallNs = 0;
-    /** Worker threads per campaign (resolved, so never 0). */
-    unsigned jobs = 1;
-    /** Campaigns served from cache (store or suite plan). */
+    /** Campaigns served from the plan or the store. */
     uint64_t cacheHits = 0;
     /**
-     * Campaigns simulated (cache off, entry absent, or mismatch);
+     * Undeclared campaigns simulated on demand;
      * cacheHits + cacheMisses == campaigns always.
      */
     uint64_t cacheMisses = 0;
 
     void
-    addCampaign(uint64_t campaign_runs, uint64_t campaign_ns,
-                bool cached)
+    addCampaign(uint64_t campaign_runs, bool cached)
     {
         ++campaigns;
         runs += campaign_runs;
-        wallNs += campaign_ns;
         if (cached)
             ++cacheHits;
         else
             ++cacheMisses;
     }
 
-    /** @return wall nanoseconds per simulated faulty run. */
+    /** @return wall nanoseconds per consumed faulty run. */
     double
     nsPerOp() const
     {
@@ -78,7 +72,7 @@ struct BenchRecorder
                 static_cast<double>(runs);
     }
 
-    /** @return simulated faulty runs per second. */
+    /** @return consumed faulty runs per second. */
     double
     runsPerSecond() const
     {
@@ -90,7 +84,7 @@ struct BenchRecorder
 };
 
 /**
- * Resolve the bench/suite output directory: an explicit CLI value
+ * Resolve the suite output directory: an explicit CLI value
  * wins, then the RADCRIT_BENCH_OUT environment variable, then the
  * historical "bench_out" default.
  */
@@ -155,9 +149,6 @@ class SuiteContext
     /** @return the shared worker pool. */
     WorkerPool &pool() { return pool_; }
 
-    /** @return the recorder campaign work is tallied into. */
-    BenchRecorder &recorder() { return *recorder_; }
-
     /**
      * Point work attribution at `recorder` (the suite driver's
      * per-experiment block), or back at the context's own recorder
@@ -165,36 +156,20 @@ class SuiteContext
      */
     void setRecorder(BenchRecorder *recorder);
 
-    /** @return the active CLI (null when rawShimCli bypassed it). */
+    /** @return the parsed CLI (null when none was installed). */
     const CliParser *cli() const { return cli_; }
 
     /** Install the parsed CLI for option access from run(). */
     void setCli(const CliParser *cli) { cli_ = cli; }
 
-    /** @return raw shim argv (only for rawShimCli experiments). */
-    const std::vector<std::string> &shimArgs() const
-    {
-        return shimArgs_;
-    }
-
-    /** Install raw shim argv. */
-    void
-    setShimArgs(std::vector<std::string> args)
-    {
-        shimArgs_ = std::move(args);
-    }
-
     /**
      * The campaign front door for experiments: the raw canonical
      * campaign for (device, spec, runs) with the seed derived
      * from the labels. Served, in order of preference, from the
-     * suite scheduler's plan (memory, no workload built), the
-     * campaign store, or a fresh simulation on the shared pool;
-     * the last two build the workload through buildWorkload().
-     * Work and cache traffic are tallied into the active recorder;
-     * a plan entry the scheduler simulated charges its simulation
-     * cost to the first consumer (reproducing standalone cache
-     * semantics).
+     * suite scheduler's plan (memory), the campaign store, or a
+     * fresh simulation on the shared pool; only the last builds
+     * the workload. The campaign is tallied into the active
+     * recorder, as a hit unless it was simulated here.
      */
     CampaignRaw campaignRaw(const DeviceModel &device,
                             const WorkloadSpec &spec, uint64_t runs);
@@ -208,14 +183,6 @@ class SuiteContext
     struct PlannedCampaign
     {
         CampaignRaw raw;
-        /** First experiment that declared it. */
-        std::string owner;
-        /** Wall ns of the prepass simulate-or-load. */
-        uint64_t wallNs = 0;
-        /** Simulated by the prepass (false = store hit). */
-        bool simulated = false;
-        /** Simulation cost already charged to a recorder. */
-        bool charged = false;
         /**
          * Default-config analysis precomputed by the prepass on
          * the worker that simulated or loaded the campaign (in
@@ -249,7 +216,6 @@ class SuiteContext
     BenchRecorder ownRecorder_;
     BenchRecorder *recorder_;
     const CliParser *cli_ = nullptr;
-    std::vector<std::string> shimArgs_;
     std::map<std::string, PlannedCampaign> plan_;
     uint64_t memoryServes_ = 0;
     uint64_t unplannedMisses_ = 0;

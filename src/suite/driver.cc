@@ -18,11 +18,11 @@
 #include "exec/chaos.hh"
 #include "exec/pool.hh"
 #include "obs/json.hh"
+#include "obs/procmem.hh"
 #include "obs/stats_registry.hh"
 #include "obs/timeline.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
-#include "suite/render.hh"
 #include "suite/scheduler.hh"
 
 namespace radcrit
@@ -30,6 +30,12 @@ namespace radcrit
 
 namespace
 {
+
+/**
+ * Version of the suite JSON document; tools/check_bench_json.py
+ * validates the same number.
+ */
+constexpr uint64_t benchJsonSchema = 10;
 
 uint64_t
 nowNs()
@@ -45,44 +51,6 @@ envOr(const char *name, const std::string &fallback)
 {
     const char *value = std::getenv(name);
     return value ? value : fallback;
-}
-
-/** Register the standard option set shared by suite and shims. */
-void
-addStandardOptions(CliParser &cli, int64_t default_runs)
-{
-    cli.addInt("runs", default_runs,
-               "faulty runs per campaign"
-               " (-1 = per-experiment default)");
-    cli.addInt("jobs",
-               static_cast<int64_t>(WorkerPool::envJobs(1)),
-               "worker threads (0 = all hardware threads)");
-    cli.addString("cache", envOr("RADCRIT_CAMPAIGN_CACHE", ""),
-                  "campaign cache directory (empty = cache off)");
-    cli.addString("out", "",
-                  "output directory (default: $RADCRIT_BENCH_OUT "
-                  "or bench_out)");
-    cli.addFlag("no-csv", "skip CSV side-output files");
-    cli.addFlag("progress",
-                "report campaign-granular prepass progress "
-                "with an ETA");
-    cli.addString("chaos", envOr("RADCRIT_CHAOS", ""),
-                  "deterministic harness-fault injection spec "
-                  "(e.g. seed=42,runs=300,throws=3,attempts=2; "
-                  "default from RADCRIT_CHAOS; empty = off)");
-}
-
-/** Resolve the standard options into the context options. */
-SuiteContext::Options
-resolveContextOptions(const CliParser &cli, unsigned jobs)
-{
-    SuiteContext::Options options;
-    options.outDir = resolveOutputDir(cli.getString("out"));
-    options.jobs = jobs;
-    options.writeCsv = !cli.getFlag("no-csv");
-    options.runsOverride = cli.getInt("runs");
-    options.progress = cli.getFlag("progress");
-    return options;
 }
 
 /**
@@ -103,17 +71,6 @@ installChaosOption(const CliParser &cli)
     inform("%s", engine->plan().describe().c_str());
     setChaos(engine.get());
     return engine;
-}
-
-/** Resolve --jobs (fatal on negative, 0 = hardware threads). */
-unsigned
-resolveJobsOption(const CliParser &cli)
-{
-    int64_t jobs = cli.getInt("jobs");
-    if (jobs < 0)
-        fatal("--jobs must be >= 0 (got %lld)",
-              static_cast<long long>(jobs));
-    return WorkerPool::resolveJobs(static_cast<unsigned>(jobs));
 }
 
 void
@@ -226,8 +183,62 @@ struct ExperimentBlock
 {
     const Experiment *exp = nullptr;
     BenchRecorder rec;
-    uint64_t wallNs = 0;
 };
+
+/**
+ * Write the "resilience" JSON object from a stats snapshot:
+ * retry/resume/quarantine tallies plus the chaos fault counters,
+ * all zero on a clean run.
+ */
+void
+writeResilienceJson(std::ostream &os, const StatsSnapshot &snap,
+                    int indent)
+{
+    JsonObjectWriter rz(os, indent);
+    for (const char *name :
+         {"retries", "resumed_runs", "watchdog_overdue",
+          "checkpoint_torn_records", "store_quarantined",
+          "chaos_throws", "chaos_stalls",
+          "chaos_corrupt_writes"}) {
+        // The JSON keys are the counter names with their registry
+        // prefixes folded away; every field is present even when
+        // zero so consumers never need existence checks.
+        std::string counter;
+        if (std::string(name) == "store_quarantined")
+            counter = "campaign.store.quarantined";
+        else if (std::string(name) == "watchdog_overdue")
+            counter = "resilience.watchdog.overdue";
+        else if (std::string(name) == "checkpoint_torn_records")
+            counter = "resilience.checkpoint.torn_records";
+        else if (std::string(name, 0, 6) == "chaos_")
+            counter = std::string("resilience.chaos.") +
+                (name + 6);
+        else
+            counter = std::string("resilience.") + name;
+        rz.field(name,
+                 static_cast<uint64_t>(snap.value(counter)));
+    }
+}
+
+/**
+ * Write the "memory" JSON object: a live /proc/self/status RSS
+ * sample (0 when /proc is unavailable) plus the streaming
+ * pipeline's batch accounting from the stats snapshot (0 on a
+ * materialized run).
+ */
+void
+writeMemoryJson(std::ostream &os, const StatsSnapshot &snap,
+                int indent)
+{
+    ProcMemSample mem = readProcMem();
+    JsonObjectWriter m(os, indent);
+    m.field("peak_rss_bytes", mem.peakRssBytes);
+    m.field("current_rss_bytes", mem.currentRssBytes);
+    m.field("stream_batches",
+            static_cast<uint64_t>(snap.value("stream.batches")));
+    m.field("batch_runs",
+            static_cast<uint64_t>(snap.value("stream.batch_runs")));
+}
 
 void
 writeSuiteJson(SuiteContext &ctx, const std::string &path,
@@ -241,7 +252,6 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
     }
 
     BenchRecorder totals;
-    totals.jobs = ctx.jobs();
     for (const ExperimentBlock &block : blocks) {
         totals.campaigns += block.rec.campaigns;
         totals.runs += block.rec.runs;
@@ -250,6 +260,9 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
         totals.cacheMisses += block.rec.cacheMisses;
     }
 
+    // The stats snapshot always carries the process memory gauges,
+    // also for a run that consumed no campaign.
+    publishProcMem(StatsRegistry::global());
     StatsSnapshot snap = StatsRegistry::global().snapshot();
     {
         JsonObjectWriter obj(out);
@@ -266,7 +279,8 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
             // selected experiments made, how many survived dedup,
             // and where each distinct campaign came from. Campaigns
             // on ad-hoc device variants bypass the plan and show up
-            // as unplanned traffic.
+            // as unplanned traffic. Every consumed campaign is one
+            // memory serve or one unplanned hit or miss.
             JsonObjectWriter ded(out, 4);
             ded.field("requested", sched.requested);
             ded.field("distinct", sched.distinct);
@@ -299,8 +313,12 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
         }
 
         obj.beginRawField("sharding");
-        writeShardingJson(out, 4, sched.concurrentPeak,
-                          sched.overlapNs, sched.prepassWallNs);
+        {
+            JsonObjectWriter sh(out, 4);
+            sh.field("concurrent_campaigns", sched.concurrentPeak);
+            sh.field("overlap_ns", sched.overlapNs);
+            sh.field("prepass_wall_ns", sched.prepassWallNs);
+        }
 
         obj.beginRawField("resilience");
         writeResilienceJson(out, snap, 4);
@@ -318,7 +336,7 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
                 one.field("tag", info.tag);
                 one.field("campaigns", block.rec.campaigns);
                 one.field("runs", block.rec.runs);
-                one.field("wall_ns", block.wallNs);
+                one.field("wall_ns", block.rec.wallNs);
                 one.field("cache_hits", block.rec.cacheHits);
                 one.field("cache_misses", block.rec.cacheMisses);
             }
@@ -338,7 +356,25 @@ runSuite(int argc, char **argv)
     ExperimentRegistry &registry = ExperimentRegistry::instance();
 
     CliParser cli("radcrit_suite");
-    addStandardOptions(cli, -1);
+    cli.addInt("runs", -1,
+               "faulty runs per campaign"
+               " (-1 = per-experiment default)");
+    cli.addInt("jobs",
+               static_cast<int64_t>(WorkerPool::envJobs(1)),
+               "worker threads (0 = all hardware threads)");
+    cli.addString("cache", envOr("RADCRIT_CAMPAIGN_CACHE", ""),
+                  "campaign cache directory (empty = cache off)");
+    cli.addString("out", "",
+                  "output directory (default: $RADCRIT_BENCH_OUT "
+                  "or bench_out)");
+    cli.addFlag("no-csv", "skip CSV side-output files");
+    cli.addFlag("progress",
+                "report campaign-granular prepass progress "
+                "with an ETA");
+    cli.addString("chaos", envOr("RADCRIT_CHAOS", ""),
+                  "deterministic harness-fault injection spec "
+                  "(e.g. seed=42,runs=300,throws=3,attempts=2; "
+                  "default from RADCRIT_CHAOS; empty = off)");
     cli.addString("json", "",
                   "suite JSON path (default: "
                   "<out>/radcrit_suite.json)");
@@ -374,7 +410,12 @@ runSuite(int argc, char **argv)
         if (picked.count(exp->info().name))
             selected.push_back(exp);
 
-    unsigned jobs = resolveJobsOption(cli);
+    int64_t jobs_option = cli.getInt("jobs");
+    if (jobs_option < 0)
+        fatal("--jobs must be >= 0 (got %lld)",
+              static_cast<long long>(jobs_option));
+    unsigned jobs =
+        WorkerPool::resolveJobs(static_cast<unsigned>(jobs_option));
     std::unique_ptr<ChaosEngine> chaos_engine =
         installChaosOption(cli);
     std::unique_ptr<CampaignStore> store;
@@ -382,9 +423,14 @@ runSuite(int argc, char **argv)
     if (!cache_dir.empty())
         store = CampaignStore::open(cache_dir);
 
+    SuiteContext::Options options;
+    options.outDir = resolveOutputDir(cli.getString("out"));
+    options.jobs = jobs;
+    options.writeCsv = !cli.getFlag("no-csv");
+    options.runsOverride = cli.getInt("runs");
+    options.progress = cli.getFlag("progress");
     WorkerPool pool(jobs);
-    SuiteContext ctx(resolveContextOptions(cli, jobs), store.get(),
-                     pool);
+    SuiteContext ctx(options, store.get(), pool);
     ctx.setCli(&cli);
 
     std::printf("radcrit_suite: %zu experiment(s), jobs=%u, "
@@ -428,14 +474,13 @@ runSuite(int argc, char **argv)
         const ExperimentInfo &info = exp->info();
         std::printf("\n=== %s [%s] ===\n", info.name.c_str(),
                     info.tag.c_str());
-        ExperimentBlock block;
-        block.exp = exp;
+        ExperimentBlock block{exp, {}};
         ctx.setRecorder(&block.rec);
         uint64_t start = nowNs();
         exp->run(ctx);
-        block.wallNs = nowNs() - start;
+        block.rec.wallNs = nowNs() - start;
         ctx.setRecorder(nullptr);
-        blocks.push_back(std::move(block));
+        blocks.push_back(block);
     }
     uint64_t suite_wall_ns = nowNs() - suite_start;
 
@@ -490,56 +535,6 @@ suiteMain(int argc, char **argv)
           "(expected 'list' or 'run')",
           command.c_str());
     return 1;
-}
-
-int
-experimentShimMain(const std::string &name, int argc, char **argv)
-{
-    Experiment *exp = ExperimentRegistry::instance().find(name);
-    if (!exp)
-        panic("shim references unregistered experiment '%s'",
-              name.c_str());
-    const ExperimentInfo &info = exp->info();
-    std::string prog = "bench_" + name;
-
-    if (info.rawShimCli) {
-        // The experiment wraps an external harness with its own
-        // flag namespace: hand argv through untouched.
-        WorkerPool pool(1);
-        SuiteContext::Options options;
-        options.outDir = resolveOutputDir("");
-        SuiteContext ctx(options, nullptr, pool);
-        ctx.setShimArgs(
-            std::vector<std::string>(argv, argv + argc));
-        exp->run(ctx);
-        return 0;
-    }
-
-    CliParser cli(prog);
-    addStandardOptions(cli,
-                       static_cast<int64_t>(info.defaultRuns));
-    exp->addOptions(cli);
-    cli.parse(argc, argv);
-
-    unsigned jobs = resolveJobsOption(cli);
-    std::unique_ptr<ChaosEngine> chaos_engine =
-        installChaosOption(cli);
-    std::unique_ptr<CampaignStore> store;
-    std::string cache_dir = cli.getString("cache");
-    if (!cache_dir.empty())
-        store = CampaignStore::open(cache_dir);
-
-    WorkerPool pool(jobs);
-    SuiteContext ctx(resolveContextOptions(cli, jobs), store.get(),
-                     pool);
-    ctx.setCli(&cli);
-
-    exp->run(ctx);
-    if (info.benchJson)
-        writeBenchJson(ctx, prog);
-    if (chaos_engine)
-        setChaos(nullptr);
-    return 0;
 }
 
 } // namespace radcrit

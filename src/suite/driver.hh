@@ -9,18 +9,13 @@
  *       [--cache DIR] [--out DIR] [--no-csv] [--json PATH]
  *       [experiment-specific options]
  *
- * `run all` (or any glob) selects experiments from the registry,
- * runs the scheduler's campaign-dedup prepass on one shared
- * WorkerPool, then each experiment's pure analyze/render phase,
- * and emits one suite JSON (version benchJsonSchema, validated by
- * tools/check_bench_json.py) with per-experiment blocks, suite
- * totals and dedup/cache traffic.
- *
- * experimentShimMain() is the whole body of a per-figure shim
- * executable: it resolves one experiment by name, parses the
- * standard bench CLI (plus the experiment's extra options), and
- * reproduces the standalone bench behavior — including the
- * per-bench JSON — on top of the same registry.
+ * `run all` (or any glob, or one experiment's name) selects
+ * experiments from the registry, runs the scheduler's
+ * campaign-dedup prepass on one shared WorkerPool, then each
+ * experiment's pure analyze/render phase, and emits one suite JSON
+ * (validated by tools/check_bench_json.py --suite) with
+ * per-experiment blocks, suite totals and dedup/cache traffic.
+ * This is the only way to run an experiment.
  *
  * printCatalog() renders the `list` output (devices, workloads,
  * experiments) and is shared with radcrit_cli.
@@ -30,22 +25,12 @@
 #define RADCRIT_SUITE_DRIVER_HH
 
 #include <iosfwd>
-#include <string>
 
 namespace radcrit
 {
 
 /** radcrit_suite main. @return process exit code. */
 int suiteMain(int argc, char **argv);
-
-/**
- * Body of a per-figure compatibility shim.
- *
- * @param name Experiment registry name (no "bench_" prefix).
- * @return process exit code.
- */
-int experimentShimMain(const std::string &name, int argc,
-                       char **argv);
 
 /**
  * Render the known devices, workloads, and experiments to `os`,

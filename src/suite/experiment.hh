@@ -7,8 +7,7 @@
  * scheduler's cross-experiment dedup) and renders its output from
  * a SuiteContext. Experiments register themselves at static-init
  * time via RADCRIT_REGISTER_EXPERIMENT, so the one radcrit_suite
- * driver — and the thin per-figure shim executables — discover
- * them by name without a central list.
+ * driver discovers them by name or glob without a central list.
  */
 
 #ifndef RADCRIT_SUITE_EXPERIMENT_HH
@@ -39,19 +38,6 @@ struct ExperimentInfo
     int order = 0;
     /** Default --runs when the user gives none. */
     uint64_t defaultRuns = 200;
-    /**
-     * Emits bench_out/bench_<name>.json when run as a standalone
-     * shim. The suite driver instead folds every experiment into
-     * the one suite document.
-     */
-    bool benchJson = false;
-    /**
-     * The shim passes raw argv through to run() (via
-     * SuiteContext::shimArgs()) instead of parsing the standard
-     * option set — for experiments wrapping an external harness
-     * with its own flags (google-benchmark).
-     */
-    bool rawShimCli = false;
 };
 
 /**

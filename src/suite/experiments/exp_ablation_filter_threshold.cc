@@ -38,8 +38,7 @@ class AblationFilterThreshold : public Experiment
             .summary = "relative-error tolerance sweep over the "
                        "K40-vs-Phi DGEMM comparison",
             .order = 62,
-            .defaultRuns = 400,
-            .benchJson = true};
+            .defaultRuns = 400};
         return info;
     }
 

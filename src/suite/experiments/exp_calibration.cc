@@ -156,8 +156,8 @@ class Calibration : public Experiment
     std::vector<CampaignRequest>
     campaigns(uint64_t runs) const override
     {
-        // Declares the full canonical set; a shim-level --only
-        // restriction never reaches the suite scheduler.
+        // Declares the full canonical set: campaigns() sees no
+        // options, so --only restricts only what run() prints.
         std::vector<CampaignRequest> reqs = dgemmRequests(runs);
         for (const auto &req : lavamdRequests(runs))
             reqs.push_back(req);

@@ -29,8 +29,7 @@ class Fig2DgemmScatter : public Experiment
             .tag = "Fig. 2",
             .summary = "DGEMM mean relative error vs. incorrect "
                        "elements, per device and input",
-            .order = 20,
-            .benchJson = true};
+            .order = 20};
         return info;
     }
 

@@ -29,8 +29,7 @@ class Fig3DgemmLocality : public Experiment
             .tag = "Fig. 3",
             .summary = "DGEMM spatial locality and magnitude "
                        "(relative FIT per error pattern)",
-            .order = 21,
-            .benchJson = true};
+            .order = 21};
         return info;
     }
 

@@ -26,8 +26,7 @@ class Fig4LavamdScatter : public Experiment
             .tag = "Fig. 4",
             .summary = "LavaMD mean relative error vs. incorrect "
                        "elements, per device and input",
-            .order = 22,
-            .benchJson = true};
+            .order = 22};
         return info;
     }
 

@@ -27,8 +27,7 @@ class Fig5LavamdLocality : public Experiment
             .tag = "Fig. 5",
             .summary = "LavaMD spatial locality and magnitude "
                        "(relative FIT per 3D error pattern)",
-            .order = 23,
-            .benchJson = true};
+            .order = 23};
         return info;
     }
 

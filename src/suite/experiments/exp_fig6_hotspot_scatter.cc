@@ -28,8 +28,7 @@ class Fig6HotspotScatter : public Experiment
             .tag = "Fig. 6",
             .summary = "HotSpot mean relative error vs. incorrect "
                        "elements, per device",
-            .order = 24,
-            .benchJson = true};
+            .order = 24};
         return info;
     }
 

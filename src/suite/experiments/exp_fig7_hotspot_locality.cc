@@ -28,8 +28,7 @@ class Fig7HotspotLocality : public Experiment
             .tag = "Fig. 7",
             .summary = "HotSpot spatial locality and magnitude "
                        "(relative FIT per error pattern)",
-            .order = 25,
-            .benchJson = true};
+            .order = 25};
         return info;
     }
 

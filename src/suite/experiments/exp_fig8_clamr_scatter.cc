@@ -26,8 +26,7 @@ class Fig8ClamrScatter : public Experiment
             .summary = "CLAMR mean relative error vs. incorrect "
                        "elements (Xeon Phi only)",
             .order = 26,
-            .defaultRuns = 150,
-            .benchJson = true};
+            .defaultRuns = 150};
         return info;
     }
 

@@ -35,8 +35,7 @@ class Fig9ClamrMap : public Experiment
             .tag = "Fig. 9",
             .summary = "CLAMR error locality map (ASCII + PPM) of "
                        "one representative faulty run",
-            .order = 27,
-            .benchJson = true};
+            .order = 27};
         return info;
     }
 

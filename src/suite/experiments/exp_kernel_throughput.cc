@@ -5,10 +5,9 @@
  * the sanity checks that the simulator can sustain the campaign
  * sizes used by the figure harnesses.
  *
- * As an experiment this wraps the google-benchmark runner: the
- * standalone shim passes its raw argv straight through
- * (rawShimCli), while the suite driver assembles the harness
- * arguments from --gbench-filter / --gbench-min-time.
+ * As an experiment this wraps the google-benchmark runner, with
+ * the harness arguments assembled from the suite's
+ * --gbench-filter / --gbench-min-time.
  */
 
 #include <benchmark/benchmark.h>
@@ -184,8 +183,7 @@ class KernelThroughput : public Experiment
             .tag = "perf",
             .summary = "google-benchmark microbenches of kernel "
                        "golden compute and injection replay",
-            .order = 70,
-            .rawShimCli = true};
+            .order = 70};
         return info;
     }
 
@@ -193,30 +191,23 @@ class KernelThroughput : public Experiment
     addOptions(CliParser &cli) const override
     {
         cli.addString("gbench-filter", "",
-                      "google-benchmark filter regex (suite mode)");
+                      "google-benchmark filter regex");
         cli.addString("gbench-min-time", "0.05",
-                      "google-benchmark min time per bench "
-                      "(suite mode)");
+                      "google-benchmark min time per bench");
     }
 
     void
     run(SuiteContext &ctx) override
     {
-        std::vector<std::string> args;
-        if (!ctx.shimArgs().empty()) {
-            args = ctx.shimArgs();
-        } else {
-            args.push_back("radcrit_suite");
-            std::string filter = ctx.cli()
-                ? ctx.cli()->getString("gbench-filter")
-                : "";
-            std::string min_time = ctx.cli()
-                ? ctx.cli()->getString("gbench-min-time")
-                : "0.05";
-            if (!filter.empty())
-                args.push_back("--benchmark_filter=" + filter);
-            args.push_back("--benchmark_min_time=" + min_time);
-        }
+        std::vector<std::string> args{"radcrit_suite"};
+        std::string filter =
+            ctx.cli() ? ctx.cli()->getString("gbench-filter") : "";
+        if (!filter.empty())
+            args.push_back("--benchmark_filter=" + filter);
+        args.push_back(
+            "--benchmark_min_time=" +
+            (ctx.cli() ? ctx.cli()->getString("gbench-min-time")
+                       : std::string("0.05")));
         std::vector<char *> argv;
         argv.reserve(args.size());
         for (auto &arg : args)

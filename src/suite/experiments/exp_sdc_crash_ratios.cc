@@ -56,8 +56,7 @@ class SdcCrashRatios : public Experiment
             .summary = "SDC : (crash+hang) ratios per device, "
                        "workload and input vs. paper bands",
             .order = 30,
-            .defaultRuns = 300,
-            .benchJson = true};
+            .defaultRuns = 300};
         return info;
     }
 

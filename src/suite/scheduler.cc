@@ -35,8 +35,6 @@ namespace
 struct PrepassItem
 {
     std::string key;
-    /** First experiment that declared it. */
-    std::string owner;
     DeviceModel device;
     WorkloadSpec spec;
     /** Where the plan key, store key and a hit's launch come from. */
@@ -93,8 +91,8 @@ storeKey(const PrepassItem &item)
 
 /**
  * Collect and dedup the campaigns the selected experiments
- * declare, in declaration order (which fixes owner attribution and
- * the plan's insertion order). Only CLAMR items build their
+ * declare, in declaration order (which fixes the plan's insertion
+ * order). Only CLAMR items build their
  * workload here, before the prepass clock starts.
  */
 std::vector<std::unique_ptr<PrepassItem>>
@@ -116,7 +114,6 @@ collectItems(const std::vector<Experiment *> &experiments,
 
             auto item = std::make_unique<PrepassItem>();
             item->key = std::move(key);
-            item->owner = exp->info().name;
             item->device = std::move(device);
             item->spec = req.workload;
             if (req.workload.kind == WorkloadKind::Clamr) {
@@ -157,8 +154,8 @@ progressLine(uint64_t done, uint64_t total,
 
 /**
  * Phase A for one item, on the worker that finished its
- * last piece: try the store with the joined pieces (materialized
- * hit, same sim/launch/stats carry as simulateOrLoad()), else
+ * last piece: try the store with the joined pieces (a materialized
+ * hit, completed by completeStoreHit()), else
  * prepare the campaign for the flattened run dispatch — its
  * workload, raw header, launch view, the shared read-only strike
  * sampler, and pre-sized run slots so phase B workers write
@@ -178,12 +175,8 @@ resolveStore(PrepassItem &item, SuiteContext &ctx)
         if (auto hit =
                 store->load(storeKey(item), std::move(joined))) {
             item.raw = std::move(*hit);
-            // jobs is an execution detail outside the key; carry
-            // the caller's value (same as simulateOrLoad()).
-            item.raw.sim = item.cfg.sim;
-            item.raw.launch = buildLaunch(item.device, item.id.traits);
-            item.raw.stats = rebuildSimStats(
-                item.raw, StatsRegistry::global());
+            completeStoreHit(item.raw, item.device, item.id.traits,
+                             item.cfg.sim);
             return true;
         }
     }
@@ -561,13 +554,8 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
         else
             ++stats.storeHits;
 
-        SuiteContext::PlannedCampaign entry;
-        entry.raw = std::move(item->raw);
-        entry.owner = std::move(item->owner);
-        entry.wallNs = item->wallNs;
-        entry.simulated = item->simulated;
-        entry.defaultAnalysis = std::move(item->analysis);
-        ctx.addPlanned(item->key, std::move(entry));
+        ctx.addPlanned(item->key, {std::move(item->raw),
+                                   std::move(item->analysis)});
     }
     if (stats.wallNs > stats.prepassWallNs)
         stats.overlapNs = stats.wallNs - stats.prepassWallNs;

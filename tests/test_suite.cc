@@ -8,8 +8,8 @@
  *
  * This binary links radcrit_experiments, so the full set of
  * registered paper experiments is visible — the registry tests
- * double as a contract check that every bench shim has a
- * registered backing experiment.
+ * double as a contract check that every paper artifact has a
+ * registered experiment.
  */
 
 #include <gtest/gtest.h>
@@ -40,7 +40,7 @@ namespace
 // Registry contents
 // ---------------------------------------------------------------
 
-/** Every experiment a bench shim fronts must be registered. */
+/** Every paper artifact's experiment must be registered. */
 const char *const kExpectedExperiments[] = {
     "abft_coverage",
     "ablation_filter_threshold",
@@ -500,6 +500,33 @@ class PrepassTest : public ::testing::Test
         return plan;
     }
 
+    /**
+     * @return the beam-log bytes simulateCampaign() produces on
+     * `jobs` workers for every campaign the two experiments
+     * declare, by plan key: what a clean prepass must reproduce.
+     */
+    std::map<std::string, std::string>
+    runnerLogs(unsigned jobs)
+    {
+        std::map<std::string, std::string> logs;
+        for (Experiment *exp : {&first_, &second_}) {
+            for (const CampaignRequest &req : exp->campaigns(kRuns)) {
+                DeviceModel device = makeDevice(req.device);
+                auto workload = buildWorkload(device, req.workload);
+                CampaignConfig cfg = defaultCampaign(
+                    kRuns, device.name, workload->name(),
+                    workload->inputLabel());
+                cfg.sim.jobs = jobs;
+                std::ostringstream log;
+                writeBeamLog(simulateCampaign(device, *workload, cfg.sim),
+                             log);
+                logs[campaignPlanKey(device.name, req.workload,
+                                     kRuns)] = log.str();
+            }
+        }
+        return logs;
+    }
+
     DeclaringExperiment first_{
         "prepass_first",
         {{DeviceId::K40, dgemmSpec(128)},
@@ -523,6 +550,10 @@ TEST_F(PrepassTest, ColdPlanIsIdenticalAtOneAndFourJobs)
     }
     EXPECT_EQ(one.logs.size(), kDistinct);
     EXPECT_EQ(one.logs, four.logs);
+    // Every plan entry is the campaign the runner simulates for the
+    // same config.
+    EXPECT_EQ(one.logs, runnerLogs(1));
+    EXPECT_EQ(four.logs, runnerLogs(4));
 }
 
 TEST_F(PrepassTest, WarmStoreServesTheColdPlan)
@@ -557,6 +588,52 @@ TEST_F(PrepassTest, WarmPlanComputesNoGolden)
     EXPECT_EQ(warm.stats.storeHits, kDistinct);
     EXPECT_EQ(warm.rows.size(), kDistinct);
     EXPECT_EQ(warm.rows, cold.rows);
+}
+
+TEST_F(PrepassTest, WarmUnplannedCampaignComputesNoGolden)
+{
+    // A campaign on an ad-hoc device variant bypasses the plan. The
+    // context looks the store up by the workload's identity, so a
+    // warm store serves it without building the workload.
+    auto store = CampaignStore::open(dir_);
+    ASSERT_TRUE(store);
+    DeviceModel variant = makeDevice(DeviceId::K40);
+    variant.name = "K40+OS-sched";
+    variant.schedulerStrainExponent = 0.14;
+    variant.registerResidencyExposure = false;
+
+    CampaignRaw raws[2];
+    for (int warm : {0, 1}) {
+        WorkerPool pool(2);
+        SuiteContext::Options options;
+        options.jobs = 2;
+        options.writeCsv = false;
+        SuiteContext ctx(options, store.get(), pool);
+        double before = StatsRegistry::global().snapshot().value(
+            "kernel.dgemm.golden.calls");
+        raws[warm] = ctx.campaignRaw(variant, dgemmSpec(128), kRuns);
+        double golden = StatsRegistry::global().snapshot().value(
+                            "kernel.dgemm.golden.calls") -
+            before;
+        EXPECT_EQ(golden, warm ? 0.0 : 1.0) << "warm " << warm;
+        EXPECT_EQ(ctx.unplannedHits(), warm ? 1u : 0u);
+        EXPECT_EQ(ctx.unplannedMisses(), warm ? 0u : 1u);
+    }
+    const CampaignRaw &cold = raws[0];
+    const CampaignRaw &warm = raws[1];
+    ASSERT_EQ(cold.runs.size(), kRuns);
+    // The hit is completed as a fresh simulation: the caller's sim
+    // config and the variant's launch view.
+    EXPECT_EQ(warm.sim.jobs, 2u);
+    EXPECT_EQ(warm.launch.residentThreads, cold.launch.residentThreads);
+    EXPECT_EQ(warm.launch.schedulerStrain, cold.launch.schedulerStrain);
+    EXPECT_EQ(warm.launch.registerExposure,
+              cold.launch.registerExposure);
+    CampaignConfig cfg = defaultCampaign(kRuns, variant.name,
+                                         cold.workloadName,
+                                         cold.inputLabel);
+    EXPECT_EQ(runRows(analyzeCampaign(warm, cfg.analysis)),
+              runRows(analyzeCampaign(cold, cfg.analysis)));
 }
 
 TEST_F(PrepassTest, ColdPlanBuildsEachMissOnce)
@@ -673,8 +750,8 @@ TEST_F(PrepassTest, ChaosRunsMatchTheRunner)
 
 TEST(SuiteOptionsDeathTest, ExecutionShapeFlagsAreUnknown)
 {
-    // The prepass has one shape, so the suite and the shims take no
-    // flag that picks one.
+    // The prepass has one shape, so the suite takes no flag that
+    // picks one.
     for (const char *flag : {"--shard-campaigns", "--stream",
                              "--batch-runs=4", "--io-threads=2"}) {
         char prog[] = "radcrit_suite", run[] = "run", glob[] = "fig2*";
@@ -682,13 +759,6 @@ TEST(SuiteOptionsDeathTest, ExecutionShapeFlagsAreUnknown)
         char *suite_argv[] = {prog, run, glob, option.data()};
         std::string name = option.substr(0, option.find('='));
         EXPECT_EXIT(suiteMain(4, suite_argv),
-                    ::testing::ExitedWithCode(1),
-                    "unknown option " + name)
-            << flag;
-        char shim[] = "bench_fig2_dgemm_scatter";
-        char *shim_argv[] = {shim, option.data()};
-        EXPECT_EXIT(experimentShimMain("fig2_dgemm_scatter", 2,
-                                       shim_argv),
                     ::testing::ExitedWithCode(1),
                     "unknown option " + name)
             << flag;

@@ -1,63 +1,33 @@
 #!/usr/bin/env python3
-"""Validate the machine-readable bench output emitted by writeBenchJson().
+"""Validate the suite JSON document radcrit_suite writes.
 
 Usage:
-    check_bench_json.py <bench_binary> [extra bench args...]
-    check_bench_json.py --no-run <bench_binary>
     check_bench_json.py --suite <radcrit_suite.json>
     check_bench_json.py --docs <repo_root>
 
 With --suite the argument is an existing suite document
-(written by `radcrit_suite run`) and is validated in place: dedup
-accounting (simulated + store_hits == distinct), totals that tally
-with the per-experiment blocks, and the
-pool/sharding/resilience/memory/stats snapshots.
+(written by `radcrit_suite run`) and is validated in place:
+
+  * schema == SCHEMA (10), positive jobs/experiments_run/wall_ns
+  * campaigns is the dedup ledger: simulated + store_hits ==
+    distinct <= requested
+  * totals tally with the per-experiment blocks, every consumed
+    campaign is a hit or a miss, a miss is exactly an unplanned
+    simulation (totals.cache_misses == unplanned_misses) and a hit
+    is a plan serve or an unplanned store hit (totals.cache_hits ==
+    memory_serves + unplanned_hits)
+  * the pool, sharding (prepass concurrency peak, overlap, wall),
+    resilience (retry/resume/quarantine/chaos counters) and memory
+    (RSS sample, stream batch accounting) blocks hold every field
+    as a non-negative integer, never absent
+  * stats is an object of instrument entries, each with a valid
+    kind
 
 With --docs the argument is the repository root: README.md and
 .claude/skills/verify/SKILL.md must quote the current schema
-version, and every bench/suite JSON schema version they quote
+version, and every suite JSON schema version they quote
 ("schema-N", "schema N", or a "schema": N literal on a line about
 bench or suite JSON) must be the current one.
-
-Runs the bench binary (by default with a small --runs count so the
-check stays fast), then parses bench_out/<bench_name>.json from the
-current working directory and validates its shape. Any stale JSON
-from a previous run is deleted first, so a bench that fails to
-write fresh output fails the check instead of passing vacuously
-against old data. With --no-run the bench is not executed and an
-existing file is validated as-is.
-
-Validated shape:
-
-  * schema == SCHEMA (9) and bench matches the binary name
-  * campaigns/runs/wall_ns are positive integers
-  * jobs (worker threads per campaign) is a positive integer
-  * cache_hits/cache_misses are non-negative integers and account
-    for every campaign (hits + misses == campaigns; without
-    --cache every campaign is a miss)
-  * ns_per_op and runs_per_s are positive and mutually consistent
-    (runs_per_s is wall-clock throughput, so it reflects the
-    parallel speedup when jobs > 1)
-  * timings is the perf-trajectory block: wall_ns/runs_per_s
-    mirror the top level, pool_busy_ns/pool_idle_ns are
-    non-negative, pool_utilization is in [0, 1], and phase_ns
-    holds non-negative per-phase wall nanosecond totals whose
-    "total" is positive whenever at least one campaign was
-    actually simulated (cache_misses > 0)
-  * sharding is the suite-prepass block: its concurrency
-    high-water mark, overlap win and wall time (zeros for
-    standalone benches, which have no prepass, never absent)
-  * resilience is the execution-resilience block: every counter
-    (retries, resumes, quarantines, chaos faults) present as a
-    non-negative integer — zero on a clean run, never absent
-  * memory is the process-memory block: peak_rss_bytes /
-    current_rss_bytes from /proc/self/status (peak >= current
-    whenever both are nonzero) plus the streaming pipeline's
-    stream_batches / batch_runs accounting (zero on a
-    materialized run, never absent)
-  * stats is an object of instrument entries, each with a valid
-    kind, and the campaign outcome counters sum to the run tally
-    (infra-quarantined runs included)
 
 Exits 0 on success, 1 with a diagnostic on any violation.
 """
@@ -65,12 +35,11 @@ Exits 0 on success, 1 with a diagnostic on any violation.
 import json
 import os
 import re
-import subprocess
 import sys
 
-# Version of the per-bench and suite documents (benchJsonSchema in
-# src/suite/render.hh).
-SCHEMA = 9
+# Version of the suite document (benchJsonSchema in
+# src/suite/driver.cc).
+SCHEMA = 10
 
 
 def fail(msg):
@@ -107,8 +76,6 @@ def validate_stats(stats):
             fail("%s: unknown kind %r" % (name, kind))
 
 
-PHASES = ("sample", "classify", "replay", "metrics", "total")
-
 RESILIENCE_KEYS = ("retries", "resumed_runs", "watchdog_overdue",
                    "checkpoint_torn_records", "store_quarantined",
                    "chaos_throws", "chaos_stalls",
@@ -140,7 +107,7 @@ SHARDING_KEYS = ("concurrent_campaigns", "overlap_ns",
 def validate_sharding(doc):
     """Check the suite-prepass block.
 
-    Every field is always present (zero for standalone benches)
+    Every field is always present (zero when nothing was planned)
     so consumers can difference documents without existence
     checks.
     """
@@ -189,49 +156,10 @@ def validate_memory(doc):
                          mem["current_rss_bytes"]))
 
 
-def validate_timings(doc):
-    """Check the perf-trajectory block."""
-    timings = doc.get("timings")
-    expect(isinstance(timings, dict),
-           "timings must be an object, got %r" % timings)
-    expect(timings.get("wall_ns") == doc["wall_ns"],
-           "timings.wall_ns (%r) != top-level wall_ns (%r)"
-           % (timings.get("wall_ns"), doc["wall_ns"]))
-    expect(timings.get("runs_per_s") == doc["runs_per_s"],
-           "timings.runs_per_s (%r) != top-level runs_per_s (%r)"
-           % (timings.get("runs_per_s"), doc["runs_per_s"]))
-    for key in ("pool_busy_ns", "pool_idle_ns"):
-        expect(isinstance(timings.get(key), int)
-               and timings[key] >= 0,
-               "timings.%s must be a non-negative integer, got %r"
-               % (key, timings.get(key)))
-    util = timings.get("pool_utilization")
-    expect(isinstance(util, (int, float)) and 0.0 <= util <= 1.0,
-           "timings.pool_utilization must be in [0, 1], got %r"
-           % util)
-    phases = timings.get("phase_ns")
-    expect(isinstance(phases, dict),
-           "timings.phase_ns must be an object, got %r" % phases)
-    for phase in PHASES:
-        expect(isinstance(phases.get(phase), int)
-               and phases[phase] >= 0,
-               "timings.phase_ns.%s must be a non-negative "
-               "integer, got %r" % (phase, phases.get(phase)))
-    if doc["cache_misses"] > 0:
-        expect(phases["total"] > 0,
-               "campaigns were simulated (cache_misses=%d) but "
-               "phase_ns.total is 0: the timings block carries no "
-               "trajectory" % doc["cache_misses"])
-        expect(timings["pool_busy_ns"] > 0,
-               "campaigns were simulated but pool_busy_ns is 0")
-
-
 SUITE_CAMPAIGN_KEYS = ("requested", "distinct", "simulated",
                        "store_hits", "memory_serves",
                        "unplanned_misses", "unplanned_hits",
                        "prepass_wall_ns")
-SUITE_TOTAL_KEYS = ("campaigns", "runs", "wall_ns", "cache_hits",
-                    "cache_misses")
 SUITE_EXP_KEYS = ("campaigns", "runs", "wall_ns", "cache_hits",
                   "cache_misses")
 
@@ -239,9 +167,9 @@ SUITE_EXP_KEYS = ("campaigns", "runs", "wall_ns", "cache_hits",
 def validate_suite_json(doc):
     """Check the suite document written by radcrit_suite.
 
-    Unlike the per-bench document, a suite run may legitimately
-    involve zero campaigns (e.g. `run fig1_setup`), so the totals
-    only need to be non-negative and internally consistent.
+    A suite run may legitimately involve zero campaigns (e.g.
+    `run fig1_setup`), so the totals only need to be non-negative
+    and internally consistent.
     """
     expect(doc.get("schema") == SCHEMA,
            "suite schema must be %d, got %r"
@@ -274,7 +202,7 @@ def validate_suite_json(doc):
     totals = doc.get("totals")
     expect(isinstance(totals, dict),
            "totals must be an object, got %r" % totals)
-    for key in SUITE_TOTAL_KEYS:
+    for key in SUITE_EXP_KEYS:
         expect(isinstance(totals.get(key), int)
                and totals[key] >= 0,
                "totals.%s must be a non-negative integer, got %r"
@@ -285,6 +213,19 @@ def validate_suite_json(doc):
            "account for every consumed campaign (%d)"
            % (totals["cache_hits"], totals["cache_misses"],
               totals["campaigns"]))
+    # A planned campaign is simulated once, by the prepass, and
+    # every consumption of it is a hit; only an undeclared campaign
+    # the store lacks is simulated on demand, as a miss.
+    expect(totals["cache_misses"] == camp["unplanned_misses"],
+           "totals.cache_misses (%d) != campaigns.unplanned_misses "
+           "(%d)" % (totals["cache_misses"],
+                     camp["unplanned_misses"]))
+    expect(totals["cache_hits"]
+           == camp["memory_serves"] + camp["unplanned_hits"],
+           "totals.cache_hits (%d) != campaigns.memory_serves (%d) "
+           "+ unplanned_hits (%d)"
+           % (totals["cache_hits"], camp["memory_serves"],
+              camp["unplanned_hits"]))
     if totals["runs"] > 0:
         for key in ("ns_per_op", "runs_per_s"):
             expect(isinstance(totals.get(key), (int, float))
@@ -325,8 +266,7 @@ def validate_suite_json(doc):
                    "experiments.%s.%s must be a non-negative "
                    "integer, got %r" % (name, key, block.get(key)))
             sums[key] += block[key]
-    for key in ("campaigns", "runs", "cache_hits",
-                "cache_misses"):
+    for key in SUITE_EXP_KEYS:
         expect(sums[key] == totals[key],
                "per-experiment %s sum to %d but totals.%s is %d"
                % (key, sums[key], key, totals[key]))
@@ -354,79 +294,10 @@ def validate_suite_file(path):
              doc["campaigns"]["distinct"]))
 
 
-def validate(path, bench_name):
-    expect(os.path.exists(path),
-           "missing output file %s (the bench did not write its "
-           "JSON)" % path)
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            fail("%s is truncated or not valid JSON: %s"
-                 % (path, e))
-
-    expect(doc.get("schema") == SCHEMA,
-           "schema must be %d, got %r" % (SCHEMA, doc.get("schema")))
-    expect(doc.get("bench") == bench_name,
-           "bench name %r != binary name %r"
-           % (doc.get("bench"), bench_name))
-    for key in ("campaigns", "jobs", "runs", "wall_ns"):
-        expect(isinstance(doc.get(key), int) and doc[key] > 0,
-               "%s must be a positive integer, got %r"
-               % (key, doc.get(key)))
-    for key in ("cache_hits", "cache_misses"):
-        expect(isinstance(doc.get(key), int) and doc[key] >= 0,
-               "%s must be a non-negative integer, got %r"
-               % (key, doc.get(key)))
-    expect(doc["cache_hits"] + doc["cache_misses"]
-           == doc["campaigns"],
-           "cache_hits (%d) + cache_misses (%d) must account for "
-           "every campaign (%d)"
-           % (doc["cache_hits"], doc["cache_misses"],
-              doc["campaigns"]))
-    for key in ("ns_per_op", "runs_per_s"):
-        expect(isinstance(doc.get(key), (int, float))
-               and doc[key] > 0,
-               "%s must be positive, got %r" % (key, doc.get(key)))
-
-    # ns_per_op and runs_per_s must describe the same measurement.
-    ratio = doc["ns_per_op"] * doc["runs_per_s"] / 1e9
-    expect(abs(ratio - 1.0) < 1e-6,
-           "ns_per_op and runs_per_s are inconsistent (ratio %g)"
-           % ratio)
-    expect(abs(doc["ns_per_op"] - doc["wall_ns"] / doc["runs"])
-           < max(1e-6 * doc["ns_per_op"], 1e-3),
-           "ns_per_op does not match wall_ns / runs")
-
-    validate_timings(doc)
-    validate_sharding(doc)
-    validate_resilience(doc)
-    validate_memory(doc)
-    validate_stats(doc.get("stats"))
-
-    # The per-campaign outcome counters in the snapshot must tally
-    # with the bench's total run count.
-    outcome_sum = 0
-    for name, entry in doc["stats"].items():
-        if (name.startswith("campaign.")
-                and name.rsplit(".", 1)[-1]
-                in ("masked", "sdc", "crash", "hang",
-                    "infra_error", "infra_timeout")):
-            outcome_sum += int(entry["value"])
-    expect(outcome_sum == doc["runs"],
-           "outcome counters sum to %d, expected runs == %d"
-           % (outcome_sum, doc["runs"]))
-
-    print("check_bench_json: OK: %s (%d campaigns, %d runs, "
-          "%d jobs, %.0f ns/op, %.1f runs/s)"
-          % (path, doc["campaigns"], doc["runs"], doc["jobs"],
-             doc["ns_per_op"], doc["runs_per_s"]))
-
-
-# The documents that quote the bench/suite JSON schema version.
+# The documents that quote the suite JSON schema version.
 DOC_FILES = ("README.md", os.path.join(".claude", "skills", "verify",
                                        "SKILL.md"))
-# Prose quotes ("schema-9", "schema 9") are always bench/suite
+# Prose quotes ("schema-10", "schema 10") are always suite
 # versions; a "schema": N literal only counts on a line about bench
 # or suite JSON (trace records and the catalog carry their own).
 PROSE_SCHEMA = re.compile(r"\bschema[- ](\d+)\b")
@@ -460,53 +331,13 @@ def validate_docs(root):
 
 def main(argv):
     argv = argv[1:]
-    no_run = "--no-run" in argv
-    argv = [a for a in argv if a != "--no-run"]
-    if argv and argv[0] == "--docs":
-        if len(argv) != 2:
-            print(__doc__, file=sys.stderr)
-            return 2
-        validate_docs(argv[1])
-        return 0
-    if argv and argv[0] == "--suite":
-        # Validate an existing suite JSON (written by
-        # `radcrit_suite run`) instead of running a bench binary.
-        if len(argv) != 2:
-            print(__doc__, file=sys.stderr)
-            return 2
-        validate_suite_file(argv[1])
-        return 0
-    if not argv:
+    if len(argv) != 2 or argv[0] not in ("--suite", "--docs"):
         print(__doc__, file=sys.stderr)
         return 2
-    binary = argv[0]
-    args = argv[1:] or ["--runs", "20"]
-    bench_name = os.path.basename(binary)
-    path = os.path.join("bench_out", bench_name + ".json")
-
-    if not no_run:
-        if not os.path.exists(binary):
-            fail("bench binary %s does not exist (build it "
-                 "first)" % binary)
-        # Drop stale output so a bench that fails to write its
-        # JSON is reported as missing, not validated against old
-        # data.
-        try:
-            os.remove(path)
-        except FileNotFoundError:
-            pass
-        try:
-            proc = subprocess.run([binary] + args,
-                                  stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE)
-        except OSError as e:
-            fail("cannot execute %s: %s" % (binary, e))
-        if proc.returncode != 0:
-            fail("%s exited with %d:\n%s"
-                 % (bench_name, proc.returncode,
-                    proc.stderr.decode(errors="replace")))
-
-    validate(path, bench_name)
+    if argv[0] == "--docs":
+        validate_docs(argv[1])
+    else:
+        validate_suite_file(argv[1])
     return 0
 
 

@@ -1,26 +1,29 @@
 #!/usr/bin/env python3
-"""Suite-vs-shim equivalence check for the radcrit experiment suite.
+"""End-to-end check of the radcrit experiment suite.
 
 Runs ``radcrit_suite run all`` twice through a shared campaign
-cache -- once at ``--jobs 1`` and once at ``--jobs 8`` -- plus every
-standalone bench shim, then asserts:
+cache -- once cold at ``--jobs 1`` and once warm at ``--jobs 8`` --
+then every experiment alone through a second shared cache, and
+asserts:
 
- 1. Artifact determinism: the CSV/PPM files the suite writes are
-    byte-identical across jobs counts AND byte-identical to what the
-    standalone shims produce.
- 2. Dedup accounting: the first suite run's JSON proves every
-    distinct campaign was simulated exactly once against an empty
-    store (simulated == distinct, store_hits == 0), and the second
-    run re-simulated nothing (simulated == 0, all planned campaigns
+ 1. Artifact determinism: the CSV/PPM files ``run all`` writes are
+    byte-identical across jobs counts, and each experiment run
+    alone (``run <name>``) writes byte-identical copies of the
+    files it owns; together the single runs write every file
+    ``run all`` does.
+ 2. Dedup accounting: the cold run's JSON proves every distinct
+    campaign was simulated exactly once against an empty store
+    (simulated == distinct, store_hits == 0), and the warm run
+    re-simulated nothing (simulated == 0, all planned campaigns
     served from the store, no unplanned misses).
- 3. Warm figure run builds no workload: a `run 'fig2*' ... 'fig7*'`
-    on the cold run's cache simulates nothing, its JSON stats record
-    no kernel.<dgemm|lavamd|hotspot>.golden calls (store hits are
-    keyed and launched from the workload's identity, not from a
-    built workload), and its CSVs are byte-identical to the cold
-    run's.
- 4. The suite JSON is valid at the current schema (delegated to
-    check_bench_json.py's validator).
+ 3. Warm figure run builds and replays nothing: a `run 'fig2*' ...
+    'fig7*'` on the cold run's cache simulates nothing, its JSON
+    stats record no kernel.<dgemm|lavamd|hotspot>.golden calls (store
+    hits are keyed and launched from the workload's identity, not
+    from a built workload) and no kernel.*.inject calls, and its CSVs
+    are byte-identical to the cold run's.
+ 4. Every suite JSON written is valid at the current schema
+    (delegated to check_bench_json.py's validator).
 
 Exit code 0 on success; prints a diagnostic and exits 1 on the
 first violation.
@@ -39,11 +42,9 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from check_bench_json import validate_suite_json  # noqa: E402
 
-# The shim for this experiment forwards its raw argv to the google
-# benchmark harness: it takes no --runs/--out options and writes no
-# artifacts, so the shim phase skips it (the suite runs still
-# exercise it through "run all").
-RAW_CLI_EXPERIMENTS = {"kernel_throughput"}
+# google-benchmark timings, no artifacts: the single-experiment
+# phase skips it ("run all" still exercises it).
+NOT_RUN_ALONE = {"kernel_throughput"}
 
 ARTIFACT_EXTS = (".csv", ".ppm")
 
@@ -54,6 +55,7 @@ WARM_FIGURE_GLOBS = ["fig2*", "fig3*", "fig4*", "fig5*", "fig6*",
                      "fig7*"]
 GOLDEN_CALLS = re.compile(
     r"kernel\.(dgemm|lavamd|hotspot)\.golden\.calls")
+INJECT_CALLS = re.compile(r"kernel\.\w+\.inject\.calls")
 
 
 def fail(msg):
@@ -120,6 +122,11 @@ def check_warm_figures(args, suite, cache, cold_out, sandbox):
               if GOLDEN_CALLS.fullmatch(name) and entry["value"]}
     if golden:
         fail("warm figure run computed golden outputs: %s" % golden)
+    inject = {name: entry["value"]
+              for name, entry in doc["stats"].items()
+              if INJECT_CALLS.fullmatch(name) and entry["value"]}
+    if inject:
+        fail("warm figure run replayed fault injections: %s" % inject)
     csvs = [name for name in artifact_files(out)
             if name.endswith(".csv")]
     if not csvs:
@@ -133,35 +140,60 @@ def check_warm_figures(args, suite, cache, cold_out, sandbox):
             fail("%s differs between the cold run and the warm "
                  "figure run" % name)
     print("check_suite: warm figure run: 0 simulated, no golden "
-          "outputs, %d CSVs byte-identical to the cold run" %
-          len(csvs))
+          "outputs, no injections, %d CSVs byte-identical to the "
+          "cold run" % len(csvs))
+
+
+def check_single_experiments(args, suite, names, all_out, sandbox):
+    """Each experiment alone writes exactly its share of run all."""
+    cache = os.path.join(sandbox, "single_cache")
+    all_files = artifact_files(all_out)
+    covered = set()
+    for name in names:
+        if name in NOT_RUN_ALONE:
+            continue
+        out = os.path.join(sandbox, "single", name)
+        run([suite, "run", name, "--runs", str(args.runs),
+             "--jobs", "4", "--cache", cache, "--out", out], sandbox)
+        validate_suite_json(
+            json.load(open(os.path.join(out, "radcrit_suite.json"))))
+        for fname, path in artifact_files(out).items():
+            if fname not in all_files:
+                fail("%s written by 'run %s' but not by 'run all'" %
+                     (fname, name))
+            if fname in covered:
+                fail("%s written by more than one experiment" % fname)
+            if not filecmp.cmp(path, all_files[fname], shallow=False):
+                fail("%s differs between 'run %s' and 'run all'" %
+                     (fname, name))
+            covered.add(fname)
+    missing = sorted(set(all_files) - covered)
+    if missing:
+        fail("no single experiment wrote %s" % missing)
+    print("check_suite: %d artifacts byte-identical (each experiment "
+          "alone vs run all)" % len(covered))
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--suite", required=True,
                     help="path to the radcrit_suite binary")
-    ap.add_argument("--bench-dir", required=True,
-                    help="directory holding the bench_* shims")
     ap.add_argument("--runs", type=int, default=12)
     args = ap.parse_args()
 
     suite = os.path.abspath(args.suite)
-    bench_dir = os.path.abspath(args.bench_dir)
     sandbox = tempfile.mkdtemp(prefix="radcrit_check_suite_")
     try:
-        check(args, suite, bench_dir, sandbox)
+        check(args, suite, sandbox)
     finally:
         shutil.rmtree(sandbox, ignore_errors=True)
     print("check_suite: OK")
 
 
-def check(args, suite, bench_dir, sandbox):
+def check(args, suite, sandbox):
     cache = os.path.join(sandbox, "cache")
     suite1 = os.path.join(sandbox, "suite_jobs1")
     suite8 = os.path.join(sandbox, "suite_jobs8")
-    shim_out = os.path.join(sandbox, "shim_out")
-    shim_cache = os.path.join(sandbox, "shim_cache")
 
     catalog = json.loads(run([suite, "list", "--json"], sandbox))
     names = [e["name"] for e in catalog["experiments"]]
@@ -229,25 +261,13 @@ def check(args, suite, bench_dir, sandbox):
     print("check_suite: warm run: 0 simulated, %d store hits" %
           camp2["store_hits"])
 
-    # --- Standalone shims. -------------------------------------
-    os.makedirs(shim_out, exist_ok=True)
-    for name in names:
-        if name in RAW_CLI_EXPERIMENTS:
-            continue
-        shim = os.path.join(bench_dir, "bench_" + name)
-        if not os.path.exists(shim):
-            fail("missing shim binary %s" % shim)
-        run([shim, "--runs", str(args.runs), "--out", shim_out,
-             "--cache", shim_cache], sandbox)
-
-    # Shims also drop per-bench JSON files next to the
-    # CSVs; the comparison below only looks at CSV/PPM artifacts.
     n = compare_artifacts("suite --jobs 1", suite1,
                           "suite --jobs 8", suite8)
-    compare_artifacts("suite --jobs 1", suite1, "shims", shim_out)
     if n < 5:
         fail("only %d artifacts compared; expected the figure "
-             "benches to produce more" % n)
+             "experiments to produce more" % n)
+
+    check_single_experiments(args, suite, names, suite1, sandbox)
 
 
 if __name__ == "__main__":

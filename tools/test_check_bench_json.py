@@ -5,26 +5,26 @@ Usage:
     test_check_bench_json.py <mode>
 
 Modes:
-    missing    bench exits 0 but writes no JSON; a stale file from
-               a previous run is present and must NOT rescue the
-               check (the vacuous-pass regression)
-    truncated  bench writes a truncated JSON document
-    schema     bench writes a well-formed but outdated schema-4
-               document (no resilience block); the checker must
-               reject it, not silently accept old producers
-    docs       a README that still quotes an older bench JSON
+    missing    the suite document named on the command line does
+               not exist; the checker must fail naming it
+    truncated  the suite document is cut off mid-object
+    schema     a well-formed suite document passes at the current
+               schema and is rejected when it carries the previous
+               one, so old producers are not silently accepted
+    ledger     a suite document that counts a plan serve as a
+               cache miss (the old first-consumer charge) is
+               rejected: a miss is only an unplanned simulation
+    docs       a README that still quotes an older suite JSON
                schema must fail the --docs check, and one quoting
                the current schema must pass it
 
-Each mode builds a sandbox with a fake bench binary, runs
-check_bench_json.py against it, and requires a nonzero exit with
-the matching diagnostic on stderr. Exits 0 when the checker
-behaves, 1 otherwise.
+Each mode builds a sandbox, runs check_bench_json.py against it,
+and requires the matching exit status and diagnostic on stderr.
+Exits 0 when the checker behaves, 1 otherwise.
 """
 
+import json
 import os
-import re
-import stat
 import subprocess
 import sys
 import tempfile
@@ -35,79 +35,56 @@ CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 sys.path.insert(0, os.path.dirname(CHECKER))
 from check_bench_json import SCHEMA  # noqa: E402
 
-STALE_JSON = """{
-  "schema": %d,
-  "bench": "fake_bench",
-  "campaigns": 1,
-  "jobs": 1,
-  "runs": 4,
-  "wall_ns": 4000,
-  "cache_hits": 0,
-  "cache_misses": 1,
-  "ns_per_op": 1000,
-  "runs_per_s": 1000000.0,
-  "timings": {
-    "wall_ns": 4000,
-    "runs_per_s": 1000000.0,
-    "pool_busy_ns": 3000,
-    "pool_idle_ns": 1000,
-    "pool_utilization": 0.75,
-    "phase_ns": {
-      "sample": 500,
-      "classify": 500,
-      "replay": 1500,
-      "metrics": 500,
-      "total": 3000
+
+def suite_doc(schema=SCHEMA):
+    """@return a valid suite document: one experiment consuming one
+    planned campaign twice (one simulation, two plan serves)."""
+    return {
+        "schema": schema,
+        "suite": "radcrit_suite",
+        "jobs": 1,
+        "experiments_run": 1,
+        "wall_ns": 9000,
+        "campaigns": {
+            "requested": 2, "distinct": 1, "simulated": 1,
+            "store_hits": 0, "memory_serves": 2,
+            "unplanned_misses": 0, "unplanned_hits": 0,
+            "prepass_wall_ns": 3000,
+        },
+        "totals": {
+            "campaigns": 2, "runs": 8, "wall_ns": 4000,
+            "cache_hits": 2, "cache_misses": 0,
+            "ns_per_op": 500.0, "runs_per_s": 2000000.0,
+        },
+        "pool": {"jobs": 1, "dispatches": 3},
+        "sharding": {"concurrent_campaigns": 1, "overlap_ns": 0,
+                     "prepass_wall_ns": 3000},
+        "resilience": {key: 0 for key in (
+            "retries", "resumed_runs", "watchdog_overdue",
+            "checkpoint_torn_records", "store_quarantined",
+            "chaos_throws", "chaos_stalls", "chaos_corrupt_writes")},
+        "memory": {"peak_rss_bytes": 20971520,
+                   "current_rss_bytes": 10485760,
+                   "stream_batches": 0, "batch_runs": 0},
+        "experiments": {
+            "fake_experiment": {
+                "tag": "test", "campaigns": 2, "runs": 8,
+                "wall_ns": 4000, "cache_hits": 2, "cache_misses": 0,
+            },
+        },
+        "stats": {
+            "campaign.k40.dgemm.masked": {"kind": "counter",
+                                          "value": 2},
+            "campaign.k40.dgemm.sdc": {"kind": "counter", "value": 2},
+        },
     }
-  },
-  "sharding": {
-    "concurrent_campaigns": 0,
-    "overlap_ns": 0,
-    "prepass_wall_ns": 0
-  },
-  "resilience": {
-    "retries": 0,
-    "resumed_runs": 0,
-    "watchdog_overdue": 0,
-    "checkpoint_torn_records": 0,
-    "store_quarantined": 0,
-    "chaos_throws": 0,
-    "chaos_stalls": 0,
-    "chaos_corrupt_writes": 0
-  },
-  "memory": {
-    "peak_rss_bytes": 20971520,
-    "current_rss_bytes": 10485760,
-    "stream_batches": 0,
-    "batch_runs": 0
-  },
-  "stats": {
-    "campaign.k40.dgemm.masked": {"kind": "counter", "value": 1},
-    "campaign.k40.dgemm.sdc": {"kind": "counter", "value": 1},
-    "campaign.k40.dgemm.crash": {"kind": "counter", "value": 1},
-    "campaign.k40.dgemm.hang": {"kind": "counter", "value": 1}
-  }
-}
-""" % SCHEMA
-
-# A document an old (pre-resilience) bench would emit.
-SCHEMA4_JSON = re.sub(r'"schema": \d+', '"schema": 4', STALE_JSON)
-in_block = False
-lines = []
-for line in SCHEMA4_JSON.splitlines():
-    if '"resilience"' in line:
-        in_block = True
-    if not in_block:
-        lines.append(line)
-    elif in_block and line == "  },":
-        in_block = False
-SCHEMA4_JSON = "\n".join(lines) + "\n"
 
 
-def write_fake_bench(path, body):
+def write_doc(sandbox, doc):
+    path = os.path.join(sandbox, "radcrit_suite.json")
     with open(path, "w") as f:
-        f.write("#!/bin/sh\n" + body)
-    os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
+        json.dump(doc, f, indent=2)
+    return path
 
 
 def run_checker(cwd, *args):
@@ -128,31 +105,24 @@ def expect(cond, msg, proc):
 
 
 def mode_missing(sandbox):
-    """Bench writes nothing; stale JSON must not pass the check."""
-    os.makedirs(os.path.join(sandbox, "bench_out"))
-    with open(os.path.join(sandbox, "bench_out",
-                           "fake_bench.json"), "w") as f:
-        f.write(STALE_JSON)
-    bench = os.path.join(sandbox, "fake_bench")
-    write_fake_bench(bench, "exit 0\n")
-    proc = run_checker(sandbox, bench)
+    """A suite document that was never written must fail."""
+    path = os.path.join(sandbox, "radcrit_suite.json")
+    proc = run_checker(sandbox, "--suite", path)
     expect(proc.returncode != 0,
-           "checker passed even though the bench wrote no JSON "
-           "(validated a stale file)", proc)
-    expect("missing output file" in proc.stderr,
+           "checker passed on a suite document that does not exist",
+           proc)
+    expect("missing suite output file" in proc.stderr,
            "diagnostic does not name the missing output file",
            proc)
 
 
 def mode_truncated(sandbox):
-    """Bench writes half a document; must fail as invalid JSON."""
-    bench = os.path.join(sandbox, "fake_bench")
-    write_fake_bench(
-        bench,
-        "mkdir -p bench_out\n"
-        "printf '{\"schema\": 2, \"bench\": \"fake_b' "
-        "> bench_out/fake_bench.json\n")
-    proc = run_checker(sandbox, bench)
+    """Half a suite document must fail as invalid JSON."""
+    path = os.path.join(sandbox, "radcrit_suite.json")
+    text = json.dumps(suite_doc(), indent=2)
+    with open(path, "w") as f:
+        f.write(text[:len(text) // 2])
+    proc = run_checker(sandbox, "--suite", path)
     expect(proc.returncode != 0,
            "checker passed on truncated JSON", proc)
     expect("truncated or not valid JSON" in proc.stderr,
@@ -161,18 +131,34 @@ def mode_truncated(sandbox):
 
 
 def mode_schema(sandbox):
-    """A schema-4 document (old producer) must be rejected."""
-    bench = os.path.join(sandbox, "fake_bench")
-    write_fake_bench(
-        bench,
-        "mkdir -p bench_out\n"
-        "cat > bench_out/fake_bench.json <<'JSON'\n"
-        + SCHEMA4_JSON + "JSON\n")
-    proc = run_checker(sandbox, bench)
+    """The current schema passes; the previous one is rejected."""
+    proc = run_checker(sandbox, "--suite",
+                       write_doc(sandbox, suite_doc()))
+    expect(proc.returncode == 0,
+           "checker rejected a valid schema-%d document" % SCHEMA,
+           proc)
+    proc = run_checker(sandbox, "--suite",
+                       write_doc(sandbox, suite_doc(SCHEMA - 1)))
     expect(proc.returncode != 0,
-           "checker accepted an outdated schema-4 document", proc)
-    expect("schema must be %d" % SCHEMA in proc.stderr,
+           "checker accepted an outdated schema-%d document"
+           % (SCHEMA - 1), proc)
+    expect("suite schema must be %d" % SCHEMA in proc.stderr,
            "diagnostic does not name the expected schema", proc)
+
+
+def mode_ledger(sandbox):
+    """A plan serve counted as a miss must be rejected."""
+    doc = suite_doc()
+    for block in (doc["totals"],
+                  doc["experiments"]["fake_experiment"]):
+        block["cache_hits"] = 1
+        block["cache_misses"] = 1
+    proc = run_checker(sandbox, "--suite", write_doc(sandbox, doc))
+    expect(proc.returncode != 0,
+           "checker accepted a plan serve counted as a miss", proc)
+    expect("totals.cache_misses (1) != campaigns.unplanned_misses "
+           "(0)" in proc.stderr,
+           "diagnostic does not name the miss ledger", proc)
 
 
 def mode_docs(sandbox):
@@ -184,7 +170,7 @@ def mode_docs(sandbox):
     readme = os.path.join(sandbox, "README.md")
     with open(readme, "w") as f:
         f.write('Trace records carry `"schema": 1`.\n'
-                'Bench JSON (schema %d) records the traffic.\n'
+                'Suite JSON (schema %d) records the traffic.\n'
                 % (SCHEMA - 1))
     proc = run_checker(sandbox, "--docs", sandbox)
     expect(proc.returncode != 0,
@@ -195,7 +181,7 @@ def mode_docs(sandbox):
            "diagnostic does not name the stale quote", proc)
     with open(readme, "w") as f:
         f.write('Trace records carry `"schema": 1`.\n'
-                'Bench JSON (schema %d) records the traffic.\n'
+                'Suite JSON (schema %d) records the traffic.\n'
                 % SCHEMA)
     proc = run_checker(sandbox, "--docs", sandbox)
     expect(proc.returncode == 0,
@@ -206,6 +192,7 @@ MODES = {
     "missing": mode_missing,
     "truncated": mode_truncated,
     "schema": mode_schema,
+    "ledger": mode_ledger,
     "docs": mode_docs,
 }
 
