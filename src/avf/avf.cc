@@ -15,8 +15,7 @@ computeAvf(const CampaignResult &result)
         // Infra outcomes are harness failures, not device faults:
         // the strike never manifested, so it contributes to no
         // vulnerability factor.
-        if (run.outcome == Outcome::InfraError ||
-            run.outcome == Outcome::InfraTimeout)
+        if (isInfraOutcome(run.outcome))
             continue;
         auto i = static_cast<size_t>(run.strike.resource);
         ++strikes[i];
@@ -72,6 +71,9 @@ injectorCoverage(const CampaignResult &result)
     uint64_t det = 0, det_vis = 0;
 
     for (const auto &run : result.runs) {
+        // Quarantined runs count nowhere, as in computeAvf().
+        if (isInfraOutcome(run.outcome))
+            continue;
         bool visible = injectorAccessible(run.strike.resource);
         ++strikes;
         strikes_vis += visible;

@@ -75,7 +75,7 @@ struct InjectorCoverage
 /**
  * Quantify how much of the campaign's observed behaviour a
  * software fault injector restricted to injectorAccessible()
- * resources would capture.
+ * resources would capture. Quarantined (infra) runs count nowhere.
  */
 InjectorCoverage
 injectorCoverage(const CampaignResult &result);

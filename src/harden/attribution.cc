@@ -8,13 +8,16 @@ namespace radcrit
 {
 
 std::vector<ResourceCriticality>
-attributeCriticality(const CampaignResult &result)
+attributeCriticality(const CampaignResult &result,
+                     const DeviceModel &device)
 {
     std::array<ResourceCriticality, numResourceKinds> acc{};
     for (size_t i = 0; i < numResourceKinds; ++i)
         acc[i].resource = static_cast<ResourceKind>(i);
 
     for (const auto &run : result.runs) {
+        if (isInfraOutcome(run.outcome))
+            continue;
         auto &r = acc[static_cast<size_t>(run.strike.resource)];
         ++r.strikes;
         switch (run.outcome) {
@@ -35,8 +38,6 @@ attributeCriticality(const CampaignResult &result)
     }
 
     // Weight shares come from the sampler the campaign used.
-    DeviceModel device = result.deviceName == "K40"
-        ? makeK40() : makeXeonPhi();
     StrikeSampler sampler(device, result.launch);
     for (auto &r : acc) {
         r.weightShare = sampler.weight(r.resource) /

@@ -39,10 +39,13 @@ struct ResourceCriticality
 
 /**
  * Attribute the campaign's critical FIT to resources, sorted by
- * descending criticalFitAu.
+ * descending criticalFitAu. `device` is the model the campaign ran
+ * on; its weights give the shares. Quarantined (infra) runs are
+ * harness failures, not strikes, and count nowhere.
  */
 std::vector<ResourceCriticality>
-attributeCriticality(const CampaignResult &result);
+attributeCriticality(const CampaignResult &result,
+                     const DeviceModel &device);
 
 } // namespace radcrit
 

@@ -69,6 +69,16 @@ constexpr size_t numOutcomes =
 /** @return a stable printable name of the outcome. */
 const char *outcomeName(Outcome o);
 
+/**
+ * @return whether the run was quarantined (InfraError or
+ * InfraTimeout): its strike never reached the device.
+ */
+inline bool
+isInfraOutcome(Outcome o)
+{
+    return o == Outcome::InfraError || o == Outcome::InfraTimeout;
+}
+
 } // namespace radcrit
 
 #endif // RADCRIT_SIM_FAULT_HH

@@ -57,61 +57,46 @@ SuiteContext::setRecorder(BenchRecorder *recorder)
     recorder_ = recorder ? recorder : &ownRecorder_;
 }
 
+const SuiteContext::PlannedCampaign &
+SuiteContext::serve(const DeviceModel &device, const WorkloadSpec &spec,
+                    uint64_t runs)
+{
+    const PlannedCampaign *entry =
+        planned(campaignPlanKey(device.name, spec, runs));
+    if (!entry) {
+        panic("undeclared campaign consumed: device %s, workload %s, "
+              "input %s, %llu runs (an experiment must declare every "
+              "campaign it consumes in campaigns())",
+              device.name.c_str(), workloadKindName(spec.kind),
+              specInputLabel(spec).c_str(),
+              static_cast<unsigned long long>(runs));
+    }
+    ++memoryServes_;
+    recorder_->addCampaign(entry->raw.runs.size());
+    return *entry;
+}
+
 CampaignRaw
 SuiteContext::campaignRaw(const DeviceModel &device,
                           const WorkloadSpec &spec, uint64_t runs)
 {
-    auto it = plan_.find(campaignPlanKey(device.name, spec, runs));
-    if (it != plan_.end()) {
-        ++memoryServes_;
-        recorder_->addCampaign(it->second.raw.runs.size(), true);
-        return it->second.raw;
-    }
-
-    // Not in the plan: a campaign on an ad-hoc device variant. The
-    // store is looked up by the workload's identity, so a hit builds
-    // no workload and computes no golden output.
-    WorkloadIdentity id = describeWorkload(device, spec);
-    CampaignConfig cfg = defaultCampaign(runs, device.name,
-                                         id.traits.name, id.inputLabel);
-    cfg.sim.jobs = options_.jobs;
-    if (store_) {
-        if (auto hit = store_->load(CampaignKey{
-                device.name, id.traits.name, id.inputLabel, cfg.sim})) {
-            completeStoreHit(*hit, device, id.traits, cfg.sim);
-            ++unplannedHits_;
-            recorder_->addCampaign(hit->runs.size(), true);
-            return std::move(*hit);
-        }
-    }
-    std::unique_ptr<Workload> workload = buildWorkload(device, spec);
-    CampaignRaw raw = simulateCampaign(device, *workload, cfg.sim, pool_);
-    if (store_)
-        store_->save(raw);
-    ++unplannedMisses_;
-    recorder_->addCampaign(raw.runs.size(), false);
-    return raw;
+    return serve(device, spec, runs).raw;
 }
 
 CampaignResult
 SuiteContext::campaignResult(const DeviceModel &device,
                              const WorkloadSpec &spec, uint64_t runs)
 {
-    const PlannedCampaign *entry =
-        planned(campaignPlanKey(device.name, spec, runs));
-    if (entry && entry->defaultAnalysis) {
-        // The prepass already folded the default analysis on the
-        // worker that simulated or loaded this campaign.
-        ++memoryServes_;
-        recorder_->addCampaign(entry->raw.runs.size(), true);
-        return *entry->defaultAnalysis;
-    }
-
-    CampaignRaw raw = campaignRaw(device, spec, runs);
+    const PlannedCampaign &entry = serve(device, spec, runs);
+    // The prepass folds the default analysis on the worker that
+    // simulated or loaded the campaign, unless a side channel was
+    // armed.
+    if (entry.defaultAnalysis)
+        return *entry.defaultAnalysis;
     CampaignConfig cfg = defaultCampaign(runs, device.name,
-                                         raw.workloadName,
-                                         raw.inputLabel);
-    return analyzeCampaign(raw, cfg.analysis);
+                                         entry.raw.workloadName,
+                                         entry.raw.inputLabel);
+    return analyzeCampaign(entry.raw, cfg.analysis);
 }
 
 const SuiteContext::PlannedCampaign *

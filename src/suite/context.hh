@@ -6,11 +6,12 @@
  * RADCRIT_BENCH_OUT / bench_out), points at the campaign store
  * (null = cache off) and the shared WorkerPool, tallies the
  * campaigns each experiment consumes into a BenchRecorder, and
- * serves raw campaigns: from the scheduler's dedup plan when the
- * campaign was declared, from the store or a fresh simulation
- * otherwise. One context serves a whole suite invocation; the
- * driver swaps the active recorder per experiment so the suite
- * JSON can attribute the traffic.
+ * serves them from the scheduler's dedup plan. Every campaign an
+ * experiment consumes must be one it declared: the context never
+ * simulates or loads one itself, and an undeclared consume is a
+ * panic. One context serves a whole suite invocation; the driver
+ * swaps the active recorder per experiment so the suite JSON can
+ * attribute the traffic.
  */
 
 #ifndef RADCRIT_SUITE_CONTEXT_HH
@@ -43,23 +44,12 @@ struct BenchRecorder
     uint64_t runs = 0;
     /** Wall ns of the experiment's run() (set by the driver). */
     uint64_t wallNs = 0;
-    /** Campaigns served from the plan or the store. */
-    uint64_t cacheHits = 0;
-    /**
-     * Undeclared campaigns simulated on demand;
-     * cacheHits + cacheMisses == campaigns always.
-     */
-    uint64_t cacheMisses = 0;
 
     void
-    addCampaign(uint64_t campaign_runs, bool cached)
+    addCampaign(uint64_t campaign_runs)
     {
         ++campaigns;
         runs += campaign_runs;
-        if (cached)
-            ++cacheHits;
-        else
-            ++cacheMisses;
     }
 
     /** @return wall nanoseconds per consumed faulty run. */
@@ -164,17 +154,18 @@ class SuiteContext
 
     /**
      * The campaign front door for experiments: the raw canonical
-     * campaign for (device, spec, runs) with the seed derived
-     * from the labels. Served, in order of preference, from the
-     * suite scheduler's plan (memory), the campaign store, or a
-     * fresh simulation on the shared pool; only the last builds
-     * the workload. The campaign is tallied into the active
-     * recorder, as a hit unless it was simulated here.
+     * campaign for (device, spec, runs) with the seed derived from
+     * the labels, served from the suite scheduler's plan and
+     * tallied into the active recorder. Panics, naming the
+     * campaign, when no selected experiment declared it.
      */
     CampaignRaw campaignRaw(const DeviceModel &device,
                             const WorkloadSpec &spec, uint64_t runs);
 
-    /** campaignRaw() + analyzeCampaign() under default analysis. */
+    /**
+     * campaignRaw()'s campaign under default analysis: the plan
+     * entry's precomputed analysis when it has one.
+     */
     CampaignResult campaignResult(const DeviceModel &device,
                                   const WorkloadSpec &spec,
                                   uint64_t runs);
@@ -203,13 +194,12 @@ class SuiteContext
     /** @return campaigns served from the in-memory plan. */
     uint64_t memoryServes() const { return memoryServes_; }
 
-    /** @return undeclared campaigns that had to simulate. */
-    uint64_t unplannedMisses() const { return unplannedMisses_; }
-
-    /** @return undeclared campaigns served by the store. */
-    uint64_t unplannedHits() const { return unplannedHits_; }
-
   private:
+    /** @return the plan entry of a consumed campaign, tallied. */
+    const PlannedCampaign &serve(const DeviceModel &device,
+                                 const WorkloadSpec &spec,
+                                 uint64_t runs);
+
     Options options_;
     CampaignStore *store_;
     WorkerPool &pool_;
@@ -218,8 +208,6 @@ class SuiteContext
     const CliParser *cli_ = nullptr;
     std::map<std::string, PlannedCampaign> plan_;
     uint64_t memoryServes_ = 0;
-    uint64_t unplannedMisses_ = 0;
-    uint64_t unplannedHits_ = 0;
     bool outDirReady_ = false;
 };
 

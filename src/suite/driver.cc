@@ -35,7 +35,7 @@ namespace
  * Version of the suite JSON document; tools/check_bench_json.py
  * validates the same number.
  */
-constexpr uint64_t benchJsonSchema = 10;
+constexpr uint64_t benchJsonSchema = 11;
 
 uint64_t
 nowNs()
@@ -222,22 +222,15 @@ writeResilienceJson(std::ostream &os, const StatsSnapshot &snap,
 
 /**
  * Write the "memory" JSON object: a live /proc/self/status RSS
- * sample (0 when /proc is unavailable) plus the streaming
- * pipeline's batch accounting from the stats snapshot (0 on a
- * materialized run).
+ * sample (0 when /proc is unavailable).
  */
 void
-writeMemoryJson(std::ostream &os, const StatsSnapshot &snap,
-                int indent)
+writeMemoryJson(std::ostream &os, int indent)
 {
     ProcMemSample mem = readProcMem();
     JsonObjectWriter m(os, indent);
     m.field("peak_rss_bytes", mem.peakRssBytes);
     m.field("current_rss_bytes", mem.currentRssBytes);
-    m.field("stream_batches",
-            static_cast<uint64_t>(snap.value("stream.batches")));
-    m.field("batch_runs",
-            static_cast<uint64_t>(snap.value("stream.batch_runs")));
 }
 
 void
@@ -256,8 +249,6 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
         totals.campaigns += block.rec.campaigns;
         totals.runs += block.rec.runs;
         totals.wallNs += block.rec.wallNs;
-        totals.cacheHits += block.rec.cacheHits;
-        totals.cacheMisses += block.rec.cacheMisses;
     }
 
     // The stats snapshot always carries the process memory gauges,
@@ -277,18 +268,14 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
         {
             // The dedup ledger: how many campaign declarations the
             // selected experiments made, how many survived dedup,
-            // and where each distinct campaign came from. Campaigns
-            // on ad-hoc device variants bypass the plan and show up
-            // as unplanned traffic. Every consumed campaign is one
-            // memory serve or one unplanned hit or miss.
+            // and where each distinct campaign came from. Every
+            // consumed campaign is one memory serve.
             JsonObjectWriter ded(out, 4);
             ded.field("requested", sched.requested);
             ded.field("distinct", sched.distinct);
             ded.field("simulated", sched.simulated);
             ded.field("store_hits", sched.storeHits);
             ded.field("memory_serves", ctx.memoryServes());
-            ded.field("unplanned_misses", ctx.unplannedMisses());
-            ded.field("unplanned_hits", ctx.unplannedHits());
             ded.field("prepass_wall_ns", sched.wallNs);
         }
 
@@ -298,8 +285,6 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
             tot.field("campaigns", totals.campaigns);
             tot.field("runs", totals.runs);
             tot.field("wall_ns", totals.wallNs);
-            tot.field("cache_hits", totals.cacheHits);
-            tot.field("cache_misses", totals.cacheMisses);
             tot.field("ns_per_op", totals.nsPerOp());
             tot.field("runs_per_s", totals.runsPerSecond());
         }
@@ -324,7 +309,7 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
         writeResilienceJson(out, snap, 4);
 
         obj.beginRawField("memory");
-        writeMemoryJson(out, snap, 4);
+        writeMemoryJson(out, 4);
 
         obj.beginRawField("experiments");
         {
@@ -337,8 +322,6 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
                 one.field("campaigns", block.rec.campaigns);
                 one.field("runs", block.rec.runs);
                 one.field("wall_ns", block.rec.wallNs);
-                one.field("cache_hits", block.rec.cacheHits);
-                one.field("cache_misses", block.rec.cacheMisses);
             }
         }
 

@@ -67,10 +67,9 @@ class Experiment
 
     /**
      * Declare the campaigns this experiment will consume at the
-     * given run count, for the scheduler's dedup prepass.
-     * Campaigns on ad-hoc device variants cannot be declared (the
-     * request names devices by id) and are simulated lazily when
-     * run() asks for them.
+     * given run count, for the scheduler's dedup prepass. run()
+     * may consume only declared campaigns (device variants
+     * included): the context serves nothing else.
      */
     virtual std::vector<CampaignRequest>
     campaigns(uint64_t runs) const

@@ -47,7 +47,7 @@ class AblationFilterThreshold : public Experiment
     {
         std::vector<CampaignRequest> reqs;
         for (DeviceId id : allDevices())
-            reqs.push_back({id, dgemmSpec(256), runs});
+            reqs.push_back({makeDevice(id), dgemmSpec(256), runs});
         return reqs;
     }
 

@@ -58,7 +58,7 @@ class AblationInjectionLevel : public Experiment
     std::vector<CampaignRequest>
     campaigns(uint64_t runs) const override
     {
-        return {{DeviceId::K40, dgemmSpec(256), runs}};
+        return {{makeDevice(DeviceId::K40), dgemmSpec(256), runs}};
     }
 
     void

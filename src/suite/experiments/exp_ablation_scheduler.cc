@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "common/table.hh"
 #include "suite/context.hh"
@@ -20,13 +22,50 @@ namespace radcrit
 namespace
 {
 
+/** One table row: a device variant under its row label. */
+struct SchedulerVariant
+{
+    const char *label;
+    DeviceModel device;
+};
+
+/**
+ * @return the stock devices and their scheduler-swapped variants,
+ * in table order. A variant's name is part of its campaigns' labels,
+ * so it fixes their seeds.
+ */
+std::vector<SchedulerVariant>
+schedulerVariants()
+{
+    DeviceModel k40 = makeDevice(DeviceId::K40);
+    DeviceModel k40_os = k40;
+    k40_os.name = "K40+OS-sched";
+    k40_os.schedulerStrainExponent = 0.14;
+    k40_os.registerResidencyExposure = false;
+
+    DeviceModel phi = makeDevice(DeviceId::XeonPhi);
+    DeviceModel phi_hw = phi;
+    phi_hw.name = "XeonPhi+HW-sched";
+    phi_hw.schedulerStrainExponent = 0.85;
+    phi_hw.registerResidencyExposure = true;
+
+    return {{"K40 (hardware sched)", std::move(k40)},
+            {"K40 with OS-style scheduling", std::move(k40_os)},
+            {"XeonPhi (OS sched)", std::move(phi)},
+            {"XeonPhi with HW-style scheduling", std::move(phi_hw)}};
+}
+
+/** The two DGEMM inputs whose FIT ratio the table reports. */
+constexpr int64_t kSmallSide = 128;
+constexpr int64_t kLargeSide = 512;
+
 double
 fitGrowth(SuiteContext &ctx, const DeviceModel &device,
           uint64_t runs)
 {
-    double lo = ctx.campaignResult(device, dgemmSpec(128), runs)
+    double lo = ctx.campaignResult(device, dgemmSpec(kSmallSide), runs)
         .fitTotalAu(false);
-    double hi = ctx.campaignResult(device, dgemmSpec(512), runs)
+    double hi = ctx.campaignResult(device, dgemmSpec(kLargeSide), runs)
         .fitTotalAu(false);
     return hi / lo;
 }
@@ -50,13 +89,11 @@ class AblationScheduler : public Experiment
     std::vector<CampaignRequest>
     campaigns(uint64_t runs) const override
     {
-        // Only the stock-device campaigns are declarable; the
-        // OS/HW scheduler variants are ad-hoc device models and
-        // simulate lazily through the context.
         std::vector<CampaignRequest> reqs;
-        for (DeviceId id : allDevices()) {
-            reqs.push_back({id, dgemmSpec(128), runs});
-            reqs.push_back({id, dgemmSpec(512), runs});
+        for (SchedulerVariant &v : schedulerVariants()) {
+            reqs.push_back({v.device, dgemmSpec(kSmallSide), runs});
+            reqs.push_back(
+                {std::move(v.device), dgemmSpec(kLargeSide), runs});
         }
         return reqs;
     }
@@ -70,44 +107,14 @@ class AblationScheduler : public Experiment
                         "FIT growth (1024 -> 4096 paper sides)");
         table.setHeader({"device variant", "strain exp",
                          "reg exposure", "FIT growth"});
-
-        DeviceModel k40 = makeDevice(DeviceId::K40);
-        table.addRow({"K40 (hardware sched)",
-                      TextTable::num(k40.schedulerStrainExponent,
-                                     2),
-                      "yes",
-                      TextTable::num(fitGrowth(ctx, k40, runs),
-                                     2) + "x"});
-
-        DeviceModel k40_os = k40;
-        k40_os.name = "K40+OS-sched";
-        k40_os.schedulerStrainExponent = 0.14;
-        k40_os.registerResidencyExposure = false;
-        table.addRow({"K40 with OS-style scheduling",
-                      TextTable::num(
-                          k40_os.schedulerStrainExponent, 2),
-                      "no",
-                      TextTable::num(fitGrowth(ctx, k40_os, runs),
-                                     2) + "x"});
-
-        DeviceModel phi = makeDevice(DeviceId::XeonPhi);
-        table.addRow({"XeonPhi (OS sched)",
-                      TextTable::num(phi.schedulerStrainExponent,
-                                     2),
-                      "no",
-                      TextTable::num(fitGrowth(ctx, phi, runs),
-                                     2) + "x"});
-
-        DeviceModel phi_hw = phi;
-        phi_hw.name = "XeonPhi+HW-sched";
-        phi_hw.schedulerStrainExponent = 0.85;
-        phi_hw.registerResidencyExposure = true;
-        table.addRow({"XeonPhi with HW-style scheduling",
-                      TextTable::num(
-                          phi_hw.schedulerStrainExponent, 2),
-                      "yes",
-                      TextTable::num(fitGrowth(ctx, phi_hw, runs),
-                                     2) + "x"});
+        for (const SchedulerVariant &v : schedulerVariants()) {
+            table.addRow(
+                {v.label,
+                 TextTable::num(v.device.schedulerStrainExponent, 2),
+                 v.device.registerResidencyExposure ? "yes" : "no",
+                 TextTable::num(fitGrowth(ctx, v.device, runs), 2) +
+                     "x"});
+        }
 
         table.render(std::cout);
         std::printf("\nPaper V-A: the K40's FIT rises strongly "

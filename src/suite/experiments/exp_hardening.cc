@@ -29,7 +29,7 @@ attributionTable(SuiteContext &ctx, const DeviceModel &device,
                  const WorkloadSpec &spec, uint64_t runs)
 {
     CampaignResult res = ctx.campaignResult(device, spec, runs);
-    auto attribution = attributeCriticality(res);
+    auto attribution = attributeCriticality(res, device);
     TextTable table("Criticality attribution: " + device.name +
                     " / " + res.workloadName + " " +
                     res.inputLabel);
@@ -108,14 +108,13 @@ class Hardening : public Experiment
     std::vector<CampaignRequest>
     campaigns(uint64_t runs) const override
     {
-        // The advisor's internal campaigns use a dedicated seed
-        // and stay outside the plan; only the attribution tables'
-        // canonical campaigns are declarable.
+        // The attribution tables' campaigns. The advisor runs its
+        // own campaigns, with a dedicated seed, outside the plan.
         std::vector<CampaignRequest> reqs;
         for (DeviceId id : allDevices()) {
-            reqs.push_back({id, dgemmSpec(256), runs});
+            reqs.push_back({makeDevice(id), dgemmSpec(256), runs});
             reqs.push_back(
-                {id, lavamdSpec(LavaMdSize{7, 15}), runs});
+                {makeDevice(id), lavamdSpec(LavaMdSize{7, 15}), runs});
         }
         return reqs;
     }

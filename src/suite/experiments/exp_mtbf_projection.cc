@@ -53,10 +53,10 @@ class MtbfProjection : public Experiment
     {
         std::vector<CampaignRequest> reqs;
         for (DeviceId id : allDevices()) {
-            reqs.push_back({id, dgemmSpec(256), runs});
+            reqs.push_back({makeDevice(id), dgemmSpec(256), runs});
             reqs.push_back(
-                {id, lavamdSpec(LavaMdSize{7, 15}), runs});
-            reqs.push_back({id, hotspotSpec(), runs});
+                {makeDevice(id), lavamdSpec(LavaMdSize{7, 15}), runs});
+            reqs.push_back({makeDevice(id), hotspotSpec(), runs});
         }
         return reqs;
     }

@@ -103,18 +103,17 @@ collectItems(const std::vector<Experiment *> &experiments,
     std::set<std::string> seen;
     for (Experiment *exp : experiments) {
         uint64_t runs = ctx.runsFor(*exp);
-        for (const CampaignRequest &req : exp->campaigns(runs)) {
+        for (CampaignRequest &req : exp->campaigns(runs)) {
             ++stats.requested;
-            DeviceModel device = makeDevice(req.device);
-            std::string key =
-                campaignPlanKey(device.name, req.workload, req.runs);
+            std::string key = campaignPlanKey(req.device.name,
+                                              req.workload, req.runs);
             if (ctx.planned(key) || !seen.insert(key).second)
                 continue;
             ++stats.distinct;
 
             auto item = std::make_unique<PrepassItem>();
             item->key = std::move(key);
-            item->device = std::move(device);
+            item->device = std::move(req.device);
             item->spec = req.workload;
             if (req.workload.kind == WorkloadKind::Clamr) {
                 item->workload =

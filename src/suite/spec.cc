@@ -9,13 +9,6 @@
 namespace radcrit
 {
 
-namespace
-{
-
-/**
- * @return the input label buildWorkload() of the spec reports, on
- * any device and for every kind without building it.
- */
 std::string
 specInputLabel(const WorkloadSpec &spec)
 {
@@ -31,8 +24,6 @@ specInputLabel(const WorkloadSpec &spec)
     }
     panic("bad WorkloadKind %d", static_cast<int>(spec.kind));
 }
-
-} // anonymous namespace
 
 const char *
 workloadKindName(WorkloadKind kind)
@@ -145,8 +136,9 @@ dgemmRequests(uint64_t runs)
 {
     std::vector<CampaignRequest> reqs;
     for (DeviceId id : allDevices()) {
+        DeviceModel device = makeDevice(id);
         for (int64_t side : dgemmScaledSides(id))
-            reqs.push_back({id, dgemmSpec(side), runs});
+            reqs.push_back({device, dgemmSpec(side), runs});
     }
     return reqs;
 }
@@ -156,8 +148,9 @@ lavamdRequests(uint64_t runs)
 {
     std::vector<CampaignRequest> reqs;
     for (DeviceId id : allDevices()) {
+        DeviceModel device = makeDevice(id);
         for (const auto &size : lavamdScaledSizes(id))
-            reqs.push_back({id, lavamdSpec(size), runs});
+            reqs.push_back({device, lavamdSpec(size), runs});
     }
     return reqs;
 }
@@ -167,7 +160,7 @@ hotspotRequests(uint64_t runs)
 {
     std::vector<CampaignRequest> reqs;
     for (DeviceId id : allDevices())
-        reqs.push_back({id, hotspotSpec(), runs});
+        reqs.push_back({makeDevice(id), hotspotSpec(), runs});
     return reqs;
 }
 
@@ -176,7 +169,7 @@ clamrRequests(uint64_t runs)
 {
     // The paper has no K40 CLAMR data (LANL proprietary workload
     // targeted at Xeon-Phi-based Trinity).
-    return {{DeviceId::XeonPhi, clamrSpec(), runs}};
+    return {{makeDevice(DeviceId::XeonPhi), clamrSpec(), runs}};
 }
 
 } // namespace radcrit

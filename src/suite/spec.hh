@@ -60,6 +60,12 @@ WorkloadSpec lavamdSpec(const LavaMdSize &size);
 WorkloadSpec hotspotSpec();
 WorkloadSpec clamrSpec();
 
+/**
+ * @return the input label buildWorkload() of the spec reports, on
+ * any device and for every kind without building it.
+ */
+std::string specInputLabel(const WorkloadSpec &spec);
+
 /** Materialize a spec on a device via the canonical factories. */
 std::unique_ptr<Workload>
 buildWorkload(const DeviceModel &device, const WorkloadSpec &spec);
@@ -88,13 +94,15 @@ WorkloadIdentity describeWorkload(const DeviceModel &device,
 WorkloadIdentity describeWorkload(const Workload &workload);
 
 /**
- * One campaign an experiment needs: device, workload, run count.
- * The seed is not a member — it derives from the labels through
- * defaultCampaign(), exactly as the standalone benches derive it.
+ * One campaign an experiment needs: device model, workload, run
+ * count. The device is a whole model, so a variant of a paper device
+ * (another name and parameters) is declared like the stock one. The
+ * seed is not a member — it derives from the labels through
+ * defaultCampaign().
  */
 struct CampaignRequest
 {
-    DeviceId device = DeviceId::K40;
+    DeviceModel device;
     WorkloadSpec workload;
     uint64_t runs = 0;
 };

@@ -25,11 +25,28 @@ campaign(const DeviceModel &device, Workload &w,
     return runCampaign(device, w, cfg);
 }
 
+/**
+ * @return the result with one InfraError and one InfraTimeout run
+ * appended. Their strikes are the default RawRun strike, a register
+ * file one, which no analysis may count.
+ */
+CampaignResult
+withQuarantinedRuns(CampaignResult result)
+{
+    for (Outcome outcome : {Outcome::InfraError, Outcome::InfraTimeout}) {
+        RunRecord run;
+        run.index = result.runs.size();
+        run.outcome = outcome;
+        result.runs.push_back(run);
+    }
+    return result;
+}
+
 TEST(AvfTest, BoundsAndOrdering)
 {
     DeviceModel device = makeK40();
     Dgemm dgemm(device, 128, 42);
-    auto avfs = computeAvf(campaign(device, dgemm));
+    auto avfs = computeAvf(withQuarantinedRuns(campaign(device, dgemm)));
     ASSERT_FALSE(avfs.empty());
     uint64_t strikes = 0;
     for (const auto &r : avfs) {
@@ -92,10 +109,18 @@ TEST(AvfTest, InjectorMissesCrashSources)
     // its SDC coverage on the K40.
     DeviceModel device = makeK40();
     Dgemm dgemm(device, 128, 42);
-    InjectorCoverage cov =
-        injectorCoverage(campaign(device, dgemm, 500));
+    CampaignResult res = campaign(device, dgemm, 500);
+    InjectorCoverage cov = injectorCoverage(res);
     EXPECT_GT(cov.sdcCoverage, 0.5);
     EXPECT_LT(cov.detectableCoverage, cov.sdcCoverage);
+
+    // Quarantined runs are no strikes: the coverage is unchanged.
+    InjectorCoverage quarantined =
+        injectorCoverage(withQuarantinedRuns(res));
+    EXPECT_EQ(quarantined.strikeCoverage, cov.strikeCoverage);
+    EXPECT_EQ(quarantined.sdcCoverage, cov.sdcCoverage);
+    EXPECT_EQ(quarantined.criticalFitCoverage, cov.criticalFitCoverage);
+    EXPECT_EQ(quarantined.detectableCoverage, cov.detectableCoverage);
 }
 
 TEST(AvfTest, InjectorMissesK40LavamdCriticality)

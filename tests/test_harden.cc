@@ -9,6 +9,7 @@
 #include "harden/advisor.hh"
 #include "harden/attribution.hh"
 #include "kernels/dgemm.hh"
+#include "sim/sampler.hh"
 
 namespace radcrit
 {
@@ -29,7 +30,14 @@ TEST(AttributionTest, SharesAndCountsConsistent)
 {
     DeviceModel device = makeK40();
     CampaignResult res = dgemmCampaign(device);
-    auto attribution = attributeCriticality(res);
+    // A quarantined run's default strike is a register-file one,
+    // which must not count: the strikes still sum to the clean runs.
+    CampaignResult quarantined = res;
+    RunRecord infra;
+    infra.index = res.runs.size();
+    infra.outcome = Outcome::InfraError;
+    quarantined.runs.push_back(infra);
+    auto attribution = attributeCriticality(quarantined, device);
     ASSERT_FALSE(attribution.empty());
 
     uint64_t strikes = 0;
@@ -55,9 +63,29 @@ TEST(AttributionTest, K40DgemmTopContributorIsRegisterFile)
     // exposed register file (paper V-A).
     DeviceModel device = makeK40();
     auto attribution =
-        attributeCriticality(dgemmCampaign(device, 400));
+        attributeCriticality(dgemmCampaign(device, 400), device);
     EXPECT_EQ(attribution.front().resource,
               ResourceKind::RegisterFile);
+}
+
+TEST(AttributionTest, VariantSharesComeFromItsOwnModel)
+{
+    // A K40 variant under another name keeps the K40's resources:
+    // its weight shares are its own sampler's, not another
+    // device's picked by name.
+    DeviceModel variant = makeK40();
+    variant.name = "K40+OS-sched";
+    variant.schedulerStrainExponent = 0.14;
+    variant.registerResidencyExposure = false;
+    CampaignResult res = dgemmCampaign(variant, 300);
+    StrikeSampler sampler(variant, res.launch);
+    auto attribution = attributeCriticality(res, variant);
+    ASSERT_FALSE(attribution.empty());
+    for (const auto &r : attribution) {
+        EXPECT_DOUBLE_EQ(r.weightShare, sampler.weight(r.resource) /
+                                            sampler.totalWeight())
+            << resourceKindName(r.resource);
+    }
 }
 
 TEST(HardeningTest, OptionsCoverDeviceResources)

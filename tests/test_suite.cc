@@ -22,6 +22,7 @@
 
 #include "campaign/analysis.hh"
 #include "campaign/series.hh"
+#include "exec/launch.hh"
 #include "exec/chaos.hh"
 #include "logs/beamlog.hh"
 #include "obs/stats_registry.hh"
@@ -244,7 +245,7 @@ TEST(CampaignPlanKey, RequestSetsDedupAcrossExperiments)
     auto keys_of = [](const std::vector<CampaignRequest> &reqs) {
         std::set<std::string> keys;
         for (const auto &req : reqs) {
-            keys.insert(campaignPlanKey(deviceIdName(req.device),
+            keys.insert(campaignPlanKey(req.device.name,
                                         req.workload, req.runs));
         }
         return keys;
@@ -436,7 +437,7 @@ class PrepassTest : public ::testing::Test
         served.stats = scheduleCampaigns({&first_, &second_}, ctx);
         for (Experiment *exp : {&first_, &second_}) {
             for (const CampaignRequest &req : exp->campaigns(kRuns)) {
-                DeviceModel device = makeDevice(req.device);
+                const DeviceModel &device = req.device;
                 served.rows[campaignPlanKey(device.name, req.workload,
                                             kRuns)] =
                     runRows(ctx.campaignResult(device, req.workload,
@@ -465,7 +466,7 @@ class PrepassTest : public ::testing::Test
         plan.stats = scheduleCampaigns({&first_, &second_}, ctx);
         for (Experiment *exp : {&first_, &second_}) {
             for (const CampaignRequest &req : exp->campaigns(kRuns)) {
-                DeviceModel device = makeDevice(req.device);
+                const DeviceModel &device = req.device;
                 std::string key =
                     campaignPlanKey(device.name, req.workload, kRuns);
                 const SuiteContext::PlannedCampaign *entry =
@@ -511,7 +512,7 @@ class PrepassTest : public ::testing::Test
         std::map<std::string, std::string> logs;
         for (Experiment *exp : {&first_, &second_}) {
             for (const CampaignRequest &req : exp->campaigns(kRuns)) {
-                DeviceModel device = makeDevice(req.device);
+                const DeviceModel &device = req.device;
                 auto workload = buildWorkload(device, req.workload);
                 CampaignConfig cfg = defaultCampaign(
                     kRuns, device.name, workload->name(),
@@ -529,12 +530,13 @@ class PrepassTest : public ::testing::Test
 
     DeclaringExperiment first_{
         "prepass_first",
-        {{DeviceId::K40, dgemmSpec(128)},
-         {DeviceId::XeonPhi, dgemmSpec(128)}}};
+        {{makeDevice(DeviceId::K40), dgemmSpec(128)},
+         {makeDevice(DeviceId::XeonPhi), dgemmSpec(128)}}};
     DeclaringExperiment second_{
         "prepass_second",
-        {{DeviceId::K40, dgemmSpec(128)},
-         {DeviceId::XeonPhi, lavamdSpec(LavaMdSize{6, 13})}}};
+        {{makeDevice(DeviceId::K40), dgemmSpec(128)},
+         {makeDevice(DeviceId::XeonPhi),
+          lavamdSpec(LavaMdSize{6, 13})}}};
     std::string dir_;
 };
 
@@ -590,17 +592,19 @@ TEST_F(PrepassTest, WarmPlanComputesNoGolden)
     EXPECT_EQ(warm.rows, cold.rows);
 }
 
-TEST_F(PrepassTest, WarmUnplannedCampaignComputesNoGolden)
+TEST_F(PrepassTest, WarmPlannedVariantComputesNoGolden)
 {
-    // A campaign on an ad-hoc device variant bypasses the plan. The
-    // context looks the store up by the workload's identity, so a
-    // warm store serves it without building the workload.
+    // A device variant is declared like a stock device: a cold
+    // prepass simulates it once, a warm one serves it from the
+    // store without building the workload.
     auto store = CampaignStore::open(dir_);
     ASSERT_TRUE(store);
     DeviceModel variant = makeDevice(DeviceId::K40);
     variant.name = "K40+OS-sched";
     variant.schedulerStrainExponent = 0.14;
     variant.registerResidencyExposure = false;
+    DeclaringExperiment declaring("prepass_variant",
+                                  {{variant, dgemmSpec(128)}});
 
     CampaignRaw raws[2];
     for (int warm : {0, 1}) {
@@ -608,32 +612,55 @@ TEST_F(PrepassTest, WarmUnplannedCampaignComputesNoGolden)
         SuiteContext::Options options;
         options.jobs = 2;
         options.writeCsv = false;
+        options.runsOverride = static_cast<int64_t>(kRuns);
         SuiteContext ctx(options, store.get(), pool);
-        double before = StatsRegistry::global().snapshot().value(
-            "kernel.dgemm.golden.calls");
+        double before = goldenCalls();
+        ScheduleStats stats = scheduleCampaigns({&declaring}, ctx);
         raws[warm] = ctx.campaignRaw(variant, dgemmSpec(128), kRuns);
-        double golden = StatsRegistry::global().snapshot().value(
-                            "kernel.dgemm.golden.calls") -
-            before;
-        EXPECT_EQ(golden, warm ? 0.0 : 1.0) << "warm " << warm;
-        EXPECT_EQ(ctx.unplannedHits(), warm ? 1u : 0u);
-        EXPECT_EQ(ctx.unplannedMisses(), warm ? 0u : 1u);
+        EXPECT_EQ(goldenCalls() - before, warm ? 0.0 : 1.0)
+            << "warm " << warm;
+        EXPECT_EQ(stats.simulated, warm ? 0u : 1u);
+        EXPECT_EQ(stats.storeHits, warm ? 1u : 0u);
+        EXPECT_EQ(ctx.memoryServes(), 1u);
     }
     const CampaignRaw &cold = raws[0];
     const CampaignRaw &warm = raws[1];
     ASSERT_EQ(cold.runs.size(), kRuns);
-    // The hit is completed as a fresh simulation: the caller's sim
-    // config and the variant's launch view.
-    EXPECT_EQ(warm.sim.jobs, 2u);
-    EXPECT_EQ(warm.launch.residentThreads, cold.launch.residentThreads);
+    EXPECT_EQ(cold.deviceName, variant.name);
+    // The variant's launch view, not the stock K40's.
     EXPECT_EQ(warm.launch.schedulerStrain, cold.launch.schedulerStrain);
     EXPECT_EQ(warm.launch.registerExposure,
               cold.launch.registerExposure);
-    CampaignConfig cfg = defaultCampaign(kRuns, variant.name,
-                                         cold.workloadName,
-                                         cold.inputLabel);
-    EXPECT_EQ(runRows(analyzeCampaign(warm, cfg.analysis)),
-              runRows(analyzeCampaign(cold, cfg.analysis)));
+    EXPECT_NE(cold.launch.schedulerStrain,
+              buildLaunch(makeDevice(DeviceId::K40),
+                          describeWorkload(variant, dgemmSpec(128))
+                              .traits)
+                  .schedulerStrain);
+    std::ostringstream cold_log, warm_log;
+    writeBeamLog(cold, cold_log);
+    writeBeamLog(warm, warm_log);
+    EXPECT_EQ(warm_log.str(), cold_log.str());
+}
+
+using PrepassDeathTest = PrepassTest;
+
+TEST_F(PrepassDeathTest, UndeclaredConsumePanics)
+{
+    // The context serves only the plan: consuming a campaign no
+    // selected experiment declared is a bug in that experiment.
+    WorkerPool pool(1);
+    SuiteContext::Options options;
+    options.runsOverride = static_cast<int64_t>(kRuns);
+    SuiteContext ctx(options, nullptr, pool);
+    scheduleCampaigns({&first_}, ctx);
+    DeviceModel k40 = makeDevice(DeviceId::K40);
+    EXPECT_DEATH(ctx.campaignRaw(k40, dgemmSpec(128), kRuns + 1),
+                 "undeclared campaign consumed: device K40, workload "
+                 "DGEMM, input .*, 13 runs");
+    EXPECT_DEATH(ctx.campaignResult(k40, lavamdSpec(LavaMdSize{6, 13}),
+                                    kRuns),
+                 "undeclared campaign consumed: device K40, workload "
+                 "LavaMD");
 }
 
 TEST_F(PrepassTest, ColdPlanBuildsEachMissOnce)
@@ -707,7 +734,8 @@ TEST_F(PrepassTest, ChaosRunsMatchTheRunner)
     plan.faults.push_back({ChaosFaultKind::Throw, transient, 1, 0});
 
     DeclaringExperiment single("prepass_chaos",
-                               {{DeviceId::K40, dgemmSpec(128)}});
+                               {{makeDevice(DeviceId::K40),
+                                 dgemmSpec(128)}});
     DeviceModel device = makeDevice(DeviceId::K40);
     auto workload = buildWorkload(device, dgemmSpec(128));
     CampaignConfig cfg =

@@ -8,18 +8,15 @@ Usage:
 With --suite the argument is an existing suite document
 (written by `radcrit_suite run`) and is validated in place:
 
-  * schema == SCHEMA (10), positive jobs/experiments_run/wall_ns
+  * schema == SCHEMA (11), positive jobs/experiments_run/wall_ns
   * campaigns is the dedup ledger: simulated + store_hits ==
-    distinct <= requested
-  * totals tally with the per-experiment blocks, every consumed
-    campaign is a hit or a miss, a miss is exactly an unplanned
-    simulation (totals.cache_misses == unplanned_misses) and a hit
-    is a plan serve or an unplanned store hit (totals.cache_hits ==
-    memory_serves + unplanned_hits)
+    distinct <= requested, and it has no other keys
+  * totals tally with the per-experiment blocks, and every consumed
+    campaign is a plan serve (memory_serves == totals.campaigns)
   * the pool, sharding (prepass concurrency peak, overlap, wall),
     resilience (retry/resume/quarantine/chaos counters) and memory
-    (RSS sample, stream batch accounting) blocks hold every field
-    as a non-negative integer, never absent
+    (RSS sample) blocks hold every field as a non-negative integer,
+    never absent
   * stats is an object of instrument entries, each with a valid
     kind
 
@@ -39,7 +36,7 @@ import sys
 
 # Version of the suite document (benchJsonSchema in
 # src/suite/driver.cc).
-SCHEMA = 10
+SCHEMA = 11
 
 
 def fail(msg):
@@ -127,16 +124,14 @@ def validate_sharding(doc):
                "no prepass ran but sharding reports one (%r)" % sh)
 
 
-MEMORY_KEYS = ("peak_rss_bytes", "current_rss_bytes",
-               "stream_batches", "batch_runs")
+MEMORY_KEYS = ("peak_rss_bytes", "current_rss_bytes")
 
 
 def validate_memory(doc):
     """Check the process-memory block.
 
-    The RSS fields are zero only when /proc was unavailable; the
-    stream fields are zero on a purely materialized (or all-cache-
-    hit) run. All four are always present.
+    The RSS fields are zero only when /proc was unavailable. Both
+    are always present.
     """
     mem = doc.get("memory")
     expect(isinstance(mem, dict),
@@ -158,10 +153,8 @@ def validate_memory(doc):
 
 SUITE_CAMPAIGN_KEYS = ("requested", "distinct", "simulated",
                        "store_hits", "memory_serves",
-                       "unplanned_misses", "unplanned_hits",
                        "prepass_wall_ns")
-SUITE_EXP_KEYS = ("campaigns", "runs", "wall_ns", "cache_hits",
-                  "cache_misses")
+SUITE_EXP_KEYS = ("campaigns", "runs", "wall_ns")
 
 
 def validate_suite_json(doc):
@@ -189,6 +182,9 @@ def validate_suite_json(doc):
         expect(isinstance(camp.get(key), int) and camp[key] >= 0,
                "campaigns.%s must be a non-negative integer, "
                "got %r" % (key, camp.get(key)))
+    extra = set(camp) - set(SUITE_CAMPAIGN_KEYS)
+    expect(not extra,
+           "campaigns has unexpected keys %s" % sorted(extra))
     expect(camp["distinct"] <= camp["requested"],
            "distinct (%d) exceeds requested (%d)"
            % (camp["distinct"], camp["requested"]))
@@ -207,25 +203,11 @@ def validate_suite_json(doc):
                and totals[key] >= 0,
                "totals.%s must be a non-negative integer, got %r"
                % (key, totals.get(key)))
-    expect(totals["cache_hits"] + totals["cache_misses"]
-           == totals["campaigns"],
-           "totals.cache_hits (%d) + cache_misses (%d) must "
-           "account for every consumed campaign (%d)"
-           % (totals["cache_hits"], totals["cache_misses"],
-              totals["campaigns"]))
-    # A planned campaign is simulated once, by the prepass, and
-    # every consumption of it is a hit; only an undeclared campaign
-    # the store lacks is simulated on demand, as a miss.
-    expect(totals["cache_misses"] == camp["unplanned_misses"],
-           "totals.cache_misses (%d) != campaigns.unplanned_misses "
-           "(%d)" % (totals["cache_misses"],
-                     camp["unplanned_misses"]))
-    expect(totals["cache_hits"]
-           == camp["memory_serves"] + camp["unplanned_hits"],
-           "totals.cache_hits (%d) != campaigns.memory_serves (%d) "
-           "+ unplanned_hits (%d)"
-           % (totals["cache_hits"], camp["memory_serves"],
-              camp["unplanned_hits"]))
+    # The suite serves campaigns only from the prepass's plan, so
+    # every consumed campaign is one memory serve.
+    expect(camp["memory_serves"] == totals["campaigns"],
+           "campaigns.memory_serves (%d) != totals.campaigns (%d)"
+           % (camp["memory_serves"], totals["campaigns"]))
     if totals["runs"] > 0:
         for key in ("ns_per_op", "runs_per_s"):
             expect(isinstance(totals.get(key), (int, float))
@@ -297,7 +279,7 @@ def validate_suite_file(path):
 # The documents that quote the suite JSON schema version.
 DOC_FILES = ("README.md", os.path.join(".claude", "skills", "verify",
                                        "SKILL.md"))
-# Prose quotes ("schema-10", "schema 10") are always suite
+# Prose quotes ("schema-11", "schema 11") are always suite
 # versions; a "schema": N literal only counts on a line about bench
 # or suite JSON (trace records and the catalog carry their own).
 PROSE_SCHEMA = re.compile(r"\bschema[- ](\d+)\b")

@@ -5,7 +5,7 @@ Usage:
     check_shard.py --suite <radcrit_suite> [--runs N] [--jobs N]
                    [--min-speedup X] [--reps N]
 
-Runs the full 17-distinct-campaign suite plan (every experiment
+Runs the full 21-distinct-campaign suite plan (every experiment
 except the google-benchmark throughput sweep, which declares no
 campaigns and only adds wall clock) in a sandbox, and asserts the
 two claims the prepass makes:

@@ -14,10 +14,12 @@ asserts:
  2. Dedup accounting: the cold run's JSON proves every distinct
     campaign was simulated exactly once against an empty store
     (simulated == distinct, store_hits == 0), and the warm run
-    re-simulated nothing (simulated == 0, all planned campaigns
-    served from the store, no unplanned misses).
+    re-simulated nothing (simulated == 0, every distinct campaign
+    served from the store).
  3. Warm figure run builds and replays nothing: a `run 'fig2*' ...
-    'fig7*'` on the cold run's cache simulates nothing, its JSON
+    'fig7*' ablation_scheduler` on the cold run's cache (the
+    ablation adds the scheduler-swapped device variants) simulates
+    nothing, its JSON
     stats record no kernel.<dgemm|lavamd|hotspot>.golden calls (store
     hits are keyed and launched from the workload's identity, not
     from a built workload) and no kernel.*.inject calls, and its CSVs
@@ -48,11 +50,12 @@ NOT_RUN_ALONE = {"kernel_throughput"}
 
 ARTIFACT_EXTS = (".csv", ".ppm")
 
-# The figures whose campaigns a warm store must serve without
+# The experiments whose campaigns a warm store must serve without
 # computing a golden output (CLAMR's identity needs its golden run,
-# so fig8/fig9 are not among them).
+# so fig8/fig9 are not among them). ablation_scheduler declares
+# device variants, which the plan serves like stock devices.
 WARM_FIGURE_GLOBS = ["fig2*", "fig3*", "fig4*", "fig5*", "fig6*",
-                     "fig7*"]
+                     "fig7*", "ablation_scheduler"]
 GOLDEN_CALLS = re.compile(
     r"kernel\.(dgemm|lavamd|hotspot)\.golden\.calls")
 INJECT_CALLS = re.compile(r"kernel\.\w+\.inject\.calls")
@@ -228,9 +231,6 @@ def check(args, suite, sandbox):
     if camp1["store_hits"] != 0:
         fail("cold run reported %d store hits" %
              camp1["store_hits"])
-    if camp1["unplanned_misses"] <= 0:
-        fail("expected ad-hoc (unplanned) campaigns from the "
-             "ablation experiments, saw none")
     print("check_suite: cold run: %d requested -> %d distinct, "
           "each simulated once" %
           (camp1["requested"], camp1["distinct"]))
@@ -255,9 +255,6 @@ def check(args, suite, sandbox):
     if camp2["store_hits"] != camp2["distinct"]:
         fail("warm run served %d of %d campaigns from the store" %
              (camp2["store_hits"], camp2["distinct"]))
-    if camp2["unplanned_misses"] != 0:
-        fail("warm run re-simulated %d unplanned campaigns" %
-             camp2["unplanned_misses"])
     print("check_suite: warm run: 0 simulated, %d store hits" %
           camp2["store_hits"])
 

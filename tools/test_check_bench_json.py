@@ -11,9 +11,9 @@ Modes:
     schema     a well-formed suite document passes at the current
                schema and is rejected when it carries the previous
                one, so old producers are not silently accepted
-    ledger     a suite document that counts a plan serve as a
-               cache miss (the old first-consumer charge) is
-               rejected: a miss is only an unplanned simulation
+    ledger     a suite document whose experiments consumed a
+               campaign the plan did not serve (memory_serves !=
+               totals.campaigns) is rejected
     docs       a README that still quotes an older suite JSON
                schema must fail the --docs check, and one quoting
                the current schema must pass it
@@ -48,12 +48,10 @@ def suite_doc(schema=SCHEMA):
         "campaigns": {
             "requested": 2, "distinct": 1, "simulated": 1,
             "store_hits": 0, "memory_serves": 2,
-            "unplanned_misses": 0, "unplanned_hits": 0,
             "prepass_wall_ns": 3000,
         },
         "totals": {
             "campaigns": 2, "runs": 8, "wall_ns": 4000,
-            "cache_hits": 2, "cache_misses": 0,
             "ns_per_op": 500.0, "runs_per_s": 2000000.0,
         },
         "pool": {"jobs": 1, "dispatches": 3},
@@ -64,12 +62,11 @@ def suite_doc(schema=SCHEMA):
             "checkpoint_torn_records", "store_quarantined",
             "chaos_throws", "chaos_stalls", "chaos_corrupt_writes")},
         "memory": {"peak_rss_bytes": 20971520,
-                   "current_rss_bytes": 10485760,
-                   "stream_batches": 0, "batch_runs": 0},
+                   "current_rss_bytes": 10485760},
         "experiments": {
             "fake_experiment": {
                 "tag": "test", "campaigns": 2, "runs": 8,
-                "wall_ns": 4000, "cache_hits": 2, "cache_misses": 0,
+                "wall_ns": 4000,
             },
         },
         "stats": {
@@ -147,18 +144,15 @@ def mode_schema(sandbox):
 
 
 def mode_ledger(sandbox):
-    """A plan serve counted as a miss must be rejected."""
+    """A campaign consumed outside the plan must be rejected."""
     doc = suite_doc()
-    for block in (doc["totals"],
-                  doc["experiments"]["fake_experiment"]):
-        block["cache_hits"] = 1
-        block["cache_misses"] = 1
+    doc["campaigns"]["memory_serves"] = 1
     proc = run_checker(sandbox, "--suite", write_doc(sandbox, doc))
     expect(proc.returncode != 0,
-           "checker accepted a plan serve counted as a miss", proc)
-    expect("totals.cache_misses (1) != campaigns.unplanned_misses "
-           "(0)" in proc.stderr,
-           "diagnostic does not name the miss ledger", proc)
+           "checker accepted a campaign the plan did not serve", proc)
+    expect("campaigns.memory_serves (1) != totals.campaigns (2)"
+           in proc.stderr,
+           "diagnostic does not name the serve ledger", proc)
 
 
 def mode_docs(sandbox):
