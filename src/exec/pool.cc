@@ -12,6 +12,16 @@
 namespace radcrit
 {
 
+namespace
+{
+
+/** The pool forBands() may dispatch on from this thread. */
+thread_local WorkerPool *tBuildPool = nullptr;
+/** Whether this thread is inside a WorkerPool body right now. */
+thread_local bool tInPoolBody = false;
+
+} // anonymous namespace
+
 uint64_t
 PoolRunStats::busyNs() const
 {
@@ -121,6 +131,7 @@ WorkerPool::runChunk(unsigned worker, const Dispatch &dispatch)
 {
     uint64_t items = 0;
     uint64_t chunks = 0;
+    bool was_in_body = std::exchange(tInPoolBody, true);
     auto chunk_start = std::chrono::steady_clock::now();
     try {
         // Claim grains until the range drains.
@@ -146,6 +157,7 @@ WorkerPool::runChunk(unsigned worker, const Dispatch &dispatch)
         dispatch.cursor->store(dispatch.count,
                                std::memory_order_relaxed);
     }
+    tInPoolBody = was_in_body;
     // Each worker writes only its own stats slot (the vector is
     // sized before the dispatch is published), so accounting needs
     // no lock.
@@ -249,6 +261,36 @@ WorkerPool::forDynamic(uint64_t count, uint64_t grain,
     }
     if (error)
         std::rethrow_exception(error);
+}
+
+ScopedBuildPool::ScopedBuildPool(WorkerPool &pool)
+    : previous_(std::exchange(tBuildPool, &pool))
+{
+}
+
+ScopedBuildPool::~ScopedBuildPool()
+{
+    tBuildPool = previous_;
+}
+
+void
+forBands(uint64_t count, const BandBody &body)
+{
+    if (count == 0)
+        return;
+    WorkerPool *pool = tBuildPool;
+    uint64_t bands =
+        pool ? std::min<uint64_t>(pool->jobs(), count) : 1;
+    if (bands == 1 || tInPoolBody) {
+        body(0, count);
+        return;
+    }
+    pool->forDynamic(bands, 1,
+                     [&](unsigned, uint64_t first, uint64_t last) {
+                         for (uint64_t b = first; b < last; ++b)
+                             body(count * b / bands,
+                                  count * (b + 1) / bands);
+                     });
 }
 
 const char *

@@ -17,6 +17,11 @@
  * experiment suite on one pool) pays thread-creation cost once
  * instead of once per campaign. The serial path (jobs == 1, or a
  * single item) never spawns a thread at all.
+ *
+ * A pool can also be attached to a thread for the length of a scope
+ * (ScopedBuildPool), so that a workload constructor on that thread
+ * splits its golden computation into contiguous bands (forBands())
+ * without the pool appearing in its signature.
  */
 
 #ifndef RADCRIT_EXEC_POOL_HH
@@ -98,7 +103,10 @@ struct PoolRunStats
  * Dispatches are issued from one thread at a time: forDynamic() is
  * not reentrant and must not be called concurrently on the same
  * pool (each dispatch blocks its caller until the pool drains, so
- * sequential callers compose naturally).
+ * sequential callers compose naturally). forBands() relies on the
+ * same rule from the other side: a thread already running any
+ * pool's body never dispatches again, it runs the whole range
+ * inline as one band.
  */
 class WorkerPool
 {
@@ -227,6 +235,47 @@ class WorkerPool
     Dispatch dispatch_;
     std::exception_ptr firstError_;
 };
+
+/**
+ * Attaches `pool` as the pool that work on the constructing thread
+ * may fan out over through forBands(), until the scope ends (the
+ * previous attachment, usually none, is then restored). The
+ * attachment is per thread: helper threads of any pool, and every
+ * other thread, see nothing attached.
+ */
+class ScopedBuildPool
+{
+  public:
+    explicit ScopedBuildPool(WorkerPool &pool);
+    ~ScopedBuildPool();
+
+    ScopedBuildPool(const ScopedBuildPool &) = delete;
+    ScopedBuildPool &operator=(const ScopedBuildPool &) = delete;
+
+  private:
+    WorkerPool *previous_;
+};
+
+/** Body of one band: the item range [begin, end). */
+using BandBody = std::function<void(uint64_t begin, uint64_t end)>;
+
+/**
+ * Run `body` over [0, count) in at most jobs() contiguous bands of
+ * the pool attached to this thread, one band per grain; band b of
+ * n covers [count * b / n, count * (b + 1) / n). The bands are a
+ * function of count and the job count only, and the body must make
+ * its effect a pure function of the range (disjoint writes), so
+ * the result is the same for every job count.
+ *
+ * Runs body(0, count) inline on the calling thread, as one band,
+ * when nothing is attached, when the attached pool has one job, or
+ * when this thread is already running a pool body (a suite prepass
+ * build inside a dispatch): that last case keeps a nested build
+ * serial instead of re-entering forDynamic(). Blocks until every
+ * band finished; the first body exception is rethrown. A count of
+ * 0 runs nothing.
+ */
+void forBands(uint64_t count, const BandBody &body);
 
 class StatsRegistry;
 

@@ -41,6 +41,12 @@ class Dgemm : public Workload
      * uniform values in (-1, 1) (paper IV-D: balanced 0s and 1s,
      * small enough to avoid overflow).
      * @param paper_scale Paper-equivalent side = n * paper_scale.
+     *
+     * The golden output is computed in contiguous row bands, one
+     * per job of the build pool attached to the calling thread
+     * (forBands(), exec/pool.hh), and in one band when none is.
+     * Each element keeps its ascending-k summation order, so the
+     * bytes are the same for every job count.
      */
     Dgemm(const DeviceModel &device, int64_t n, uint64_t seed = 42,
           int64_t paper_scale = 8);

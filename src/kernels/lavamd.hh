@@ -49,6 +49,12 @@ class LavaMd : public Workload
      * @param paper_boxes1d Optional exact paper size this scaled
      * grid stands for (used for labels and paper-scale traits when
      * the paper size is not an exact multiple, e.g. 13 -> 6).
+     *
+     * The golden forces are computed in contiguous box bands, one
+     * per job of the build pool attached to the calling thread
+     * (forBands(), exec/pool.hh), and in one band when none is.
+     * Each force keeps its neighbour and particle summation
+     * order, so the bytes are the same for every job count.
      */
     LavaMd(const DeviceModel &device, int64_t boxes1d,
            uint64_t seed = 42, int64_t paper_scale = 2,

@@ -2,7 +2,8 @@
  * @file
  * Tests for the worker pool: job-count resolution (flag and
  * environment), exactly-once execution over dynamically claimed
- * grains, utilization accounting, and exception propagation.
+ * grains, utilization accounting, exception propagation, and
+ * forBands() over an attached build pool with its inline fallback.
  */
 
 #include <gtest/gtest.h>
@@ -10,12 +11,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <latch>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "exec/pool.hh"
+#include "kernels/dgemm.hh"
+#include "kernels/lavamd.hh"
 #include "obs/stats_registry.hh"
 
 namespace radcrit
@@ -269,6 +275,99 @@ TEST(PoolStats, EmptyUtilizationIsZeroNotNaN)
     EXPECT_DOUBLE_EQ(stats.utilization(), 0.0);
     stats.workers.resize(2); // zero wall: idle pool
     EXPECT_DOUBLE_EQ(stats.utilization(), 0.0);
+}
+
+/** The bands one forBands() call hands its body, sorted. */
+std::vector<std::pair<uint64_t, uint64_t>>
+bandsOf(uint64_t count)
+{
+    std::mutex mutex;
+    std::vector<std::pair<uint64_t, uint64_t>> bands;
+    forBands(count, [&](uint64_t begin, uint64_t end) {
+        std::lock_guard<std::mutex> lock(mutex);
+        bands.emplace_back(begin, end);
+    });
+    std::sort(bands.begin(), bands.end());
+    return bands;
+}
+
+TEST(ForBands, InlineSingleBandWithoutAttachedPool)
+{
+    using Bands = std::vector<std::pair<uint64_t, uint64_t>>;
+    EXPECT_EQ(bandsOf(10), (Bands{{0, 10}}));
+    EXPECT_TRUE(bandsOf(0).empty());
+    WorkerPool serial(1);
+    ScopedBuildPool attach(serial);
+    EXPECT_EQ(bandsOf(10), (Bands{{0, 10}}));
+    EXPECT_EQ(serial.dispatches(), 0u);
+}
+
+TEST(ForBands, ContiguousBandsOnePerJob)
+{
+    using Bands = std::vector<std::pair<uint64_t, uint64_t>>;
+    WorkerPool pool(3);
+    {
+        ScopedBuildPool attach(pool);
+        // Uneven: band b of 3 covers [10b/3, 10(b+1)/3).
+        EXPECT_EQ(bandsOf(10), (Bands{{0, 3}, {3, 6}, {6, 10}}));
+        // Fewer items than jobs: one item per band.
+        EXPECT_EQ(bandsOf(2), (Bands{{0, 1}, {1, 2}}));
+    }
+    EXPECT_EQ(pool.dispatches(), 2u);
+    // The attachment ended with its scope.
+    EXPECT_EQ(bandsOf(10), (Bands{{0, 10}}));
+    EXPECT_EQ(pool.dispatches(), 2u);
+}
+
+TEST(ForBands, BodyExceptionPropagates)
+{
+    WorkerPool pool(4);
+    ScopedBuildPool attach(pool);
+    EXPECT_THROW(forBands(8,
+                          [](uint64_t begin, uint64_t) {
+                              if (begin == 4)
+                                  throw std::runtime_error("boom");
+                          }),
+                 std::runtime_error);
+}
+
+TEST(ForBands, BuildInsideAttachedPoolBodyRunsInline)
+{
+    // forDynamic() is not reentrant. The thread that attached the
+    // pool is also worker 0 of that pool's dispatches, so a
+    // workload built inside a body on it must band inline instead
+    // of dispatching on the pool again (a deadlock would hit the
+    // test timeout). The latch makes both workers take one grain
+    // each, so worker 0 is certain to build.
+    DeviceModel device = makeK40();
+    Dgemm dgemm_ref(device, 128);
+    LavaMd lava_ref(device, 4);
+
+    WorkerPool pool(2);
+    ScopedBuildPool attach(pool);
+    std::latch both_in(2);
+    std::vector<std::unique_ptr<Dgemm>> dgemms(2);
+    std::vector<std::unique_ptr<LavaMd>> lavas(2);
+    pool.forDynamic(2, 1, [&](unsigned, uint64_t begin, uint64_t) {
+        both_in.arrive_and_wait();
+        dgemms[begin] = std::make_unique<Dgemm>(device, 128);
+        lavas[begin] = std::make_unique<LavaMd>(device, 4);
+    });
+    EXPECT_EQ(pool.dispatches(), 1u);
+    for (size_t i = 0; i < 2; ++i) {
+        ASSERT_TRUE(dgemms[i] && lavas[i]);
+        const auto &c = dgemms[i]->goldenC();
+        ASSERT_EQ(c.size(), dgemm_ref.goldenC().size());
+        EXPECT_EQ(std::memcmp(c.data(), dgemm_ref.goldenC().data(),
+                              c.size() * sizeof(double)),
+                  0);
+        const auto &f = lavas[i]->goldenForce();
+        ASSERT_EQ(f.size(), lava_ref.goldenForce().size());
+        EXPECT_EQ(std::memcmp(f.data(),
+                              lava_ref.goldenForce().data(),
+                              f.size() * sizeof(double)),
+                  0);
+    }
 }
 
 } // anonymous namespace

@@ -459,9 +459,18 @@ main(int argc, char **argv)
     DeviceModel device = makeDevice(
         device_name == "K40" ? DeviceId::K40
                              : DeviceId::XeonPhi);
-    auto workload = buildWorkload(device,
-                                  cli.getString("workload"),
-                                  cli.getInt("size"));
+    if (cli.getInt("jobs") < 0)
+        fatal("--jobs must be >= 0");
+    auto jobs = static_cast<unsigned>(cli.getInt("jobs"));
+    std::unique_ptr<Workload> workload;
+    {
+        // DGEMM and LavaMD split their golden output into one band
+        // per job; the campaign below runs on its own pool.
+        WorkerPool build_pool(jobs);
+        ScopedBuildPool attach(build_pool);
+        workload = buildWorkload(device, cli.getString("workload"),
+                                 cli.getInt("size"));
+    }
 
     CampaignConfig cfg = defaultCampaign(
         static_cast<uint64_t>(cli.getInt("runs")), device.name,
@@ -469,9 +478,7 @@ main(int argc, char **argv)
     if (cli.getInt("seed") != 0)
         cfg.sim.seed = static_cast<uint64_t>(cli.getInt("seed"));
     cfg.analysis.filterThresholdPct = cli.getDouble("threshold");
-    if (cli.getInt("jobs") < 0)
-        fatal("--jobs must be >= 0");
-    cfg.sim.jobs = static_cast<unsigned>(cli.getInt("jobs"));
+    cfg.sim.jobs = jobs;
     if (cli.getFlag("progress")) {
         cfg.sim.progressEvery =
             std::max<uint64_t>(cfg.sim.faultyRuns / 10, 1);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Build the tree under a sanitizer and run the concurrency- and
 # chaos-labelled tests (worker pool + parallel campaign engine
-# determinism, concurrent store access, the suite prepass, chaos
-# injection, watchdog, checkpoint/resume).
+# determinism, golden outputs built in bands across a pool,
+# concurrent store access, the suite prepass, chaos injection,
+# watchdog, checkpoint/resume).
 #
 # Usage: tools/sanitize_check.sh [thread|address] [build-dir]
 #
@@ -21,7 +22,7 @@ SANITIZER="${1:-thread}"
 # which SIGKILLs and resumes a live campaign under the sanitizer.
 TARGETS=(test_pool test_engine test_jobs_precedence test_timeline
          test_chaos test_resume test_prop_chaos test_store_concurrency
-         test_suite radcrit_cli)
+         test_suite test_golden_bands radcrit_cli)
 LABELS="concurrency|chaos"
 case "$SANITIZER" in
     thread) DEFAULT_DIR=build-tsan ;;
