@@ -120,6 +120,16 @@ class Clamr : public Workload
     void step(const SweState &src, SweState &dst) const;
 
     /**
+     * The part of step() that writes dst rows [r0, r1): the X sweep
+     * of those rows and the Y sweep of interfaces r0..r1. dst must
+     * already match src in size. Calls over disjoint bands may run
+     * concurrently, and the bands of any split of [0, grid())
+     * together write exactly the bits step() writes.
+     */
+    void stepRows(const SweState &src, SweState &dst, int64_t r0,
+                  int64_t r1) const;
+
+    /**
      * Effective AMR cell counts sampled along the golden run (one
      * entry per checkpoint), showing the thread-count variation the
      * paper attributes CLAMR's control-resource stress to.

@@ -8,9 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
 
+#include "campaign/raw.hh"
 #include "common/rng.hh"
 #include "kernels/clamr.hh"
+#include "logs/beamlog.hh"
 #include "metrics/criticality.hh"
 
 namespace radcrit
@@ -204,6 +209,41 @@ TEST_F(ClamrTest, DeterministicPerStrike)
     ASSERT_EQ(a.numIncorrect(), b.numIncorrect());
     for (size_t i = 0; i < a.elements.size(); ++i)
         EXPECT_EQ(a.elements[i].read, b.elements[i].read);
+}
+
+TEST(ClamrNanTest, NanReadsAreLoggedCanonically)
+{
+    // A late wrong-operation strike on the canonical K40 grid that
+    // leaves NaN heights. Which NaN each step propagates, and so its
+    // sign, follows operand order in the generated code; the record
+    // holds the canonical quiet NaN, so the log only reads "nan".
+    Clamr clamr(makeK40(), 128);
+    Strike s;
+    s.resource = ResourceKind::Sfu;
+    s.manifestation = Manifestation::WrongOperation;
+    s.timeFraction = 0.83134644960954474;
+    s.burstBits = 1;
+    s.entropy = 9607457984167169673ULL;
+    Rng rng(0);
+    CampaignRaw raw;
+    raw.deviceName = "K40";
+    raw.workloadName = clamr.name();
+    raw.inputLabel = clamr.inputLabel();
+    raw.runs.push_back({0, s, Outcome::Sdc, clamr.inject(s, rng)});
+
+    const double canonical = std::numeric_limits<double>::quiet_NaN();
+    size_t nans = 0;
+    for (const auto &e : raw.runs[0].record.elements) {
+        if (!std::isnan(e.read))
+            continue;
+        ++nans;
+        EXPECT_EQ(std::memcmp(&e.read, &canonical, sizeof(double)), 0);
+    }
+    ASSERT_GT(nans, 0u);
+    std::stringstream log;
+    writeBeamLog(raw, log);
+    EXPECT_NE(log.str().find("read=nan "), std::string::npos);
+    EXPECT_EQ(log.str().find("read=-nan"), std::string::npos);
 }
 
 TEST(ClamrDeathTest, BadConfigFatal)

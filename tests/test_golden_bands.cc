@@ -1,10 +1,12 @@
 /**
  * @file
  * Banded golden computation is bit-identical for every job count:
- * DGEMM and LavaMD built with an attached build pool of 1, 2, 3, 5
- * or 8 jobs (uneven bands included) produce the same inputs and
- * golden outputs, byte for byte, as a build with nothing attached,
- * and a campaign over either workload writes the same beam log.
+ * DGEMM, LavaMD and CLAMR built with an attached build pool of 1, 2,
+ * 3, 5 or 8 jobs (uneven bands included) produce the same inputs
+ * and golden outputs, byte for byte, as a build with nothing
+ * attached, and a campaign over any of them writes the same beam
+ * log. CLAMR bands every time step, so its AMR series is compared
+ * too, and its beam log replays strikes from the banded checkpoints.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "campaign/paperconfigs.hh"
 #include "campaign/runner.hh"
 #include "exec/pool.hh"
+#include "kernels/clamr.hh"
 #include "kernels/dgemm.hh"
 #include "kernels/lavamd.hh"
 #include "logs/beamlog.hh"
@@ -27,11 +30,12 @@ namespace radcrit
 namespace
 {
 
+template <typename T>
 bool
-sameBytes(const std::vector<double> &x, const std::vector<double> &y)
+sameBytes(const std::vector<T> &x, const std::vector<T> &y)
 {
     return x.size() == y.size() &&
-        std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) ==
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) ==
         0;
 }
 
@@ -87,6 +91,25 @@ TEST_P(GoldenBands, LavaMdMatchesUnattachedBuild)
         });
         EXPECT_TRUE(sameBytes(banded->goldenForce(),
                               ref.goldenForce()));
+        EXPECT_EQ(beamLogOf(device, *banded), beamLogOf(device, ref));
+    }
+}
+
+TEST_P(GoldenBands, ClamrMatchesUnattachedBuild)
+{
+    DeviceModel device = makeK40();
+    for (int64_t grid : {64, 72}) {
+        SCOPED_TRACE("grid=" + std::to_string(grid));
+        Clamr ref(device, grid, 64);
+        auto banded = buildWith(GetParam(), [&] {
+            return std::make_unique<Clamr>(device, grid, 64);
+        });
+        EXPECT_TRUE(sameBytes(banded->goldenH(), ref.goldenH()));
+        double mass = banded->goldenMass();
+        double ref_mass = ref.goldenMass();
+        EXPECT_EQ(std::memcmp(&mass, &ref_mass, sizeof(double)), 0);
+        EXPECT_TRUE(sameBytes(banded->amrCellSeries(),
+                              ref.amrCellSeries()));
         EXPECT_EQ(beamLogOf(device, *banded), beamLogOf(device, ref));
     }
 }

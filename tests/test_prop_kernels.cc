@@ -16,7 +16,10 @@
  *    mismatch;
  *  - bitwise stencil steps: HotSpot::step and Clamr::step produce,
  *    bit for bit, what a straightforward reference implementation
- *    (kept below as the oracle) produces on perturbed states.
+ *    (kept below as the oracle) produces on perturbed states; on
+ *    states with NaN, infinite and signed-zero cells Clamr::step
+ *    matches it up to the sign of NaNs, and its row bands together
+ *    write exactly what the whole step writes.
  *
  * A falsified property prints a RADCRIT_PROPTEST_SEED for replay.
  */
@@ -26,6 +29,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <tuple>
@@ -579,6 +583,72 @@ TEST_P(HotSpotStepTest, StepMatchesReferenceBitwise)
 INSTANTIATE_TEST_SUITE_P(Grids, HotSpotStepTest,
                          ::testing::Values(64, 80));
 
+/**
+ * A wave-active shallow-water state with the case's cells
+ * perturbed toward the solver's edge cases (depth at the floor,
+ * flipped signs and bits, water at rest), every value finite.
+ */
+SweState
+finiteState(int64_t n, const StepCase &c)
+{
+    Rng rng(c.seed);
+    SweState src;
+    src.resize(static_cast<size_t>(n * n));
+    for (size_t i = 0; i < src.h.size(); ++i) {
+        src.h[i] = rng.uniform(0.5, 10.0);
+        src.hu[i] = rng.normal(0.0, 2.0);
+        src.hv[i] = rng.normal(0.0, 2.0);
+    }
+    for (uint32_t k = 0; k < c.cells; ++k) {
+        size_t i = pickCell(c.spot, n, rng);
+        switch (rng.uniformInt(4)) {
+          case 0: { // depth at or around the floor
+            const double near_floor[] = {
+                0.0, -0.0, 0.5e-8, 1e-8, 2e-8, 1e-6};
+            src.h[i] = near_floor[rng.uniformInt(6)];
+            break;
+          }
+          case 1: // sign-flipped momenta
+            src.hu[i] = -src.hu[i];
+            src.hv[i] = -src.hv[i];
+            break;
+          case 2:
+            src.h[i] = flipBitsBounded(src.h[i], 1, 53, rng);
+            src.hu[i] = flipBitsBounded(src.hu[i], 1, 53, rng);
+            break;
+          default: // flat water at rest
+            src.hu[i] = rng.bernoulli(0.5) ? 0.0 : -0.0;
+            src.hv[i] = 0.0;
+            src.h[i] = 1.0;
+            break;
+        }
+    }
+    return src;
+}
+
+/**
+ * Same values, except that NaNs only need to meet NaNs: which NaN
+ * operand an FP op propagates depends on how the compiler ordered
+ * commutative operands, so a NaN's sign and payload are free.
+ */
+bool
+sameUpToNanSign(const std::vector<double> &want,
+                const std::vector<double> &got)
+{
+    if (want.size() != got.size())
+        return false;
+    for (size_t i = 0; i < want.size(); ++i) {
+        if (std::isnan(want[i]) || std::isnan(got[i])) {
+            if (!(std::isnan(want[i]) && std::isnan(got[i])))
+                return false;
+        } else if (std::memcmp(&want[i], &got[i], sizeof(double)) !=
+                   0) {
+            return false;
+        }
+    }
+    return true;
+}
+
 class ClamrStepTest : public ::testing::TestWithParam<int64_t>
 {};
 
@@ -590,46 +660,72 @@ TEST_P(ClamrStepTest, StepMatchesReferenceBitwise)
         "clamr step bitwise", stepCaseGen(),
         std::function<bool(const StepCase &)>(
             [&](const StepCase &c) {
-                Rng rng(c.seed);
-                SweState src;
-                src.resize(static_cast<size_t>(n * n));
-                for (size_t i = 0; i < src.h.size(); ++i) {
-                    src.h[i] = rng.uniform(0.5, 10.0);
-                    src.hu[i] = rng.normal(0.0, 2.0);
-                    src.hv[i] = rng.normal(0.0, 2.0);
-                }
-                for (uint32_t k = 0; k < c.cells; ++k) {
-                    size_t i = pickCell(c.spot, n, rng);
-                    switch (rng.uniformInt(4)) {
-                      case 0: { // depth at or around the floor
-                        const double near_floor[] = {
-                            0.0, -0.0, 0.5e-8, 1e-8, 2e-8, 1e-6};
-                        src.h[i] = near_floor[rng.uniformInt(6)];
-                        break;
-                      }
-                      case 1: // sign-flipped momenta
-                        src.hu[i] = -src.hu[i];
-                        src.hv[i] = -src.hv[i];
-                        break;
-                      case 2:
-                        src.h[i] = flipBitsBounded(src.h[i], 1, 53,
-                                                   rng);
-                        src.hu[i] = flipBitsBounded(src.hu[i], 1,
-                                                    53, rng);
-                        break;
-                      default: // flat water at rest
-                        src.hu[i] = rng.bernoulli(0.5) ? 0.0 : -0.0;
-                        src.hv[i] = 0.0;
-                        src.h[i] = 1.0;
-                        break;
-                    }
-                }
+                SweState src = finiteState(n, c);
                 SweState want, got;
                 ref::clamrStep(n, cl.dt(), src, want);
                 cl.step(src, got);
                 return sameBits(want.h, got.h) &&
                     sameBits(want.hu, got.hu) &&
                     sameBits(want.hv, got.hv);
+            }));
+    EXPECT_TRUE(r.ok) << r.message;
+}
+
+TEST_P(ClamrStepTest, NonFiniteStepMatchesReference)
+{
+    // Strikes can leave NaN, infinite or signed-zero cells; the
+    // vector lanes must treat them as the scalar reference does.
+    const int64_t n = GetParam();
+    Clamr cl(makeDevice(DeviceId::K40), n, 16, 7);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double special[] = {nan, -nan, inf, -inf, 0.0, -0.0};
+    check::PropResult r = check::forAll<StepCase>(
+        "clamr step non-finite", stepCaseGen(),
+        std::function<bool(const StepCase &)>(
+            [&](const StepCase &c) {
+                SweState src = finiteState(n, c);
+                Rng rng(c.seed ^ 0x5EC1A1ULL);
+                for (uint32_t k = 0; k < c.cells; ++k) {
+                    size_t i = pickCell(c.spot, n, rng);
+                    std::vector<double> *fields[] = {&src.h, &src.hu,
+                                                     &src.hv};
+                    (*fields[rng.uniformInt(3)])[i] =
+                        special[rng.uniformInt(6)];
+                }
+                SweState want, got;
+                ref::clamrStep(n, cl.dt(), src, want);
+                cl.step(src, got);
+                return sameUpToNanSign(want.h, got.h) &&
+                    sameUpToNanSign(want.hu, got.hu) &&
+                    sameUpToNanSign(want.hv, got.hv);
+            }));
+    EXPECT_TRUE(r.ok) << r.message;
+}
+
+TEST_P(ClamrStepTest, BandsMatchWholeStepBitwise)
+{
+    // stepRows() over [0, a), [a, b), [b, n) writes what step()
+    // writes: the banded golden run depends on it.
+    const int64_t n = GetParam();
+    Clamr cl(makeDevice(DeviceId::XeonPhi), n, 16, 7);
+    check::PropResult r = check::forAll<StepCase>(
+        "clamr step bands", stepCaseGen(),
+        std::function<bool(const StepCase &)>(
+            [&](const StepCase &c) {
+                SweState src = finiteState(n, c);
+                Rng rng(c.seed ^ 0xBA5DULL);
+                int64_t a = rng.uniformRange(1, n - 2);
+                int64_t b = rng.uniformRange(a + 1, n - 1);
+                SweState whole, banded;
+                cl.step(src, whole);
+                banded.resize(src.h.size());
+                cl.stepRows(src, banded, 0, a);
+                cl.stepRows(src, banded, a, b);
+                cl.stepRows(src, banded, b, n);
+                return sameBits(whole.h, banded.h) &&
+                    sameBits(whole.hu, banded.hu) &&
+                    sameBits(whole.hv, banded.hv);
             }));
     EXPECT_TRUE(r.ok) << r.message;
 }

@@ -24,6 +24,7 @@
 #include "campaign/series.hh"
 #include "exec/launch.hh"
 #include "exec/chaos.hh"
+#include "exec/pool.hh"
 #include "logs/beamlog.hh"
 #include "obs/stats_registry.hh"
 #include "suite/context.hh"
@@ -274,6 +275,9 @@ TEST(DescribeWorkload, MatchesTheBuiltWorkload)
     // Every canonical spec, on both devices: the described
     // identity is what the built workload reports, so keys, seeds
     // and a store hit's launch view cannot tell the two apart.
+    // The builds compute their goldens in bands over four jobs.
+    WorkerPool pool(4);
+    ScopedBuildPool attach(pool);
     std::vector<WorkloadSpec> specs;
     for (const auto &reqs :
          {dgemmRequests(1), lavamdRequests(1), hotspotRequests(1),

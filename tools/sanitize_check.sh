@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Build the tree under a sanitizer and run the concurrency- and
 # chaos-labelled tests (worker pool + parallel campaign engine
-# determinism, golden outputs built in bands across a pool,
-# concurrent store access, the suite prepass, chaos injection,
-# watchdog, checkpoint/resume).
+# determinism, golden outputs built in bands across a pool —
+# DGEMM rows, LavaMD boxes, and CLAMR row bands at every time step,
+# which read a halo row of the shared state and write disjoint
+# rows — concurrent store access, the suite prepass, chaos
+# injection, watchdog, checkpoint/resume).
 #
 # Usage: tools/sanitize_check.sh [thread|address] [build-dir]
 #
