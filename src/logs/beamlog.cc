@@ -73,6 +73,14 @@ appendAll(std::string &out, const Pieces &...pieces)
 }
 
 /**
+ * The #ERR line as the writer lays it out: these pieces in this
+ * order, each followed by its value, single spaces and nothing
+ * after the last value. RecordParser tries this layout first.
+ */
+constexpr std::string_view errLayout[] = {"#ERR x=", " y=", " z=",
+                                          " read=", " expected="};
+
+/**
  * Serialize one run's #RUN..#END record (shared by campaign logs
  * and checkpoint shards). With a `spill` stream, `out` is written
  * there and emptied whenever it passes 64 KiB, so a record with
@@ -95,9 +103,10 @@ appendRunRecord(std::string &out, const RawRun &run, uint64_t idx,
         appendAll(out, "#DIMS dims=", rec.dims, " x=", rec.extent[0],
                   " y=", rec.extent[1], " z=", rec.extent[2], "\n");
         for (const auto &e : rec.elements) {
-            appendAll(out, "#ERR x=", e.coord[0], " y=", e.coord[1],
-                      " z=", e.coord[2], " read=", e.read,
-                      " expected=", e.expected, "\n");
+            appendAll(out, errLayout[0], e.coord[0], errLayout[1],
+                      e.coord[1], errLayout[2], e.coord[2],
+                      errLayout[3], e.read, errLayout[4], e.expected,
+                      "\n");
             if (spill && out.size() >= spillBytes) {
                 spill->write(out.data(),
                              static_cast<std::streamsize>(out.size()));
@@ -303,10 +312,18 @@ class RecordParser
         throw unknownKeyword(keyword_);
     }
 
-    /** split() then record(). */
+    /**
+     * Fold one line: an #ERR line in the writer's layout in place,
+     * any other line through split() and record().
+     */
     std::optional<RawRun>
     consume(std::string_view line)
     {
+        CorruptedElement e;
+        if (inRun_ && errInLayout(line, e)) {
+            current_.record.elements.push_back(e);
+            return std::nullopt;
+        }
         split(line);
         return record();
     }
@@ -318,6 +335,35 @@ class RecordParser
     uint64_t runIndex() const { return current_.index; }
 
   private:
+    /**
+     * Parse `line` into `e` when it is an #ERR line laid out
+     * exactly as errLayout. A value from_chars reads up to the next
+     * piece, or to the end of the line, is the whole token split()
+     * would give, so such a line parses as record() would parse it;
+     * @return false for any other line, which record() then parses
+     * or diagnoses.
+     */
+    static bool
+    errInLayout(std::string_view line, CorruptedElement &e)
+    {
+        const char *p = line.data();
+        const char *const end = p + line.size();
+        auto field = [&](std::string_view piece, auto &value) {
+            if (static_cast<size_t>(end - p) < piece.size() ||
+                std::string_view(p, piece.size()) != piece)
+                return false;
+            p += piece.size();
+            auto res = std::from_chars(p, end, value);
+            p = res.ptr;
+            return res.ec == std::errc();
+        };
+        return field(errLayout[0], e.coord[0]) &&
+            field(errLayout[1], e.coord[1]) &&
+            field(errLayout[2], e.coord[2]) &&
+            field(errLayout[3], e.read) &&
+            field(errLayout[4], e.expected) && p == end;
+    }
+
     /** A diagnostic: `what` followed by the line. */
     BeamLogParseError
     error(const char *what) const

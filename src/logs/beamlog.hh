@@ -35,6 +35,15 @@
  * their field, and an unknown keyword, outcome, resource or
  * manifestation is a parse error like any other malformed line.
  *
+ * The reader first tries each #ERR line in the exact layout the
+ * writer emits ("#ERR x=<i> y=<i> z=<i> read=<g> expected=<g>",
+ * single spaces, nothing after the last value) and parses its five
+ * values in place. Any other line, #ERR spellings the grammar
+ * allows included (reordered or repeated keys, tabs, extra fields,
+ * CR line ends), and any value that does not parse whole, goes to
+ * the general parser, so the grammar and every diagnostic are the
+ * general parser's alone.
+ *
  * The launch geometry is not serialized — it is derived from
  * (device, workload), never consumed by analysis, and the campaign
  * store rebuilds it on load. A log parsed standalone carries a

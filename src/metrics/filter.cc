@@ -21,7 +21,7 @@ RelativeErrorFilter::apply(const SdcRecord &record) const
     out.dims = record.dims;
     out.extent = record.extent;
     for (const auto &e : record.elements) {
-        if (relativeErrorPct(e.read, e.expected) > thresholdPct_)
+        if (keeps(relativeErrorPct(e.read, e.expected)))
             out.elements.push_back(e);
     }
     return out;
@@ -31,7 +31,7 @@ bool
 RelativeErrorFilter::removesExecution(const SdcRecord &record) const
 {
     for (const auto &e : record.elements) {
-        if (relativeErrorPct(e.read, e.expected) > thresholdPct_)
+        if (keeps(relativeErrorPct(e.read, e.expected)))
             return false;
     }
     return true;

@@ -32,6 +32,13 @@ class RelativeErrorFilter
     /** @return the configured threshold in percent. */
     double thresholdPct() const { return thresholdPct_; }
 
+    /** @return true when an element of this relative error (in
+     * percent) survives the filter. */
+    bool keeps(double rel_err_pct) const
+    {
+        return rel_err_pct > thresholdPct_;
+    }
+
     /**
      * @return a copy of the record containing only elements whose
      * relative error exceeds the threshold. An empty result means

@@ -24,20 +24,54 @@ patternName(Pattern p)
     }
 }
 
+Pattern
+SortedPositions::classify(const LocalityParams &params) const
+{
+    if (unique_ == 0)
+        return Pattern::None;
+    if (unique_ == 1)
+        return Pattern::Single;
+
+    // Which axes vary, and the bounding box's size along them.
+    int varying = 0;
+    double size = 1.0;
+    for (int a = 0; a < 3; ++a) {
+        if (hi_[a] != lo_[a])
+            ++varying;
+        size *= static_cast<double>(hi_[a] - lo_[a] + 1);
+    }
+
+    if (varying == 0) {
+        // Distinct coords with no varying axis cannot happen.
+        panic("locality: %zu unique coords but no varying axis",
+              unique_);
+    }
+    if (varying == 1)
+        return Pattern::Line;
+
+    auto n = static_cast<double>(unique_);
+    if (varying == 2)
+        return (n / size >= params.squareDensity) ? Pattern::Square
+                                                  : Pattern::Random;
+    return (n / size >= params.cubicDensity) ? Pattern::Cubic
+                                             : Pattern::Random;
+}
+
 namespace
 {
 
-std::vector<std::array<int64_t, 3>>
-uniqueCoords(const SdcRecord &record)
+SortedPositions
+sortedPositions(const SdcRecord &record)
 {
     std::vector<std::array<int64_t, 3>> coords;
     coords.reserve(record.elements.size());
     for (const auto &e : record.elements)
         coords.push_back(e.coord);
     std::sort(coords.begin(), coords.end());
-    coords.erase(std::unique(coords.begin(), coords.end()),
-                 coords.end());
-    return coords;
+    SortedPositions positions;
+    for (const auto &c : coords)
+        positions.add(c);
+    return positions;
 }
 
 } // anonymous namespace
@@ -45,57 +79,14 @@ uniqueCoords(const SdcRecord &record)
 size_t
 uniquePositions(const SdcRecord &record)
 {
-    return uniqueCoords(record).size();
+    return sortedPositions(record).unique();
 }
 
 Pattern
 classifyLocality(const SdcRecord &record,
                  const LocalityParams &params)
 {
-    auto coords = uniqueCoords(record);
-    if (coords.empty())
-        return Pattern::None;
-    if (coords.size() == 1)
-        return Pattern::Single;
-
-    // Determine which axes vary and the bounding box.
-    std::array<int64_t, 3> lo = coords.front();
-    std::array<int64_t, 3> hi = coords.front();
-    for (const auto &c : coords) {
-        for (int a = 0; a < 3; ++a) {
-            lo[a] = std::min(lo[a], c[a]);
-            hi[a] = std::max(hi[a], c[a]);
-        }
-    }
-    int varying = 0;
-    for (int a = 0; a < 3; ++a) {
-        if (hi[a] != lo[a])
-            ++varying;
-    }
-
-    if (varying == 0) {
-        // Distinct coords with no varying axis cannot happen.
-        panic("locality: %zu unique coords but no varying axis",
-              coords.size());
-    }
-    if (varying == 1)
-        return Pattern::Line;
-
-    auto n = static_cast<double>(coords.size());
-    if (varying == 2) {
-        double area = 1.0;
-        for (int a = 0; a < 3; ++a)
-            area *= static_cast<double>(hi[a] - lo[a] + 1);
-        return (n / area >= params.squareDensity) ? Pattern::Square
-                                                  : Pattern::Random;
-    }
-
-    // varying == 3
-    double volume = 1.0;
-    for (int a = 0; a < 3; ++a)
-        volume *= static_cast<double>(hi[a] - lo[a] + 1);
-    return (n / volume >= params.cubicDensity) ? Pattern::Cubic
-                                               : Pattern::Random;
+    return sortedPositions(record).classify(params);
 }
 
 } // namespace radcrit

@@ -25,6 +25,7 @@
 #ifndef RADCRIT_METRICS_LOCALITY_HH
 #define RADCRIT_METRICS_LOCALITY_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -65,6 +66,47 @@ struct LocalityParams
     double squareDensity = 0.05;
     /** Same for three-axis-spanning patterns vs Cubic. */
     double cubicDensity = 0.02;
+};
+
+/**
+ * The distinct positions of a record and their bounding box, fed
+ * in sorted order so that equal neighbours count once: everything
+ * classifyLocality() judges. analyzeCriticality() fills one for all
+ * elements and one for the filter's survivors from a single sort.
+ */
+class SortedPositions
+{
+  public:
+    /**
+     * Add `c`, which must not sort before the last one added.
+     * Inline and branch-light: it runs once per element, and a
+     * caller's loop keeps the box in registers.
+     */
+    void
+    add(const std::array<int64_t, 3> &c)
+    {
+        if (unique_ > 0 && c[0] == last_[0] && c[1] == last_[1] &&
+            c[2] == last_[2])
+            return;
+        for (int a = 0; a < 3; ++a) {
+            lo_[a] = std::min(lo_[a], c[a]);
+            hi_[a] = std::max(hi_[a], c[a]);
+        }
+        last_ = c;
+        ++unique_;
+    }
+
+    /** @return the number of distinct positions added. */
+    size_t unique() const { return unique_; }
+
+    /** @return the pattern of the positions added. */
+    Pattern classify(const LocalityParams &params) const;
+
+  private:
+    size_t unique_ = 0;
+    std::array<int64_t, 3> last_{};
+    std::array<int64_t, 3> lo_{INT64_MAX, INT64_MAX, INT64_MAX};
+    std::array<int64_t, 3> hi_{INT64_MIN, INT64_MIN, INT64_MIN};
 };
 
 /**

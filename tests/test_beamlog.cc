@@ -11,6 +11,9 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/runner.hh"
 #include "kernels/dgemm.hh"
@@ -401,6 +404,77 @@ TEST(BeamLogGrammar, FieldsInAnyOrderLastDuplicateWins)
     ASSERT_EQ(run.record.elements.size(), 1u);
     EXPECT_EQ(run.record.elements[0].read, 8.0);
     EXPECT_EQ(run.record.elements[0].expected, 2.0);
+}
+
+/** @return the log parsed and written back. */
+std::string
+reserialized(const std::string &text)
+{
+    std::stringstream in(text);
+    std::stringstream out;
+    writeBeamLog(readBeamLog(in), out);
+    return out.str();
+}
+
+TEST(BeamLogGrammar, ErrLineSpellingsParseLikeTheWriterLayout)
+{
+    // An #ERR line in the writer's layout is parsed in place; every
+    // other spelling the grammar allows goes through the general
+    // parser, and both must give the same element.
+    const std::string layout = "x=1 y=2 z=0 read=1.5 expected=-0.25";
+    const std::string want =
+        reserialized(oneRunLog(goodRun, "dims=2 x=4 y=4 z=1", layout));
+    ASSERT_NE(want.find("#ERR " + layout + "\n"), std::string::npos);
+    for (const std::string err : {
+             "expected=-0.25 read=1.5 z=0 y=2 x=1",
+             "x=3 y=2 z=0 read=9 expected=-0.25 x=1 read=1.5",
+             "x=1\ty=2\tz=0\tread=1.5\texpected=-0.25",
+             "x=1  y=2 z=0 read=1.5 expected=-0.25",
+             "x=1 y=2 z=0 read=1.5 expected=-0.25 note=extra",
+             "x=1 y=2 z=0 read=1.5 expected=-0.25 ",
+             "x=1 y=2 z=0 read=1.5 expected=-0.25\r",
+         })
+        EXPECT_EQ(reserialized(oneRunLog(
+                      goodRun, "dims=2 x=4 y=4 z=1", err)),
+                  want)
+            << err;
+
+    // CRLF line ends throughout, and a last line without '\n'.
+    std::string crlf;
+    for (char c : oneRunLog(goodRun, "dims=2 x=4 y=4 z=1", layout))
+        crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+    EXPECT_EQ(reserialized(crlf), want);
+    EXPECT_EQ(reserialized(want.substr(0, want.size() - 1)), want);
+}
+
+TEST(BeamLogGrammar, ErrLineInTheWriterLayoutKeepsItsDiagnostics)
+{
+    // A line that looks like the writer's layout but holds a number
+    // that overflows, stops early or carries trailing bytes gets the
+    // general parser's diagnostic, word for word.
+    const std::vector<std::pair<std::string, std::string>> cases{
+        {"x=99999999999999999999 y=2 z=0 read=1.5 expected=1",
+         "bad integer '99999999999999999999'"},
+        {"x=1 y=2 z=0 read=1e999 expected=1", "bad number '1e999'"},
+        {"x=1 y=2 z=0 read=1.5 expected=1e", "bad number '1e'"},
+        {"x=1 y=2 z=0 read=1.5 expected=1x", "bad number '1x'"},
+        {"x=1 y=2 z=0 read=- expected=1", "bad number '-'"},
+        {"x=1 y= z=0 read=1.5 expected=1", "bad integer ''"},
+        {"x=1 y=2.5 z=0 read=1.5 expected=1", "bad integer '2.5'"},
+        {"x=1 y=2 z=0 read=1.5 expected=+1", "bad number '+1'"},
+    };
+    for (const auto &[err, what] : cases)
+        EXPECT_EQ(parseError(oneRunLog(goodRun, "dims=2 x=4 y=4 z=1",
+                                       err)),
+                  what + " in line: #ERR " + err);
+
+    std::string text = oneRunLog(goodRun);
+    size_t run = text.find("#RUN");
+    std::string outside = text.substr(0, run) +
+        "#ERR x=1 y=2 z=0 read=1.5 expected=1\n" + text.substr(run);
+    EXPECT_EQ(parseError(outside),
+              "#ERR outside a run: "
+              "#ERR x=1 y=2 z=0 read=1.5 expected=1");
 }
 
 TEST(BeamLogGrammar, UnknownResourceIsADiagnostic)

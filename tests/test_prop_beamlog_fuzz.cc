@@ -18,6 +18,18 @@
  * well-formed header names another campaign is fatal by contract
  * (see readCheckpointShards()), and that is tested in test_resume.
  *
+ * The reader parses #ERR lines in the writer's layout in place and
+ * every other line through the general grammar, so each reader
+ * (one pass, pieces, shard recovery) is also fed logs whose #ERR
+ * lines are spelled differently but mean the same.
+ *
+ * A campaign-store entry is the same format behind four doors
+ * (CampaignStore::load, loadStream, load(key, parsed) after a piece
+ * read, load(key, parsed) after a whole read). Each mutant entry
+ * must be a hit equal to what the one-pass reader makes of its
+ * bytes, or a quarantine after which simulateOrLoad() re-simulates
+ * the campaign to the same per-run CSV rows.
+ *
  * Case count: RADCRIT_PROPTEST_CASES; a falsified property prints a
  * RADCRIT_PROPTEST_SEED for replay.
  */
@@ -35,6 +47,8 @@
 #include <vector>
 
 #include "campaign/runner.hh"
+#include "campaign/series.hh"
+#include "campaign/store.hh"
 #include "check/prop.hh"
 #include "common/logging.hh"
 #include "exec/pool.hh"
@@ -185,6 +199,63 @@ baseLog()
     return ss.str();
 }
 
+/** The ways an #ERR line may be spelled that mean the same. */
+enum class Spelling
+{
+    Reordered,
+    RepeatedKey,
+    Tabs,
+    DoubleSpaces,
+    ExtraField,
+    CarriageReturn,
+};
+
+constexpr Spelling spellings[] = {
+    Spelling::Reordered,   Spelling::RepeatedKey,
+    Spelling::Tabs,        Spelling::DoubleSpaces,
+    Spelling::ExtraField,  Spelling::CarriageReturn,
+};
+
+/** `text` with every #ERR line spelled `how`. */
+std::string
+respell(const std::string &text, Spelling how)
+{
+    std::string out;
+    for (std::string line : lines(text)) {
+        if (line.rfind("#ERR ", 0) != 0) {
+            out += line;
+            continue;
+        }
+        line.pop_back();
+        std::vector<std::string> fields;
+        std::stringstream in(line.substr(5));
+        for (std::string f; in >> f;)
+            fields.push_back(f);
+        switch (how) {
+          case Spelling::Reordered:
+            std::reverse(fields.begin(), fields.end());
+            break;
+          case Spelling::RepeatedKey:
+            fields.insert(fields.begin(), "read=-7");
+            fields.insert(fields.begin(), "x=12345");
+            break;
+          case Spelling::ExtraField:
+            fields.push_back("note=extra");
+            break;
+          default:
+            break;
+        }
+        std::string sep = how == Spelling::Tabs ? "\t"
+            : how == Spelling::DoubleSpaces     ? "  "
+                                                : " ";
+        out += "#ERR";
+        for (const std::string &f : fields)
+            out += sep + f;
+        out += how == Spelling::CarriageReturn ? "\r\n" : "\n";
+    }
+    return out;
+}
+
 /**
  * A beam-log mutant is safe when it either fails with a
  * diagnostic, or parses to a campaign whose serialization parses
@@ -267,6 +338,23 @@ TEST(BeamLogFuzz, LetterInANumericFieldIsRejected)
     EXPECT_GT(tested, 100u);
 }
 
+TEST(BeamLogFuzz, ErrSpellingsParseToTheSameCampaign)
+{
+    const std::string text = baseLog();
+    ASSERT_NE(text.find("#ERR "), std::string::npos);
+    for (Spelling how : spellings) {
+        std::string spelled = respell(text, how);
+        ASSERT_NE(spelled, text);
+        std::stringstream in(spelled);
+        std::string error;
+        std::optional<CampaignRaw> raw = tryReadBeamLog(in, &error);
+        ASSERT_TRUE(raw.has_value()) << error;
+        std::stringstream out;
+        writeBeamLog(*raw, out);
+        EXPECT_EQ(out.str(), text) << static_cast<int>(how);
+    }
+}
+
 TEST(BeamLogFuzz, MutantsRoundTripOrFailWithADiagnostic)
 {
     const std::string text = baseLog();
@@ -343,6 +431,25 @@ TEST_F(PiecesTest, EveryPieceSizeMatchesTheOnePassReader)
     const std::string text = baseLog();
     for (uint64_t size = 1; size <= text.size() + 1; ++size)
         ASSERT_TRUE(piecesMatchOnePass(text, size)) << size;
+}
+
+TEST_F(PiecesTest, ErrSpellingsMatchTheOnePassReader)
+{
+    // Respelled #ERR lines, CRLF line ends throughout, and a last
+    // line without its '\n', at every piece size.
+    const std::string text = baseLog();
+    std::vector<std::string> inputs;
+    for (Spelling how : spellings)
+        inputs.push_back(respell(text, how));
+    std::string crlf;
+    for (char c : text)
+        crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+    inputs.push_back(crlf);
+    inputs.push_back(text.substr(0, text.size() - 1));
+    for (const std::string &input : inputs)
+        for (uint64_t size = 1; size <= input.size() + 1;
+             size += 1 + size / 8)
+            ASSERT_TRUE(piecesMatchOnePass(input, size)) << size;
 }
 
 TEST_F(PiecesTest, RunLeftOpenAtAPieceBoundaryIsRejected)
@@ -516,6 +623,25 @@ TEST_F(ShardFuzzTest, TruncationAtEveryLineKeepsCompleteRecords)
     }
 }
 
+TEST_F(ShardFuzzTest, ErrSpellingsRecoverTheSameRuns)
+{
+    // Shard recovery shares the record parser: a shard whose #ERR
+    // lines are respelled recovers the runs the one-pass reader
+    // reads from the same records.
+    for (Spelling how : spellings) {
+        CheckpointRecovery rec = recover(respell(text_, how));
+        ASSERT_TRUE(rec.found);
+        EXPECT_EQ(rec.tornRecords, 0u);
+        CampaignRaw got = baseCampaign();
+        got.runs = rec.runs;
+        std::stringstream a;
+        std::stringstream b;
+        writeBeamLog(got, a);
+        writeBeamLog(baseCampaign(), b);
+        EXPECT_EQ(a.str(), b.str()) << static_cast<int>(how);
+    }
+}
+
 TEST_F(ShardFuzzTest, MutantsStopAtAValidOffset)
 {
     check::PropResult r = check::forAll<std::vector<Mutation>>(
@@ -528,6 +654,173 @@ TEST_F(ShardFuzzTest, MutantsStopAtAValidOffset)
                     mutant = mutate(mutant, m, headerBytes_);
                 return static_cast<bool>(
                     stopsAtAValidOffset(mutant));
+            }));
+    EXPECT_TRUE(r.ok) << r.message;
+}
+
+/**
+ * A fresh DGEMM campaign saved as a store entry. Its SDC records
+ * are whole (a re-simulation must reproduce them), and the mutants
+ * of its bytes are loaded through every door of the store.
+ */
+class StoreEntryFuzzTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        dir_ = ::testing::TempDir() + "radcrit_store_fuzz_" +
+            ::testing::UnitTest::GetInstance()
+                ->current_test_info()
+                ->name();
+        std::filesystem::remove_all(dir_);
+        cfg_.faultyRuns = 6;
+        cfg_.seed = 5;
+        CampaignStore store(dir_);
+        CampaignRaw raw = simulateOrLoad(device_, dgemm_, cfg_, &store);
+        launch_ = raw.launch;
+        rows_ = runRows(analyzeCampaign(raw, AnalysisConfig{}));
+        key_ = campaignKey(raw);
+        path_ = store.pathFor(key_);
+        std::ifstream in(path_);
+        text_.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+        level_ = logLevel();
+        setLogLevel(LogLevel::Error);
+    }
+
+    void
+    TearDown() override
+    {
+        setLogLevel(level_);
+        std::filesystem::remove_all(dir_);
+    }
+
+    /** The store doors a mutant entry is loaded through. */
+    enum class Door { Load, LoadStream, Pieces, Parsed };
+
+    /** Load the entry holding `bytes` through `door`. */
+    std::optional<CampaignRaw>
+    loadThrough(Door door, CampaignStore &store,
+                const std::string &bytes)
+    {
+        std::ofstream(path_, std::ios::trunc | std::ios::binary)
+            << bytes;
+        switch (door) {
+          case Door::Load:
+            return store.load(key_);
+          case Door::LoadStream: {
+            // The bounded-memory path: validate, then stream.
+            store.setSinglePassCap(0);
+            CollectRawSink sink;
+            if (!store.loadStream(key_, launch_, sink, 2))
+                return std::nullopt;
+            return sink.take();
+          }
+          case Door::Pieces: {
+            BeamLogPieces pieces(path_, 1 + bytes.size() / 5);
+            for (size_t k = 0; k < pieces.count(); ++k)
+                pieces.parse(k);
+            return store.load(key_, pieces.join());
+          }
+          case Door::Parsed:
+            return store.load(key_, tryReadBeamLogFile(path_));
+        }
+        return std::nullopt;
+    }
+
+    /**
+     * Through every door, `bytes` are a hit equal to the one-pass
+     * reader's campaign when that campaign matches the key, and
+     * otherwise a quarantine that simulateOrLoad() mends.
+     */
+    ::testing::AssertionResult
+    everyDoorAgrees(const std::string &bytes)
+    {
+        std::stringstream in(bytes);
+        std::optional<CampaignRaw> want = tryReadBeamLog(in);
+        bool hit = want && want->deviceName == key_.device &&
+            want->workloadName == key_.workload &&
+            want->inputLabel == key_.input &&
+            want->sim.seed == key_.sim.seed &&
+            want->runs.size() == key_.sim.faultyRuns;
+        std::string wantLog;
+        if (hit)
+            wantLog = serialized(*want);
+        for (Door door : {Door::Load, Door::LoadStream, Door::Pieces,
+                          Door::Parsed}) {
+            int d = static_cast<int>(door);
+            CampaignStore store(dir_);
+            std::optional<CampaignRaw> got =
+                loadThrough(door, store, bytes);
+            if (got.has_value() != hit)
+                return ::testing::AssertionFailure()
+                    << "door " << d << (hit ? " misses" : " hits")
+                    << " an entry the reader "
+                    << (hit ? "accepts" : "rejects");
+            if (hit) {
+                if (serialized(*got) != wantLog)
+                    return ::testing::AssertionFailure()
+                        << "door " << d << " hits another campaign";
+                continue;
+            }
+            if (store.quarantined() != 1 ||
+                !std::filesystem::exists(path_ + ".quarantined"))
+                return ::testing::AssertionFailure()
+                    << "door " << d << " did not quarantine";
+            std::filesystem::remove(path_ + ".quarantined");
+            CampaignRaw again =
+                simulateOrLoad(device_, dgemm_, cfg_, &store);
+            if (runRows(analyzeCampaign(again, AnalysisConfig{})) !=
+                    rows_ ||
+                !std::filesystem::exists(path_))
+                return ::testing::AssertionFailure()
+                    << "door " << d
+                    << " re-simulation differs from the original";
+        }
+        return ::testing::AssertionSuccess();
+    }
+
+    static std::string
+    serialized(const CampaignRaw &raw)
+    {
+        std::stringstream out;
+        writeBeamLog(raw, out);
+        return out.str();
+    }
+
+    DeviceModel device_ = makeK40();
+    Dgemm dgemm_{device_, 64, 42};
+    SimConfig cfg_;
+    KernelLaunch launch_;
+    CampaignKey key_;
+    std::string dir_;
+    std::string path_;
+    std::string text_;
+    std::vector<std::vector<std::string>> rows_;
+    LogLevel level_ = LogLevel::Info;
+};
+
+TEST_F(StoreEntryFuzzTest, EntryAndItsRespellingsHit)
+{
+    ASSERT_NE(text_.find("#ERR "), std::string::npos);
+    EXPECT_TRUE(everyDoorAgrees(text_));
+    for (Spelling how : spellings)
+        EXPECT_TRUE(everyDoorAgrees(respell(text_, how)))
+            << static_cast<int>(how);
+}
+
+TEST_F(StoreEntryFuzzTest, MutantsHitOrQuarantineAndResimulate)
+{
+    check::PropResult r = check::forAll<std::vector<Mutation>>(
+        "store-entry mutants hit or quarantine through every door",
+        check::gen::vectorOf(mutationGen(), 1, 3),
+        std::function<bool(const std::vector<Mutation> &)>(
+            [&](const std::vector<Mutation> &ms) {
+                std::string mutant = text_;
+                for (const Mutation &m : ms)
+                    mutant = mutate(mutant, m, 0);
+                return static_cast<bool>(everyDoorAgrees(mutant));
             }));
     EXPECT_TRUE(r.ok) << r.message;
 }

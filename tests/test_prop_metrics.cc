@@ -11,19 +11,30 @@
  *    threshold is a fixed point;
  *  - locality classification is invariant under permuting the
  *    coordinate axes (it only looks at positions and bounding
- *    boxes, never at which axis is which).
+ *    boxes, never at which axis is which);
+ *  - analyzeCriticality(), which folds a record with one relative
+ *    error per element and one sort, equals bit for bit the
+ *    composition of the reference functions it replaces
+ *    (meanRelativeErrorPct, RelativeErrorFilter::apply,
+ *    classifyLocality on the filtered record).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <ostream>
 #include <utility>
 #include <vector>
 
 #include "check/prop.hh"
+#include "metrics/criticality.hh"
 #include "metrics/filter.hh"
 #include "metrics/locality.hh"
+#include "metrics/relative_error.hh"
 
 namespace radcrit
 {
@@ -170,6 +181,125 @@ TEST(LocalityProps, FilteredRecordNeverUpgradesBeyondUnfiltered)
                         return false;
                     return true;
                 }));
+    EXPECT_TRUE(r.ok) << r.message;
+}
+
+/** A record and the analysis settings it is folded under. */
+struct FoldCase
+{
+    SdcRecord record;
+    double thresholdPct = 2.0;
+    LocalityParams locality;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const FoldCase &c)
+{
+    os << check::prop_detail::describeRecord(c.record)
+       << " threshold=" << c.thresholdPct
+       << " square=" << c.locality.squareDensity
+       << " cubic=" << c.locality.cubicDensity;
+    for (const auto &e : c.record.elements)
+        os << " (" << e.coord[0] << "," << e.coord[1] << ","
+           << e.coord[2] << " read=" << e.read
+           << " expected=" << e.expected << ")";
+    return os;
+}
+
+/**
+ * Small records in a small box, so positions repeat: a copy of an
+ * earlier position often carries read == expected (relative error
+ * 0, never kept) while the original is kept. Reads include NaN and
+ * ±inf, expected values include 0, and the threshold is often
+ * exactly one element's relative error.
+ */
+check::Gen<FoldCase>
+foldCase()
+{
+    check::Gen<FoldCase> g;
+    g.sample = [](Rng &rng) {
+        constexpr double inf = std::numeric_limits<double>::infinity();
+        FoldCase c;
+        SdcRecord &rec = c.record;
+        rec.dims = static_cast<int>(rng.uniformRange(1, 3));
+        for (int a = 0; a < 3; ++a)
+            rec.extent[a] = a < rec.dims ? rng.uniformRange(1, 5) : 1;
+        size_t n = static_cast<size_t>(rng.uniformInt(25));
+        for (size_t i = 0; i < n; ++i) {
+            CorruptedElement e;
+            bool copy = i > 0 && rng.bernoulli(0.4);
+            if (copy) {
+                e.coord = rec.elements[rng.uniformInt(i)].coord;
+            } else {
+                for (int a = 0; a < rec.dims; ++a)
+                    e.coord[a] =
+                        rng.uniformRange(0, rec.extent[a] - 1);
+            }
+            e.expected = rng.bernoulli(0.15)
+                ? 0.0
+                : rng.uniform(-10.0, 10.0);
+            switch (rng.uniformInt(8)) {
+              case 0:
+                e.read = std::numeric_limits<double>::quiet_NaN();
+                break;
+              case 1: e.read = inf; break;
+              case 2: e.read = -inf; break;
+              case 3: e.read = 0.0; break;
+              case 4: e.read = e.expected; break;
+              default:
+                e.read = e.expected * (1.0 + rng.uniform(-0.1, 0.1));
+                break;
+            }
+            if (copy && rng.bernoulli(0.5))
+                e.read = e.expected;
+            rec.elements.push_back(e);
+        }
+        if (n > 0 && rng.bernoulli(0.5)) {
+            const CorruptedElement &e =
+                rec.elements[rng.uniformInt(n)];
+            c.thresholdPct = relativeErrorPct(e.read, e.expected);
+        } else {
+            c.thresholdPct = rng.uniform(0.0, 12.0);
+        }
+        c.locality.squareDensity = rng.uniform(0.0, 1.0);
+        c.locality.cubicDensity = rng.uniform(0.0, 1.0);
+        return c;
+    };
+    return g;
+}
+
+/** @return true when a and b have the same bits. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+TEST(CriticalityProps, FoldEqualsTheReferenceComposition)
+{
+    check::PropResult r = check::forAll<FoldCase>(
+        "analyzeCriticality equals the reference functions",
+        foldCase(),
+        std::function<bool(const FoldCase &)>(
+            [](const FoldCase &c) {
+                RelativeErrorFilter filter(c.thresholdPct);
+                CriticalityReport got =
+                    analyzeCriticality(c.record, filter, c.locality);
+                SdcRecord filtered = filter.apply(c.record);
+                return got.numIncorrect == c.record.numIncorrect() &&
+                    sameBits(got.meanRelErrPct,
+                             meanRelativeErrorPct(c.record)) &&
+                    got.pattern ==
+                        classifyLocality(c.record, c.locality) &&
+                    got.numIncorrectFiltered ==
+                        filtered.numIncorrect() &&
+                    sameBits(got.meanRelErrFilteredPct,
+                             meanRelativeErrorPct(filtered)) &&
+                    got.patternFiltered ==
+                        classifyLocality(filtered, c.locality) &&
+                    got.executionFiltered ==
+                        (filtered.empty() && !c.record.empty());
+            }));
     EXPECT_TRUE(r.ok) << r.message;
 }
 

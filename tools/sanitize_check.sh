@@ -11,10 +11,11 @@
 #
 # Defaults to ThreadSanitizer in build-tsan/. Pass "address" to vet
 # the same tests under AddressSanitizer instead, together with the
-# kernels-, golden- and parsers-labelled tests: the stencil steps
-# index rows through raw pointers, the goldens replay every
-# manifestation, and the beam-log parser indexes string_views into
-# untrusted bytes.
+# kernels-, golden-, parsers- and metrics-labelled tests: the
+# stencil steps index rows through raw pointers, the goldens replay
+# every manifestation, the beam-log parser indexes string_views
+# into untrusted bytes and parses #ERR values in place, and the
+# criticality fold walks one sorted array of tagged positions.
 set -euo pipefail
 
 SANITIZER="${1:-thread}"
@@ -33,8 +34,9 @@ case "$SANITIZER" in
         TARGETS+=(test_hotspot test_clamr test_prop_kernels
                   test_golden test_report test_beamlog
                   test_prop_beamlog test_prop_beamlog_fuzz
-                  test_store test_stream)
-        LABELS+="|kernels|golden|parsers"
+                  test_store test_stream test_criticality
+                  test_locality test_prop_metrics)
+        LABELS+="|kernels|golden|parsers|metrics"
         ;;
     *)
         echo "sanitize_check: unknown sanitizer '$SANITIZER'" \
