@@ -52,7 +52,7 @@ main(int argc, char **argv)
         if (rec.empty())
             continue;
         ++sdc;
-        auto c = dgemm.materializeOutput(rec);
+        auto c = materializeField(dgemm.goldenC(), rec, dgemm.n());
         auto verdict = abft.checkAndCorrect(c);
         switch (verdict.status) {
           case AbftDgemm::Status::Corrected:

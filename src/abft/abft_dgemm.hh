@@ -74,18 +74,6 @@ class AbftDgemm
      */
     Verdict checkAndCorrect(std::vector<double> &c) const;
 
-    /** @return expected row-sum checksums of C. */
-    const std::vector<double> &expectedRowSums() const
-    {
-        return rowSums_;
-    }
-
-    /** @return expected column-sum checksums of C. */
-    const std::vector<double> &expectedColSums() const
-    {
-        return colSums_;
-    }
-
   private:
     bool rowMismatch(double actual, double expected) const;
 

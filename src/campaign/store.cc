@@ -1,7 +1,6 @@
 #include "campaign/store.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <iterator>
@@ -482,15 +481,6 @@ CampaignStore::save(const CampaignRaw &raw)
     std::string tmp = stagingPath(path);
     writeBeamLogFile(raw, tmp);
     publishStaged(tmp, path);
-}
-
-std::unique_ptr<CampaignStore>
-storeFromEnv()
-{
-    const char *dir = std::getenv("RADCRIT_CAMPAIGN_CACHE");
-    if (!dir || !*dir)
-        return nullptr;
-    return CampaignStore::open(dir);
 }
 
 void

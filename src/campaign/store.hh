@@ -197,13 +197,6 @@ class CampaignStore
 };
 
 /**
- * @return a store on $RADCRIT_CAMPAIGN_CACHE, or null when the
- * variable is unset or empty (cache off, the default) or names an
- * unusable path (warned and disabled, see CampaignStore::open()).
- */
-std::unique_ptr<CampaignStore> storeFromEnv();
-
-/**
  * Complete a store hit into what a fresh simulation of the same
  * campaign returns: the caller's sim config (jobs and
  * progressEvery are execution details outside the key), the launch

@@ -1,8 +1,9 @@
 #include "exec/chaos.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
+#include <limits>
 #include <thread>
 #include <unordered_set>
 
@@ -34,7 +35,7 @@ splitSpec(const std::string &spec)
             continue;
         size_t eq = token.find('=');
         if (eq == std::string::npos || eq == 0)
-            fatal("malformed chaos spec token '%s' (expected "
+            fatal("chaos spec: malformed token '%s' (expected "
                   "key=value)",
                   token.c_str());
         out.emplace_back(token.substr(0, eq),
@@ -43,15 +44,45 @@ splitSpec(const std::string &spec)
     return out;
 }
 
+/**
+ * Parse a spec value as a whole unsigned decimal token no larger
+ * than `max` (no sign, no blanks, no trailing bytes).
+ */
 uint64_t
-specUint(const std::string &key, const std::string &value)
+specUint(const std::string &key, const std::string &value,
+         uint64_t max = std::numeric_limits<uint64_t>::max())
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
+    uint64_t v = 0;
+    const char *end = value.data() + value.size();
+    auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec == std::errc::result_out_of_range ||
+        (ec == std::errc() && v > max))
+        fatal("chaos spec: '%s' is out of range for key '%s' "
+              "(max %llu)",
+              value.c_str(), key.c_str(),
+              static_cast<unsigned long long>(max));
+    if (ec != std::errc() || ptr != end)
         fatal("chaos spec: '%s' is not a number for key '%s'",
               value.c_str(), key.c_str());
     return v;
+}
+
+/** Fatal unless a plan of `params` is placeable and bounded. */
+void
+checkPlanParams(const ChaosPlanParams &params)
+{
+    if (params.throws > params.runs ||
+        params.stalls > params.runs - params.throws)
+        fatal("chaos spec: %llu throw + %llu stall run faults but "
+              "only %llu runs",
+              static_cast<unsigned long long>(params.throws),
+              static_cast<unsigned long long>(params.stalls),
+              static_cast<unsigned long long>(params.runs));
+    if (params.throws + params.stalls > maxChaosFaults ||
+        params.corrupts > maxChaosFaults - params.throws -
+            params.stalls)
+        fatal("chaos spec: more than %llu faults",
+              static_cast<unsigned long long>(maxChaosFaults));
 }
 
 } // anonymous namespace
@@ -67,17 +98,6 @@ chaosFaultKindName(ChaosFaultKind kind)
         panic("chaosFaultKindName: invalid kind %d",
               static_cast<int>(kind));
     }
-}
-
-std::vector<ChaosFault>
-ChaosPlan::faultsFor(ChaosFaultKind kind, uint64_t item) const
-{
-    std::vector<ChaosFault> out;
-    for (const ChaosFault &fault : faults) {
-        if (fault.kind == kind && fault.item == item)
-            out.push_back(fault);
-    }
-    return out;
 }
 
 std::string
@@ -100,13 +120,8 @@ ChaosPlan::describe() const
 ChaosPlan
 makeChaosPlan(const ChaosPlanParams &params)
 {
+    checkPlanParams(params);
     ChaosPlan plan;
-    uint64_t run_faults = params.throws + params.stalls;
-    if (run_faults > params.runs)
-        fatal("chaos plan wants %llu run faults but only %llu "
-              "runs",
-              static_cast<unsigned long long>(run_faults),
-              static_cast<unsigned long long>(params.runs));
 
     // Draw distinct run items with the repo Rng: rejection-sample
     // so identical params yield the identical plan regardless of
@@ -173,15 +188,19 @@ parseChaosSpec(const std::string &spec)
         else if (key == "corrupts")
             params.corrupts = specUint(key, value);
         else if (key == "attempts")
-            params.attempts =
-                static_cast<unsigned>(specUint(key, value));
+            params.attempts = static_cast<unsigned>(specUint(
+                key, value, std::numeric_limits<unsigned>::max()));
         else if (key == "stall-ms")
-            params.stallNs = specUint(key, value) * 1'000'000;
+            params.stallNs = specUint(
+                key, value,
+                std::numeric_limits<uint64_t>::max() / 1'000'000) *
+                1'000'000;
         else
             fatal("chaos spec: unknown key '%s' (seed, runs, "
                   "throws, stalls, corrupts, attempts, stall-ms)",
                   key.c_str());
     }
+    checkPlanParams(params);
     return params;
 }
 
@@ -263,19 +282,6 @@ ChaosEngine *
 chaos()
 {
     return globalChaos.load(std::memory_order_acquire);
-}
-
-std::unique_ptr<ChaosEngine>
-chaosFromEnv()
-{
-    const char *spec = std::getenv("RADCRIT_CHAOS");
-    if (!spec || !*spec)
-        return nullptr;
-    auto params = parseChaosSpec(spec);
-    if (!params)
-        return nullptr;
-    return std::make_unique<ChaosEngine>(
-        makeChaosPlan(*params));
 }
 
 } // namespace radcrit

@@ -33,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -80,6 +79,13 @@ struct ChaosFault
     uint64_t stallNs = 0;
 };
 
+/**
+ * The most faults (throws + stalls + corrupts) one plan may hold.
+ * A plan is built eagerly, one entry per fault, and a harness test
+ * needs a handful, so a larger count is a typo or a hostile spec.
+ */
+constexpr uint64_t maxChaosFaults = 4096;
+
 /** Generation parameters of a seeded plan (the --chaos spec). */
 struct ChaosPlanParams
 {
@@ -109,10 +115,6 @@ struct ChaosPlan
 {
     std::vector<ChaosFault> faults;
 
-    /** @return faults of the given kind bound to `item`. */
-    std::vector<ChaosFault> faultsFor(ChaosFaultKind kind,
-                                      uint64_t item) const;
-
     /** @return a human-readable one-line description. */
     std::string describe() const;
 };
@@ -123,14 +125,20 @@ struct ChaosPlan
  * stalls never share an item, so each item's failure mode is
  * unambiguous), corrupt-write faults take the first `corrupts`
  * write ordinals. Identical params always yield the identical
- * plan.
+ * plan. Fatal ("chaos spec: ...") when throws + stalls exceed runs
+ * or the plan would exceed maxChaosFaults.
  */
 ChaosPlan makeChaosPlan(const ChaosPlanParams &params);
 
 /**
  * Parse a --chaos / RADCRIT_CHAOS spec ("seed=42,throws=3,...",
- * keys as in ChaosPlanParams, unknown keys fatal). An empty spec
- * returns nullopt (chaos off).
+ * keys as in ChaosPlanParams). Every value is a whole unsigned
+ * decimal token; a sign, blank, trailing byte, unknown key, a value
+ * out of its field's range (attempts beyond unsigned, stall-ms
+ * whose nanoseconds overflow) or params makeChaosPlan() would
+ * reject are fatal with a "chaos spec:" diagnostic, so accepted
+ * params always build a plan. An empty spec returns nullopt (chaos
+ * off).
  */
 std::optional<ChaosPlanParams>
 parseChaosSpec(const std::string &spec);
@@ -205,13 +213,6 @@ ChaosEngine *setChaos(ChaosEngine *engine);
 
 /** @return the installed chaos engine, or nullptr (chaos off). */
 ChaosEngine *chaos();
-
-/**
- * Build an engine from the RADCRIT_CHAOS environment variable, or
- * null when it is unset/empty. The caller owns the engine and is
- * responsible for installing it via setChaos().
- */
-std::unique_ptr<ChaosEngine> chaosFromEnv();
 
 } // namespace radcrit
 

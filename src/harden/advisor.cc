@@ -1,6 +1,6 @@
 #include "harden/advisor.hh"
 
-#include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
 
@@ -69,58 +69,40 @@ applyHardening(const DeviceModel &device,
     return hardened;
 }
 
-namespace
-{
-
-double
-criticalFit(const DeviceModel &device,
-            const WorkloadFactory &factory, uint64_t runs,
-            uint64_t seed)
-{
-    auto workload = factory(device);
-    CampaignConfig cfg;
-    cfg.sim.faultyRuns = runs;
-    cfg.sim.seed = seed;
-    CampaignResult res = runCampaign(device, *workload, cfg);
-    return res.fitTotalAu(true);
-}
-
-} // anonymous namespace
-
 std::vector<AdvisorStep>
-advise(const DeviceModel &device, const WorkloadFactory &factory,
-       double budget_pct, uint64_t runs, uint64_t seed)
+advise(const DeviceModel &device,
+       const std::vector<ResourceCriticality> &baseline,
+       double budget_pct)
 {
     if (budget_pct <= 0.0)
         fatal("hardening budget must be positive");
 
+    std::array<double, numResourceKinds> fit_of{};
+    double fit = 0.0;
+    for (const auto &r : baseline) {
+        fit_of[static_cast<size_t>(r.resource)] += r.criticalFitAu;
+        fit += r.criticalFitAu;
+    }
+
     std::vector<AdvisorStep> plan;
-    DeviceModel current = device;
     std::vector<HardeningOption> remaining =
         standardOptions(device);
     double spent = 0.0;
-    double fit = criticalFit(current, factory, runs, seed);
-
     while (!remaining.empty()) {
         // Evaluate every affordable candidate; keep the best
         // critical-FIT reduction per unit cost.
         double best_score = 0.0;
         size_t best_idx = remaining.size();
-        double best_fit = fit;
         for (size_t i = 0; i < remaining.size(); ++i) {
             const auto &opt = remaining[i];
             if (spent + opt.areaCostPct > budget_pct)
                 continue;
-            DeviceModel candidate =
-                applyHardening(current, opt);
-            double candidate_fit =
-                criticalFit(candidate, factory, runs, seed);
-            double score = (fit - candidate_fit) /
+            double score = (1.0 - opt.survivalScale) *
+                fit_of[static_cast<size_t>(opt.resource)] /
                 opt.areaCostPct;
             if (score > best_score) {
                 best_score = score;
                 best_idx = i;
-                best_fit = candidate_fit;
             }
         }
         if (best_idx == remaining.size())
@@ -128,12 +110,14 @@ advise(const DeviceModel &device, const WorkloadFactory &factory,
 
         AdvisorStep step;
         step.option = remaining[best_idx];
+        double &resource_fit =
+            fit_of[static_cast<size_t>(step.option.resource)];
         step.fitBefore = fit;
-        step.fitAfter = best_fit;
+        fit -= (1.0 - step.option.survivalScale) * resource_fit;
+        resource_fit *= step.option.survivalScale;
+        step.fitAfter = fit;
         spent += step.option.areaCostPct;
         step.cumulativeCostPct = spent;
-        current = applyHardening(current, step.option);
-        fit = best_fit;
         plan.push_back(step);
         remaining.erase(remaining.begin() +
                         static_cast<long>(best_idx));

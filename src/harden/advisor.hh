@@ -2,26 +2,27 @@
  * @file
  * Selective-hardening advisor (paper Section VI future work).
  *
- * Given a device, a workload, and an area budget, the advisor
- * greedily picks the hardening techniques (ECC upgrades, residue-
- * checked execution units, protected scheduler state, ...) that
- * remove the most critical FIT per unit of area cost, re-running
- * the campaign on the modified device model after each step. The
- * result quantifies the paper's closing claim that criticality
- * attribution makes targeted hardening cheap.
+ * Given a device, the per-resource criticality of one campaign on
+ * it, and an area budget, the advisor greedily picks the hardening
+ * techniques (ECC upgrades, residue-checked execution units,
+ * protected scheduler state, ...) that remove the most critical
+ * FIT per unit of area cost. A technique scales one resource's
+ * strike-sampler weight by its survivalScale and nothing else the
+ * campaign reads, so a hardened device's critical FIT is the
+ * baseline's per-resource critical FIT reweighted (DESIGN.md): the
+ * advisor simulates nothing. The result quantifies the paper's
+ * closing claim that criticality attribution makes targeted
+ * hardening cheap.
  */
 
 #ifndef RADCRIT_HARDEN_ADVISOR_HH
 #define RADCRIT_HARDEN_ADVISOR_HH
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "arch/device.hh"
-#include "campaign/runner.hh"
-#include "sim/workload.hh"
+#include "harden/attribution.hh"
 
 namespace radcrit
 {
@@ -64,27 +65,19 @@ struct AdvisorStep
 };
 
 /**
- * Factory building a workload bound to a (possibly hardened)
- * device; traits depend on the device so the workload must be
- * rebuilt per candidate.
- */
-using WorkloadFactory =
-    std::function<std::unique_ptr<Workload>(const DeviceModel &)>;
-
-/**
- * Greedy selective-hardening plan.
+ * Greedy selective-hardening plan. A candidate set H scores
+ * sum_r s_r(H) * criticalFitAu_r, where s_r(H) is the product of
+ * the survivalScales H applies to resource r.
  *
- * @param device Baseline device.
- * @param factory Workload factory.
+ * @param device Baseline device (its technique catalog).
+ * @param baseline attributeCriticality() of a campaign on it.
  * @param budget_pct Total area budget in percent.
- * @param runs Campaign size per evaluation.
- * @param seed Campaign seed (same for every evaluation so FIT
- * deltas are paired).
  * @return the chosen steps in application order.
  */
 std::vector<AdvisorStep>
-advise(const DeviceModel &device, const WorkloadFactory &factory,
-       double budget_pct, uint64_t runs, uint64_t seed);
+advise(const DeviceModel &device,
+       const std::vector<ResourceCriticality> &baseline,
+       double budget_pct);
 
 } // namespace radcrit
 

@@ -413,6 +413,14 @@ Clamr::mass(const SweState &state)
     return m;
 }
 
+double
+Clamr::recordMass(const SdcRecord &record) const
+{
+    SweState state;
+    state.h = materializeField(golden_.h, record, n_);
+    return mass(state);
+}
+
 void
 Clamr::step(const SweState &src, SweState &dst) const
 {

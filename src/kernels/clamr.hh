@@ -109,6 +109,15 @@ class Clamr : public Workload
      */
     double lastInjectedMass() const { return lastMass_; }
 
+    /**
+     * @return total mass of the final state an SDC record of this
+     * workload describes: the golden heights with the record's
+     * reads substituted, summed in mass()'s order. The record holds
+     * every height that differs (NaN as the quiet NaN), so this
+     * equals lastInjectedMass() after the inject() that made it.
+     */
+    double recordMass(const SdcRecord &record) const;
+
     /** Total mass (sum of heights) of a state. */
     static double mass(const SweState &state);
 

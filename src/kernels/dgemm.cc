@@ -435,13 +435,4 @@ Dgemm::injectMisscheduledBlock(const Strike &strike, Rng &rng,
     }
 }
 
-std::vector<double>
-Dgemm::materializeOutput(const SdcRecord &record) const
-{
-    std::vector<double> c = gold_->c;
-    for (const auto &e : record.elements)
-        c[e.coord[0] * n_ + e.coord[1]] = e.read;
-    return c;
-}
-
 } // namespace radcrit

@@ -83,14 +83,6 @@ class Dgemm : public Workload
     /** @return golden output C (row-major, n x n). */
     const std::vector<double> &goldenC() const { return gold_->c; }
 
-    /**
-     * @return a full output matrix equal to the golden output with
-     * the record's corrupted values substituted (used by the ABFT
-     * evaluation).
-     */
-    std::vector<double>
-    materializeOutput(const SdcRecord &record) const;
-
     /** Block tile side (elements of C per thread block). */
     static constexpr int64_t blockTile = 64;
     /** Warp/vector chunk shape within a block tile. */

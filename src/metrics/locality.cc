@@ -32,13 +32,17 @@ SortedPositions::classify(const LocalityParams &params) const
     if (unique_ == 1)
         return Pattern::Single;
 
-    // Which axes vary, and the bounding box's size along them.
+    // Which axes vary, and the bounding box's size along them. The
+    // extent is taken in uint64_t (hi >= lo, so the difference is
+    // exact and cannot overflow) and is exact in double below 2^53.
     int varying = 0;
     double size = 1.0;
     for (int a = 0; a < 3; ++a) {
         if (hi_[a] != lo_[a])
             ++varying;
-        size *= static_cast<double>(hi_[a] - lo_[a] + 1);
+        size *= static_cast<double>(static_cast<uint64_t>(hi_[a]) -
+                                    static_cast<uint64_t>(lo_[a])) +
+            1.0;
     }
 
     if (varying == 0) {

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
+
 namespace radcrit
 {
 
@@ -52,6 +54,29 @@ struct SdcRecord
     /** @return true when no element mismatches. */
     bool empty() const { return elements.empty(); }
 };
+
+/**
+ * @return `golden`, a row-major 2D output `cols` wide, with each of
+ * the record's elements' read values in its place. A record read
+ * back from a beam log or store entry is untrusted, so an element
+ * outside the output is fatal.
+ */
+template <class T>
+std::vector<T>
+materializeField(std::vector<T> golden, const SdcRecord &record,
+                 int64_t cols)
+{
+    const auto rows = static_cast<int64_t>(golden.size()) / cols;
+    for (const auto &e : record.elements) {
+        const auto &[r, c, z] = e.coord;
+        if (r < 0 || r >= rows || c < 0 || c >= cols || z != 0)
+            fatal("SDC record element outside the %lldx%lld output",
+                  static_cast<long long>(rows),
+                  static_cast<long long>(cols));
+        golden[r * cols + c] = static_cast<T>(e.read);
+    }
+    return golden;
+}
 
 } // namespace radcrit
 

@@ -1,8 +1,10 @@
 #include "suite/context.hh"
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 
+#include "common/csv.hh"
 #include "common/logging.hh"
 #include "suite/experiment.hh"
 #include "suite/spec.hh"
@@ -43,6 +45,21 @@ SuiteContext::outputDir()
     return options_.outDir;
 }
 
+void
+SuiteContext::writeCsv(const std::string &name,
+                       const std::vector<std::string> &header,
+                       const std::vector<std::vector<std::string>> &rows)
+{
+    if (!writeCsv())
+        return;
+    std::string path = outputDir() + "/" + name;
+    CsvWriter csv(path);
+    csv.writeRow(header);
+    for (const auto &row : rows)
+        csv.writeRow(row);
+    std::printf("[csv] %s\n", path.c_str());
+}
+
 uint64_t
 SuiteContext::runsFor(const Experiment &experiment) const
 {
@@ -76,7 +93,7 @@ SuiteContext::serve(const DeviceModel &device, const WorkloadSpec &spec,
     return *entry;
 }
 
-CampaignRaw
+const CampaignRaw &
 SuiteContext::campaignRaw(const DeviceModel &device,
                           const WorkloadSpec &spec, uint64_t runs)
 {

@@ -21,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "campaign/runner.hh"
 #include "campaign/store.hh"
@@ -126,6 +127,14 @@ class SuiteContext
     /** @return whether CSV side-outputs are wanted. */
     bool writeCsv() const { return options_.writeCsv; }
 
+    /**
+     * Write `rows` under `header` to the output directory's file
+     * `name` and announce its path, unless CSV side-outputs are off.
+     */
+    void writeCsv(const std::string &name,
+                  const std::vector<std::string> &header,
+                  const std::vector<std::vector<std::string>> &rows);
+
     /** @return whether prepass progress lines are wanted. */
     bool progress() const { return options_.progress; }
 
@@ -157,10 +166,12 @@ class SuiteContext
      * campaign for (device, spec, runs) with the seed derived from
      * the labels, served from the suite scheduler's plan and
      * tallied into the active recorder. Panics, naming the
-     * campaign, when no selected experiment declared it.
+     * campaign, when no selected experiment declared it. The
+     * reference lives as long as the context.
      */
-    CampaignRaw campaignRaw(const DeviceModel &device,
-                            const WorkloadSpec &spec, uint64_t runs);
+    const CampaignRaw &campaignRaw(const DeviceModel &device,
+                                   const WorkloadSpec &spec,
+                                   uint64_t runs);
 
     /**
      * campaignRaw()'s campaign under default analysis: the plan

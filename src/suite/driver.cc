@@ -35,7 +35,7 @@ namespace
  * Version of the suite JSON document; tools/check_bench_json.py
  * validates the same number.
  */
-constexpr uint64_t benchJsonSchema = 11;
+constexpr uint64_t benchJsonSchema = 12;
 
 uint64_t
 nowNs()
@@ -276,7 +276,7 @@ writeSuiteJson(SuiteContext &ctx, const std::string &path,
             ded.field("simulated", sched.simulated);
             ded.field("store_hits", sched.storeHits);
             ded.field("memory_serves", ctx.memoryServes());
-            ded.field("prepass_wall_ns", sched.wallNs);
+            ded.field("campaign_wall_sum_ns", sched.wallNs);
         }
 
         obj.beginRawField("totals");

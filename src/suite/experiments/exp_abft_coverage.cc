@@ -4,19 +4,17 @@
  * single and line errors are corrected in linear time; square and
  * random errors are only detected. The paper estimates DGEMM would
  * remain affected by 20-40% of all errors on the K40 and 60-80% on
- * the Xeon Phi. This experiment replays every SDC of a DGEMM
- * campaign through the real ABFT checker and reports the residual.
+ * the Xeon Phi. This experiment feeds every SDC record of the
+ * planned DGEMM campaigns through the real ABFT checker and reports
+ * the residual.
  */
 
 #include <cstdio>
 #include <iostream>
 
 #include "abft/abft_dgemm.hh"
-#include "common/csv.hh"
-#include "common/rng.hh"
 #include "common/table.hh"
 #include "kernels/dgemm.hh"
-#include "sim/sampler.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
 #include "suite/render.hh"
@@ -62,25 +60,21 @@ class AbftCoverage : public Experiment
         for (DeviceId id : allDevices()) {
             DeviceModel device = makeDevice(id);
             for (int64_t side : dgemmScaledSides(id)) {
+                // The checker needs the inputs and the golden
+                // output; the corrupted outputs are the records.
                 Dgemm dgemm(device, side);
                 AbftDgemm abft(dgemm.a(), dgemm.b(), side);
-                CampaignConfig cfg = defaultCampaign(
-                    runs, device.name, dgemm.name(),
-                    dgemm.inputLabel());
-                CampaignResult res = ctx.campaignResult(
-                    device, dgemmSpec(side), runs);
+                const CampaignRaw &raw =
+                    ctx.campaignRaw(device, dgemmSpec(side), runs);
 
                 uint64_t sdc = 0, corrected = 0, detected = 0,
                     missed = 0;
-                Rng rng(cfg.sim.seed);
-                for (const auto &run : res.runs) {
+                for (const RawRun &run : raw.runs) {
                     if (run.outcome != Outcome::Sdc)
                         continue;
                     ++sdc;
-                    // Replay the strike to materialize the
-                    // corrupted output, then run the checker.
-                    SdcRecord rec = dgemm.inject(run.strike, rng);
-                    auto c = dgemm.materializeOutput(rec);
+                    auto c = materializeField(dgemm.goldenC(),
+                                              run.record, side);
                     auto verdict = abft.checkAndCorrect(c);
                     switch (verdict.status) {
                       case AbftDgemm::Status::Corrected:
@@ -126,16 +120,10 @@ class AbftCoverage : public Experiment
                     "the residual error rates become comparable "
                     "(paper V-A).\n");
 
-        if (ctx.writeCsv()) {
-            std::string path = ctx.outputDir() +
-                "/abft_coverage.csv";
-            CsvWriter w(path);
-            w.writeRow({"device", "input", "sdc", "corrected",
-                        "detected", "missed", "residualPct"});
-            for (const auto &row : csv_rows)
-                w.writeRow(row);
-            std::printf("[csv] %s\n", path.c_str());
-        }
+        ctx.writeCsv("abft_coverage.csv",
+                     {"device", "input", "sdc", "corrected",
+                      "detected", "missed", "residualPct"},
+                     csv_rows);
     }
 };
 

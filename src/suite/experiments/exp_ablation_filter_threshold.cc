@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "common/csv.hh"
 #include "common/table.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
@@ -93,16 +92,10 @@ class AblationFilterThreshold : public Experiment
                     "are gross) — the paper's central "
                     "imprecise-computing observation.\n");
 
-        if (ctx.writeCsv()) {
-            std::string path = ctx.outputDir() +
-                "/ablation_filter_threshold.csv";
-            CsvWriter w(path);
-            w.writeRow({"thresholdPct", "k40Fit", "k40Removed",
-                        "phiFit", "phiRemoved"});
-            for (const auto &row : csv_rows)
-                w.writeRow(row);
-            std::printf("[csv] %s\n", path.c_str());
-        }
+        ctx.writeCsv("ablation_filter_threshold.csv",
+                     {"thresholdPct", "k40Fit", "k40Removed", "phiFit",
+                      "phiRemoved"},
+                     csv_rows);
     }
 };
 

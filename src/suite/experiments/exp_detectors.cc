@@ -7,16 +7,20 @@
  *  - CLAMR mass-conservation check: total mass is invariant, so a
  *    final-sum check detects most strikes (ref. [4] reports 82%
  *    fault coverage; momentum-only corruption escapes).
+ *
+ * Both checks read the SDC records of their planned campaigns: the
+ * corrupted final state is the golden one with the record's reads
+ * substituted.
  */
 
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "abft/detectors.hh"
-#include "common/rng.hh"
 #include "kernels/clamr.hh"
 #include "kernels/hotspot.hh"
-#include "sim/sampler.hh"
+#include "metrics/filter.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
 
@@ -25,91 +29,44 @@ namespace radcrit
 namespace
 {
 
-void
-clamrMassStudy(uint64_t runs)
+/** Detector verdicts over one campaign's SDC runs. */
+struct Coverage
 {
-    DeviceModel device = makeDevice(DeviceId::XeonPhi);
-    Clamr clamr(device, clamrScaledGrid());
-    MassChecker checker(clamr.goldenMass(), 1e-9);
+    unsigned long long sdc = 0;
+    unsigned long long detected = 0;
+    /** SDCs with an element beyond the 2% tolerance. */
+    unsigned long long critical = 0;
+    unsigned long long criticalDetected = 0;
+};
 
-    CampaignConfig cfg = defaultCampaign(runs, device.name,
-                                         clamr.name(),
-                                         clamr.inputLabel());
-    KernelLaunch launch = buildLaunch(device, clamr.traits());
-    StrikeSampler sampler(device, launch);
-    Rng rng(cfg.sim.seed);
-
-    uint64_t sdc = 0, detected = 0;
-    for (uint64_t i = 0; i < cfg.sim.faultyRuns; ++i) {
-        Strike strike = sampler.sampleStrike(rng);
-        if (sampler.sampleOutcome(strike.resource, rng) !=
-            Outcome::Sdc) {
+Coverage
+coverage(const CampaignRaw &raw,
+         const std::function<bool(const SdcRecord &)> &detect)
+{
+    RelativeErrorFilter filter(2.0);
+    Coverage cov;
+    for (const RawRun &run : raw.runs) {
+        if (run.outcome != Outcome::Sdc)
             continue;
+        bool hit = detect(run.record);
+        ++cov.sdc;
+        cov.detected += hit;
+        if (!filter.removesExecution(run.record)) {
+            ++cov.critical;
+            cov.criticalDetected += hit;
         }
-        SdcRecord rec = clamr.inject(strike, rng);
-        if (rec.empty())
-            continue;
-        ++sdc;
-        detected += checker.detect(clamr.lastInjectedMass());
     }
-    double coverage = sdc ? 100.0 * static_cast<double>(detected) /
-        static_cast<double>(sdc) : 0.0;
-    std::printf("CLAMR mass-conservation check: %llu/%llu SDCs "
-                "detected = %.0f%% coverage "
-                "(paper ref. [4]: 82%%)\n",
-                static_cast<unsigned long long>(detected),
-                static_cast<unsigned long long>(sdc), coverage);
+    return cov;
 }
 
-void
-hotspotEntropyStudy(uint64_t runs)
+std::vector<std::string>
+csvRow(const char *check, const DeviceModel &device,
+       const Workload &workload, const Coverage &c)
 {
-    DeviceModel device = makeDevice(DeviceId::K40);
-    HotSpot hotspot(device, hotspotScaledGrid());
-    EntropyDetector detector(hotspot.goldenTemp(), 64, 0.005);
-
-    CampaignConfig cfg = defaultCampaign(runs, device.name,
-                                         hotspot.name(),
-                                         hotspot.inputLabel());
-    KernelLaunch launch = buildLaunch(device, hotspot.traits());
-    StrikeSampler sampler(device, launch);
-    Rng rng(cfg.sim.seed);
-
-    uint64_t sdc = 0, detected = 0, meaningful = 0,
-        meaningful_detected = 0;
-    for (uint64_t i = 0; i < cfg.sim.faultyRuns; ++i) {
-        Strike strike = sampler.sampleStrike(rng);
-        if (sampler.sampleOutcome(strike.resource, rng) !=
-            Outcome::Sdc) {
-            continue;
-        }
-        SdcRecord rec = hotspot.inject(strike, rng);
-        if (rec.empty())
-            continue;
-        ++sdc;
-        // Rebuild the corrupted field from the record.
-        std::vector<float> field = hotspot.goldenTemp();
-        for (const auto &e : rec.elements) {
-            field[e.coord[0] * hotspot.grid() + e.coord[1]] =
-                static_cast<float>(e.read);
-        }
-        bool hit = detector.detect(field);
-        detected += hit;
-        RelativeErrorFilter filter(2.0);
-        if (!filter.removesExecution(rec)) {
-            ++meaningful;
-            meaningful_detected += hit;
-        }
-    }
-    std::printf("HotSpot entropy check: %llu/%llu of all SDCs "
-                "flagged; %llu/%llu of >2%% SDCs flagged\n",
-                static_cast<unsigned long long>(detected),
-                static_cast<unsigned long long>(sdc),
-                static_cast<unsigned long long>(
-                    meaningful_detected),
-                static_cast<unsigned long long>(meaningful));
-    std::printf("  (the check trades coverage against how often "
-                "it runs; here: once on the final state)\n");
+    return {check, device.name, workload.name(),
+            std::to_string(c.sdc), std::to_string(c.detected),
+            std::to_string(c.critical),
+            std::to_string(c.criticalDetected)};
 }
 
 class Detectors : public Experiment
@@ -127,15 +84,55 @@ class Detectors : public Experiment
         return info;
     }
 
+    std::vector<CampaignRequest>
+    campaigns(uint64_t runs) const override
+    {
+        return {{makeDevice(DeviceId::XeonPhi), clamrSpec(), runs},
+                {makeDevice(DeviceId::K40), hotspotSpec(), runs}};
+    }
+
     void
     run(SuiteContext &ctx) override
     {
         uint64_t runs = ctx.runsFor(*this);
         std::printf("=== Application-level SDC detectors "
                     "(paper V-C / V-D) ===\n\n");
-        clamrMassStudy(runs);
-        std::printf("\n");
-        hotspotEntropyStudy(runs);
+
+        DeviceModel phi = makeDevice(DeviceId::XeonPhi);
+        Clamr clamr(phi, clamrScaledGrid());
+        MassChecker checker(clamr.goldenMass(), 1e-9);
+        Coverage mass = coverage(
+            ctx.campaignRaw(phi, clamrSpec(), runs),
+            [&](const SdcRecord &rec) {
+                return checker.detect(clamr.recordMass(rec));
+            });
+        std::printf("CLAMR mass-conservation check: %llu/%llu SDCs "
+                    "detected = %.0f%% coverage "
+                    "(paper ref. [4]: 82%%)\n\n",
+                    mass.detected, mass.sdc,
+                    mass.sdc ? 100.0 * mass.detected / mass.sdc : 0.0);
+
+        DeviceModel k40 = makeDevice(DeviceId::K40);
+        HotSpot hotspot(k40, hotspotScaledGrid());
+        EntropyDetector detector(hotspot.goldenTemp(), 64, 0.005);
+        Coverage entropy = coverage(
+            ctx.campaignRaw(k40, hotspotSpec(), runs),
+            [&](const SdcRecord &rec) {
+                return detector.detect(materializeField(
+                    hotspot.goldenTemp(), rec, hotspot.grid()));
+            });
+        std::printf("HotSpot entropy check: %llu/%llu of all SDCs "
+                    "flagged; %llu/%llu of >2%% SDCs flagged\n",
+                    entropy.detected, entropy.sdc,
+                    entropy.criticalDetected, entropy.critical);
+        std::printf("  (the check trades coverage against how often "
+                    "it runs; here: once on the final state)\n");
+
+        ctx.writeCsv("detectors.csv",
+                     {"check", "device", "workload", "sdc", "detected",
+                      "sdcAbove2pct", "detectedAbove2pct"},
+                     {csvRow("mass", phi, clamr, mass),
+                      csvRow("entropy", k40, hotspot, entropy)});
     }
 };
 

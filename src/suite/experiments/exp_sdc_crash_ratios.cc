@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "common/csv.hh"
 #include "common/table.hh"
 #include "suite/context.hh"
 #include "suite/experiment.hh"
@@ -111,27 +110,20 @@ class SdcCrashRatios : public Experiment
         }
         table.render(std::cout);
 
-        if (ctx.writeCsv()) {
-            std::string path = ctx.outputDir() +
-                "/sdc_crash_ratios.csv";
-            CsvWriter w(path);
-            w.writeRow({"device", "workload", "input", "sdc",
-                        "crash", "hang", "masked", "ratio"});
-            for (const auto &res : all) {
-                w.writeRow({res.deviceName, res.workloadName,
+        std::vector<std::vector<std::string>> rows;
+        for (const auto &res : all) {
+            rows.push_back({res.deviceName, res.workloadName,
                             res.inputLabel,
-                            TextTable::num(
-                                res.count(Outcome::Sdc)),
-                            TextTable::num(
-                                res.count(Outcome::Crash)),
-                            TextTable::num(
-                                res.count(Outcome::Hang)),
-                            TextTable::num(
-                                res.count(Outcome::Masked)),
+                            TextTable::num(res.count(Outcome::Sdc)),
+                            TextTable::num(res.count(Outcome::Crash)),
+                            TextTable::num(res.count(Outcome::Hang)),
+                            TextTable::num(res.count(Outcome::Masked)),
                             ratioCell(res, 3)});
-            }
-            std::printf("[csv] %s\n", path.c_str());
         }
+        ctx.writeCsv("sdc_crash_ratios.csv",
+                     {"device", "workload", "input", "sdc", "crash",
+                      "hang", "masked", "ratio"},
+                     rows);
     }
 };
 

@@ -1,10 +1,8 @@
 #include "suite/render.hh"
 
-#include <cstdio>
 #include <iostream>
 
 #include "campaign/series.hh"
-#include "common/csv.hh"
 #include "common/figure.hh"
 #include "common/table.hh"
 
@@ -23,25 +21,20 @@ renderScatterFigure(SuiteContext &ctx, const std::string &title,
         plot.setXClamp(x_clamp);
     if (y_clamp > 0.0)
         plot.setYClamp(y_clamp);
-    for (const auto &res : results)
-        plot.addSeries(scatterSeries(res));
-    plot.render(std::cout);
-
-    if (ctx.writeCsv()) {
-        std::string path = ctx.outputDir() + "/" + csv_name;
-        CsvWriter csv(path);
-        csv.writeRow({"device", "input", "numIncorrect",
-                      "meanRelErrPct"});
-        for (const auto &res : results) {
-            ScatterSeries s = scatterSeries(res);
-            for (size_t i = 0; i < s.xs.size(); ++i) {
-                csv.writeRow({res.deviceName, res.inputLabel,
-                              TextTable::num(s.xs[i], 0),
-                              TextTable::num(s.ys[i], 4)});
-            }
+    std::vector<std::vector<std::string>> rows;
+    for (const auto &res : results) {
+        ScatterSeries s = scatterSeries(res);
+        for (size_t i = 0; i < s.xs.size(); ++i) {
+            rows.push_back({res.deviceName, res.inputLabel,
+                            TextTable::num(s.xs[i], 0),
+                            TextTable::num(s.ys[i], 4)});
         }
-        std::printf("[csv] %s\n", path.c_str());
+        plot.addSeries(std::move(s));
     }
+    plot.render(std::cout);
+    ctx.writeCsv(csv_name,
+                 {"device", "input", "numIncorrect", "meanRelErrPct"},
+                 rows);
 }
 
 void
@@ -60,30 +53,25 @@ renderLocalityFigure(SuiteContext &ctx, const std::string &title,
             chart.addBar(std::move(bar));
     }
     chart.render(std::cout);
+    if (!ctx.writeCsv())
+        return;
 
-    if (ctx.writeCsv()) {
-        std::string path = ctx.outputDir() + "/" + csv_name;
-        CsvWriter csv(path);
-        std::vector<std::string> header{"device", "input",
-                                        "filtered"};
-        for (const auto &n : names)
-            header.push_back(n);
-        header.push_back("total");
-        csv.writeRow(header);
-        for (const auto &res : results) {
-            for (bool filtered : {false, true}) {
-                FitBreakdown bd = res.fitByPattern(filtered);
-                std::vector<std::string> row{
-                    res.deviceName, res.inputLabel,
-                    filtered ? "yes" : "no"};
-                for (Pattern p : patterns)
-                    row.push_back(TextTable::num(bd.of(p), 4));
-                row.push_back(TextTable::num(bd.total(), 4));
-                csv.writeRow(row);
-            }
+    std::vector<std::string> header{"device", "input", "filtered"};
+    header.insert(header.end(), names.begin(), names.end());
+    header.push_back("total");
+    std::vector<std::vector<std::string>> rows;
+    for (const auto &res : results) {
+        for (bool filtered : {false, true}) {
+            FitBreakdown bd = res.fitByPattern(filtered);
+            std::vector<std::string> row{res.deviceName, res.inputLabel,
+                                         filtered ? "yes" : "no"};
+            for (Pattern p : patterns)
+                row.push_back(TextTable::num(bd.of(p), 4));
+            row.push_back(TextTable::num(bd.total(), 4));
+            rows.push_back(std::move(row));
         }
-        std::printf("[csv] %s\n", path.c_str());
     }
+    ctx.writeCsv(csv_name, header, rows);
 }
 
 } // namespace radcrit

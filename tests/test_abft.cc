@@ -142,7 +142,7 @@ TEST(AbftEndToEndTest, InjectedStrikesMatchPatternClasses)
         if (worst < 1e-6)
             continue;
         ++meaningful;
-        auto c = dgemm.materializeOutput(rec);
+        auto c = materializeField(dgemm.goldenC(), rec, dgemm.n());
         flagged += abft.checkAndCorrect(c).status !=
             AbftDgemm::Status::Clean;
     }
@@ -155,7 +155,7 @@ TEST(AbftEndToEndTest, InjectedStrikesMatchPatternClasses)
     block_strike.entropy = 6;
     SdcRecord sq = dgemm.inject(block_strike, rng);
     ASSERT_FALSE(sq.empty());
-    auto c2 = dgemm.materializeOutput(sq);
+    auto c2 = materializeField(dgemm.goldenC(), sq, dgemm.n());
     auto verdict2 = abft.checkAndCorrect(c2);
     EXPECT_EQ(verdict2.status,
               AbftDgemm::Status::DetectedUncorrectable);

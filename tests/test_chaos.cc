@@ -161,6 +161,35 @@ TEST(ChaosSpec, UnknownKeyIsFatal)
                 ::testing::ExitedWithCode(1), "not a number");
 }
 
+TEST(ChaosSpec, HostileValuesAreFatal)
+{
+    auto rejects = [](const char *spec, const char *why) {
+        EXPECT_EXIT(parseChaosSpec(spec),
+                    ::testing::ExitedWithCode(1),
+                    std::string("chaos spec: .*") + why)
+            << spec;
+    };
+    // Whole unsigned tokens only: no sign, no blanks.
+    rejects("runs=-1", "not a number");
+    rejects("runs=+5", "not a number");
+    rejects("runs= 5", "not a number");
+    rejects("runs=5 ", "not a number");
+    rejects("seed=18446744073709551616", "out of range");
+    rejects("attempts=4294967296", "out of range");
+    rejects("stall-ms=18446744073710", "out of range");
+    // throws + stalls wraps to 0 in 64 bits.
+    rejects("runs=10,throws=9223372036854775808,"
+            "stalls=9223372036854775808",
+            "run faults");
+    rejects("runs=10000,throws=4000,stalls=97", "faults");
+    rejects("corrupts=4097", "faults");
+    std::optional<ChaosPlanParams> edge = parseChaosSpec(
+        "attempts=4294967295,stall-ms=18446744073709,corrupts=4096");
+    ASSERT_TRUE(edge.has_value());
+    EXPECT_EQ(edge->attempts, 4294967295u);
+    EXPECT_EQ(edge->stallNs, 18446744073709ULL * 1'000'000);
+}
+
 TEST(ChaosEngine, ThrowFaultFiresOnPlannedAttemptsOnly)
 {
     ChaosPlan plan;

@@ -185,7 +185,7 @@ TEST_F(DgemmTest, MaterializeOutputAppliesRecord)
     SdcRecord rec = dgemm_.emptyRecord();
     rec.elements.push_back({{3, 4, 0}, 99.5,
                             dgemm_.goldenC()[3 * 128 + 4]});
-    auto out = dgemm_.materializeOutput(rec);
+    auto out = materializeField(dgemm_.goldenC(), rec, 128);
     EXPECT_EQ(out[3 * 128 + 4], 99.5);
     EXPECT_EQ(out[0], dgemm_.goldenC()[0]);
 }

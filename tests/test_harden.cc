@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/statcheck.hh"
 #include "harden/advisor.hh"
 #include "harden/attribution.hh"
 #include "kernels/dgemm.hh"
@@ -17,12 +18,13 @@ namespace
 {
 
 CampaignResult
-dgemmCampaign(const DeviceModel &device, uint64_t runs = 250)
+dgemmCampaign(const DeviceModel &device, uint64_t runs = 250,
+              uint64_t seed = 5, int64_t side = 128)
 {
-    Dgemm dgemm(device, 128, 42);
+    Dgemm dgemm(device, side, 42);
     CampaignConfig cfg;
     cfg.sim.faultyRuns = runs;
-    cfg.sim.seed = 5;
+    cfg.sim.seed = seed;
     return runCampaign(device, dgemm, cfg);
 }
 
@@ -133,13 +135,90 @@ TEST(HardeningTest, HardeningReducesCriticalFit)
               before.fitTotalAu(true));
 }
 
+TEST(HardeningTest, OnlyTheSamplerWeightChanges)
+{
+    // The advisor's reweighting is exact in expectation because a
+    // hardening changes the hardened resource's sampler weight by
+    // its survivalScale and nothing else a campaign reads: the
+    // other weights, every outcome profile and the launch traits.
+    DeviceModel k40 = makeK40();
+    for (const auto &opt : standardOptions(k40)) {
+        DeviceModel hardened = applyHardening(k40, opt);
+        KernelLaunch launch =
+            buildLaunch(k40, Dgemm::traitsFor(k40, 128));
+        KernelLaunch hardened_launch =
+            buildLaunch(hardened, Dgemm::traitsFor(hardened, 128));
+        StrikeSampler base(k40, launch);
+        StrikeSampler after(hardened, hardened_launch);
+        for (const auto &res : k40.resources) {
+            double scale =
+                res.kind == opt.resource ? opt.survivalScale : 1.0;
+            EXPECT_DOUBLE_EQ(after.weight(res.kind),
+                             scale * base.weight(res.kind))
+                << opt.technique << " / "
+                << resourceKindName(res.kind);
+            const OutcomeProfile &p = res.outcome;
+            const OutcomeProfile &q =
+                hardened.resource(res.kind).outcome;
+            EXPECT_EQ(p.pSdc, q.pSdc);
+            EXPECT_EQ(p.pCrash, q.pCrash);
+            EXPECT_EQ(p.pHang, q.pHang);
+        }
+        EXPECT_EQ(hardened_launch.schedulerStrain,
+                  launch.schedulerStrain);
+        EXPECT_EQ(hardened_launch.registerExposure,
+                  launch.registerExposure);
+    }
+}
+
+TEST(AdvisorTest, ReweightingMatchesAHardenedResimulation)
+{
+    // K40 register-file ECC, predicted by reweighting a baseline
+    // campaign, against a real campaign on the hardened device
+    // (independent seed). Claim: the hardened campaign's critical
+    // proportion has a Wilson interval at alpha = 0.001 that holds
+    // the predicted proportion. The baseline has 4x the runs, so
+    // the prediction's own noise widens the two-sided miss
+    // probability to ~0.3%; fixed seeds make the verdict
+    // deterministic.
+    constexpr double alpha = 0.001;
+    constexpr uint64_t hardened_runs = 1000;
+    DeviceModel k40 = makeK40();
+    HardeningOption rf{ResourceKind::RegisterFile, "ECC", 0.1, 6.0};
+    DeviceModel hardened = applyHardening(k40, rf);
+
+    CampaignResult base = dgemmCampaign(k40, 4 * hardened_runs, 5, 64);
+    double predicted = 0.0;
+    for (const auto &r : attributeCriticality(base, k40)) {
+        predicted += r.criticalFitAu *
+            (r.resource == rf.resource ? rf.survivalScale : 1.0);
+    }
+
+    CampaignResult after =
+        dgemmCampaign(hardened, hardened_runs, 11, 64);
+    uint64_t critical = 0;
+    for (const auto &run : after.runs)
+        critical += run.outcome == Outcome::Sdc &&
+            !run.crit.executionFiltered;
+    check::Interval iv =
+        check::wilsonInterval(critical, hardened_runs, alpha);
+    // fitAu(k) = area * fitScale * k / runs, linear in k.
+    double per_run = after.fitAu(hardened_runs);
+    EXPECT_TRUE(iv.contains(predicted / per_run))
+        << "predicted critical proportion " << predicted / per_run
+        << " outside the hardened campaign's [" << iv.lo << ", "
+        << iv.hi << "] (" << critical << "/" << hardened_runs
+        << " critical)";
+    // Hardening the dominant resource must show in both.
+    EXPECT_LT(predicted, base.fitTotalAu(true));
+    EXPECT_EQ(after.fitTotalAu(true), after.fitAu(critical));
+}
+
 TEST(AdvisorTest, GreedyPlanRespectsBudgetAndImproves)
 {
     DeviceModel k40 = makeK40();
-    WorkloadFactory factory = [](const DeviceModel &d) {
-        return std::make_unique<Dgemm>(d, 128, 42);
-    };
-    auto plan = advise(k40, factory, 12.0, 200, 9);
+    auto baseline = attributeCriticality(dgemmCampaign(k40, 200), k40);
+    auto plan = advise(k40, baseline, 12.0);
     ASSERT_FALSE(plan.empty());
     double last_cost = 0.0;
     for (const auto &step : plan) {
@@ -148,19 +227,24 @@ TEST(AdvisorTest, GreedyPlanRespectsBudgetAndImproves)
         last_cost = step.cumulativeCostPct;
     }
     EXPECT_LE(last_cost, 12.0);
-    // The overall plan removes a meaningful share of critical FIT.
+    // The plan starts from the campaign's whole critical FIT and
+    // removes a meaningful share of it.
+    double total = 0.0;
+    for (const auto &r : baseline)
+        total += r.criticalFitAu;
+    EXPECT_DOUBLE_EQ(plan.front().fitBefore, total);
     EXPECT_LT(plan.back().fitAfter,
               0.9 * plan.front().fitBefore);
+    // Each step's FIT is where the next one starts.
+    for (size_t i = 1; i < plan.size(); ++i)
+        EXPECT_EQ(plan[i].fitBefore, plan[i - 1].fitAfter);
 }
 
 TEST(AdvisorDeathTest, ZeroBudgetFatal)
 {
     DeviceModel k40 = makeK40();
-    WorkloadFactory factory = [](const DeviceModel &d) {
-        return std::make_unique<Dgemm>(d, 128, 42);
-    };
-    EXPECT_EXIT(advise(k40, factory, 0.0, 10, 1),
-                ::testing::ExitedWithCode(1), "budget");
+    EXPECT_EXIT(advise(k40, {}, 0.0), ::testing::ExitedWithCode(1),
+                "budget");
 }
 
 TEST(HardeningDeathTest, MissingResourceFatal)

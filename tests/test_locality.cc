@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hh"
 #include "metrics/locality.hh"
 
@@ -158,6 +160,19 @@ TEST(LocalityTest, DensityThresholdRespected)
     tight.squareDensity = 0.05;
     EXPECT_EQ(classifyLocality(corners, loose), Pattern::Square);
     EXPECT_EQ(classifyLocality(corners, tight), Pattern::Random);
+}
+
+TEST(LocalityTest, FullInt64ExtentIsRandom)
+{
+    // A hostile beam log may hold any int64_t coordinate: the box
+    // spanning the whole range must neither overflow nor look
+    // dense.
+    constexpr int64_t lo = std::numeric_limits<int64_t>::min();
+    constexpr int64_t hi = std::numeric_limits<int64_t>::max();
+    EXPECT_EQ(classifyLocality(make2d({{lo, 0}, {hi, 1}})),
+              Pattern::Random);
+    EXPECT_EQ(classifyLocality(make3d({{lo, lo, lo}, {hi, hi, hi}})),
+              Pattern::Random);
 }
 
 TEST(LocalityTest, UniquePositionsCounts)

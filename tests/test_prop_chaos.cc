@@ -8,6 +8,11 @@
  * property demonstrates that the shrinker reports a minimal
  * failing plan.
  *
+ * A mutation fuzz feeds corrupted --chaos specs (sign, blanks,
+ * out-of-range and wrapping counts) through parseChaosSpec(): each
+ * mutant must either round-trip through chaosSpec() and build its
+ * plan, or exit with a "chaos spec:" diagnostic.
+ *
  * Each property case runs several full (small) campaigns, so the
  * case count is capped well below the framework default — CI runs
  * the proptest label with RADCRIT_PROPTEST_CASES=2000, which is
@@ -18,6 +23,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -222,6 +230,90 @@ TEST(ChaosProperties, ShrinkerReportsMinimalFailingPlan)
               std::string::npos)
         << result.message;
     setChaos(nullptr);
+}
+
+/**
+ * Child body of one spec fuzz case: exits 0 when `spec` parses,
+ * round-trips through chaosSpec() and builds a plan of the parsed
+ * size; a rejected spec exits 1 through fatal() with its
+ * "chaos spec:" diagnostic. Any other exit fails the case.
+ */
+[[noreturn]] void
+acceptOrDiagnose(const std::string &spec)
+{
+    std::optional<ChaosPlanParams> params = parseChaosSpec(spec);
+    if (params) {
+        std::string canonical = chaosSpec(*params);
+        std::optional<ChaosPlanParams> back =
+            parseChaosSpec(canonical);
+        if (!back || chaosSpec(*back) != canonical) {
+            std::fprintf(stderr, "round trip broke: %s\n",
+                         canonical.c_str());
+            std::_Exit(2);
+        }
+        // Only parser-accepted params reach makeChaosPlan(), so the
+        // plan's size is bounded by maxChaosFaults.
+        ChaosPlan plan = makeChaosPlan(*params);
+        if (plan.faults.size() !=
+            params->throws + params->stalls + params->corrupts) {
+            std::fprintf(stderr, "plan size mismatch\n");
+            std::_Exit(2);
+        }
+    }
+    std::fprintf(stderr, "chaos spec: accepted\n");
+    std::exit(0);
+}
+
+bool
+acceptedOrRejected(int status)
+{
+    return ::testing::ExitedWithCode(0)(status) ||
+        ::testing::ExitedWithCode(1)(status);
+}
+
+TEST(ChaosSpecFuzz, MutantsRoundTripOrExitWithDiagnostic)
+{
+    const std::vector<std::string> valid = {
+        "seed=42,runs=300,throws=3,stalls=1,corrupts=1,attempts=2,"
+        "stall-ms=50",
+        "throws=2", "runs=5,throws=2,stalls=3",
+        "seed=18446744073709551615,attempts=4294967295,"
+        "stall-ms=18446744073709",
+        "corrupts=4096,runs=0"};
+    // Edits that hit the known hazards: signs, blanks, separators,
+    // letters, and digit runs that push a count past its range.
+    const std::vector<std::string> inserts = {
+        "-", "+", " ", "\t", ",", "=", "x", "0", "9", "99999",
+        "18446744073709551616", "4294967296", "4097",
+        "9223372036854775808", "runs=", ",stalls="};
+    Rng rng(0xC4A05);
+    uint64_t cases = std::min<uint64_t>(
+        check::defaultPropConfig().cases, 300);
+    for (uint64_t i = 0; i < cases; ++i) {
+        std::string spec = valid[rng.uniformInt(valid.size())];
+        uint64_t edits = 1 + rng.uniformInt(3);
+        for (uint64_t e = 0; e < edits; ++e) {
+            size_t pos = rng.uniformInt(spec.size() + 1);
+            const std::string &ins =
+                inserts[rng.uniformInt(inserts.size())];
+            switch (rng.uniformInt(3)) {
+              case 0: // insert
+                spec.insert(pos, ins);
+                break;
+              case 1: // replace one byte
+                if (pos < spec.size())
+                    spec.replace(pos, 1, ins);
+                break;
+              default: // delete one byte
+                if (pos < spec.size())
+                    spec.erase(pos, 1);
+                break;
+            }
+        }
+        SCOPED_TRACE("spec: '" + spec + "'");
+        EXPECT_EXIT(acceptOrDiagnose(spec), acceptedOrRejected,
+                    "chaos spec: ");
+    }
 }
 
 } // anonymous namespace

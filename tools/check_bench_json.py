@@ -8,7 +8,7 @@ Usage:
 With --suite the argument is an existing suite document
 (written by `radcrit_suite run`) and is validated in place:
 
-  * schema == SCHEMA (11), positive jobs/experiments_run/wall_ns
+  * schema == SCHEMA (12), positive jobs/experiments_run/wall_ns
   * campaigns is the dedup ledger: simulated + store_hits ==
     distinct <= requested, and it has no other keys
   * totals tally with the per-experiment blocks, and every consumed
@@ -36,7 +36,7 @@ import sys
 
 # Version of the suite document (benchJsonSchema in
 # src/suite/driver.cc).
-SCHEMA = 11
+SCHEMA = 12
 
 
 def fail(msg):
@@ -153,7 +153,7 @@ def validate_memory(doc):
 
 SUITE_CAMPAIGN_KEYS = ("requested", "distinct", "simulated",
                        "store_hits", "memory_serves",
-                       "prepass_wall_ns")
+                       "campaign_wall_sum_ns")
 SUITE_EXP_KEYS = ("campaigns", "runs", "wall_ns")
 
 
@@ -279,7 +279,7 @@ def validate_suite_file(path):
 # The documents that quote the suite JSON schema version.
 DOC_FILES = ("README.md", os.path.join(".claude", "skills", "verify",
                                        "SKILL.md"))
-# Prose quotes ("schema-11", "schema 11") are always suite
+# Prose quotes ("schema-12", "schema 12") are always suite
 # versions; a "schema": N literal only counts on a line about bench
 # or suite JSON (trace records and the catalog carry their own).
 PROSE_SCHEMA = re.compile(r"\bschema[- ](\d+)\b")

@@ -107,7 +107,7 @@ def comparable(doc):
     everything except wall-clock (and wall-derived) fields."""
     return {
         "campaigns": {k: v for k, v in doc["campaigns"].items()
-                      if k != "prepass_wall_ns"},
+                      if k != "campaign_wall_sum_ns"},
         "totals": {k: v for k, v in doc["totals"].items()
                    if k not in ("wall_ns", "ns_per_op",
                                 "runs_per_s")},

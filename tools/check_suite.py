@@ -16,14 +16,16 @@ asserts:
     (simulated == distinct, store_hits == 0), and the warm run
     re-simulated nothing (simulated == 0, every distinct campaign
     served from the store).
- 3. Warm figure run builds and replays nothing: a `run 'fig2*' ...
-    'fig7*' ablation_scheduler` on the cold run's cache (the
-    ablation adds the scheduler-swapped device variants) simulates
-    nothing, its JSON
-    stats record no kernel.<dgemm|lavamd|hotspot>.golden calls (store
-    hits are keyed and launched from the workload's identity, not
-    from a built workload) and no kernel.*.inject calls, and its CSVs
-    are byte-identical to the cold run's.
+ 3. A warm store serves every experiment without kernel replays:
+    each experiment (but kernel_throughput) run alone on the cold
+    run's cache simulates nothing, its JSON stats record no
+    kernel.*.inject calls (fig9_clamr_map excepted: it replays one
+    chosen strike by design), kernel.*.golden calls only for the
+    experiments named in GOLDEN_ALLOWED, each for its stated reason
+    (store hits are keyed and launched from the workload's identity,
+    not from a built workload), and its artifacts are byte-identical
+    to the cold run's; together they write every artifact the cold
+    run does.
  4. Every suite JSON written is valid at the current schema
     (delegated to check_bench_json.py's validator).
 
@@ -50,14 +52,29 @@ NOT_RUN_ALONE = {"kernel_throughput"}
 
 ARTIFACT_EXTS = (".csv", ".ppm")
 
-# The experiments whose campaigns a warm store must serve without
-# computing a golden output (CLAMR's identity needs its golden run,
-# so fig8/fig9 are not among them). ablation_scheduler declares
-# device variants, which the plan serves like stock devices.
-WARM_FIGURE_GLOBS = ["fig2*", "fig3*", "fig4*", "fig5*", "fig6*",
-                     "fig7*", "ablation_scheduler"]
-GOLDEN_CALLS = re.compile(
-    r"kernel\.(dgemm|lavamd|hotspot)\.golden\.calls")
+# The only experiments a warm run may compute golden outputs for,
+# and why. Every other experiment reads its campaigns from the store
+# alone.
+CLAMR_IDENTITY = ("a declared CLAMR campaign's identity needs the "
+                  "AMR series of its golden run")
+GOLDEN_ALLOWED = {
+    "table1_kernels": CLAMR_IDENTITY,
+    "table2_inputs": CLAMR_IDENTITY,
+    "fig8_clamr_scatter": CLAMR_IDENTITY,
+    "calibration": CLAMR_IDENTITY,
+    "fig9_clamr_map": CLAMR_IDENTITY,
+    "abft_coverage": "the ABFT checker needs A, B and the golden C",
+    "detectors": "the checks compare against the golden h and "
+                 "temperature field (and declare a CLAMR campaign)",
+    "ablation_injection_level": "its naive injector flips bits of "
+                                "the golden C",
+}
+# The only experiment a warm run may replay fault injections for.
+INJECT_ALLOWED = {
+    "fig9_clamr_map": "it replays one chosen strike for the "
+                      "paper's example map",
+}
+GOLDEN_CALLS = re.compile(r"kernel\.\w+\.golden\.calls")
 INJECT_CALLS = re.compile(r"kernel\.\w+\.inject\.calls")
 
 
@@ -109,42 +126,52 @@ def compare_artifacts(label_a, dir_a, label_b, dir_b):
     return len(files_a)
 
 
-def check_warm_figures(args, suite, cache, cold_out, sandbox):
-    """Warm figure run on the cold run's cache: no golden, same CSVs."""
-    out = os.path.join(sandbox, "suite_figures_warm")
-    run([suite, "run"] + WARM_FIGURE_GLOBS +
-        ["--runs", str(args.runs), "--jobs", "4", "--cache", cache,
-         "--out", out], sandbox)
-    doc = json.load(open(os.path.join(out, "radcrit_suite.json")))
-    validate_suite_json(doc)
-    if doc["campaigns"]["simulated"] != 0:
-        fail("warm figure run simulated %d campaigns" %
-             doc["campaigns"]["simulated"])
-    golden = {name: entry["value"]
-              for name, entry in doc["stats"].items()
-              if GOLDEN_CALLS.fullmatch(name) and entry["value"]}
-    if golden:
-        fail("warm figure run computed golden outputs: %s" % golden)
-    inject = {name: entry["value"]
-              for name, entry in doc["stats"].items()
-              if INJECT_CALLS.fullmatch(name) and entry["value"]}
-    if inject:
-        fail("warm figure run replayed fault injections: %s" % inject)
-    csvs = [name for name in artifact_files(out)
-            if name.endswith(".csv")]
-    if not csvs:
-        fail("warm figure run wrote no CSVs")
-    for name in csvs:
-        cold = os.path.join(cold_out, name)
-        if not os.path.exists(cold):
-            fail("%s written by the warm figure run only" % name)
-        if not filecmp.cmp(os.path.join(out, name), cold,
-                           shallow=False):
-            fail("%s differs between the cold run and the warm "
-                 "figure run" % name)
-    print("check_suite: warm figure run: 0 simulated, no golden "
-          "outputs, no injections, %d CSVs byte-identical to the "
-          "cold run" % len(csvs))
+def nonzero_stats(doc, pattern):
+    return {name: entry["value"]
+            for name, entry in doc["stats"].items()
+            if pattern.fullmatch(name) and entry["value"]}
+
+
+def check_warm_singles(args, suite, names, cache, cold_out, sandbox):
+    """Each experiment alone on the cold cache: no replays."""
+    checked = 0
+    written = set()
+    for name in names:
+        if name in NOT_RUN_ALONE:
+            continue
+        out = os.path.join(sandbox, "warm_single", name)
+        run([suite, "run", name, "--runs", str(args.runs),
+             "--jobs", "4", "--cache", cache, "--out", out], sandbox)
+        doc = json.load(open(os.path.join(out, "radcrit_suite.json")))
+        validate_suite_json(doc)
+        if doc["campaigns"]["simulated"] != 0:
+            fail("warm 'run %s' simulated %d campaigns" %
+                 (name, doc["campaigns"]["simulated"]))
+        golden = nonzero_stats(doc, GOLDEN_CALLS)
+        if golden and name not in GOLDEN_ALLOWED:
+            fail("warm 'run %s' computed golden outputs: %s" %
+                 (name, golden))
+        inject = nonzero_stats(doc, INJECT_CALLS)
+        if inject and name not in INJECT_ALLOWED:
+            fail("warm 'run %s' replayed fault injections: %s" %
+                 (name, inject))
+        for fname, path in artifact_files(out).items():
+            cold = os.path.join(cold_out, fname)
+            if not os.path.exists(cold):
+                fail("%s written by the warm 'run %s' only" %
+                     (fname, name))
+            if not filecmp.cmp(path, cold, shallow=False):
+                fail("%s differs between the cold run and the warm "
+                     "'run %s'" % (fname, name))
+            written.add(fname)
+        checked += 1
+    missing = sorted(set(artifact_files(cold_out)) - written)
+    if missing:
+        fail("no warm single experiment wrote %s" % missing)
+    print("check_suite: %d experiments alone on a warm store: 0 "
+          "simulated, golden outputs only for %s, injections only "
+          "for %s, artifacts byte-identical to the cold run" %
+          (checked, sorted(GOLDEN_ALLOWED), sorted(INJECT_ALLOWED)))
 
 
 def check_single_experiments(args, suite, names, all_out, sandbox):
@@ -235,7 +262,7 @@ def check(args, suite, sandbox):
           "each simulated once" %
           (camp1["requested"], camp1["distinct"]))
 
-    check_warm_figures(args, suite, cache, suite1, sandbox)
+    check_warm_singles(args, suite, names, cache, suite1, sandbox)
 
     # --- Suite run 2: warm cache, parallel pool. ---------------
     run([suite, "run", "all", "--runs", str(args.runs),

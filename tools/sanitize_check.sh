@@ -31,7 +31,7 @@ case "$SANITIZER" in
     thread) DEFAULT_DIR=build-tsan ;;
     address)
         DEFAULT_DIR=build-asan
-        TARGETS+=(test_hotspot test_clamr test_prop_kernels
+        TARGETS+=(test_hotspot test_clamr test_detectors test_prop_kernels
                   test_golden test_report test_beamlog
                   test_prop_beamlog test_prop_beamlog_fuzz
                   test_store test_stream test_criticality

@@ -48,7 +48,7 @@ def suite_doc(schema=SCHEMA):
         "campaigns": {
             "requested": 2, "distinct": 1, "simulated": 1,
             "store_hits": 0, "memory_serves": 2,
-            "prepass_wall_ns": 3000,
+            "campaign_wall_sum_ns": 3000,
         },
         "totals": {
             "campaigns": 2, "runs": 8, "wall_ns": 4000,
