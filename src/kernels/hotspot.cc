@@ -174,17 +174,18 @@ HotSpot::emptyRecord() const
 }
 
 void
-HotSpot::step(const std::vector<float> &src,
-              std::vector<float> &dst) const
+HotSpot::step(const std::vector<float> &src, std::vector<float> &dst,
+              const Box &box) const
 {
     // Each cell relaxes toward its four neighbours, with the grid
     // edge replicated (clamped reads). The edge clamp is resolved
     // once per row (the up/down row pointers) and once per column
-    // side (columns 0 and n-1 are peeled), so the interior loop is
-    // branch-free and the compiler vectorizes it. The per-cell
-    // expression and its evaluation order are unchanged, and the
-    // build enables neither FP contraction nor fast-math, so every
-    // lane rounds exactly like the scalar code (DESIGN.md, kernels).
+    // side (columns 0 and n-1 are peeled when the box holds them),
+    // so the interior loop is branch-free and the compiler
+    // vectorizes it. The per-cell expression and its evaluation
+    // order are unchanged, and the build enables neither FP
+    // contraction nor fast-math, so every lane rounds exactly like
+    // the scalar code (DESIGN.md, kernels), whatever the box.
     auto update = [](float t, float up, float dn, float left,
                      float right, float p) {
         float lap_r = up + dn - 2.0f * t;
@@ -193,7 +194,9 @@ HotSpot::step(const std::vector<float> &src,
             cAmb * (ambient - t);
     };
     const int64_t n = n_;
-    for (int64_t r = 0; r < n; ++r) {
+    const int64_t c_begin = std::max<int64_t>(box.c0, 1);
+    const int64_t c_end = std::min<int64_t>(box.c1, n - 1);
+    for (int64_t r = box.r0; r < box.r1; ++r) {
         const float *mid = src.data() + r * n;
         const float *up =
             src.data() + std::max<int64_t>(r - 1, 0) * n;
@@ -201,13 +204,18 @@ HotSpot::step(const std::vector<float> &src,
             src.data() + std::min<int64_t>(r + 1, n - 1) * n;
         const float *p = power_.data() + r * n;
         float *out = dst.data() + r * n;
-        out[0] = update(mid[0], up[0], dn[0], mid[0], mid[1], p[0]);
-        for (int64_t c = 1; c < n - 1; ++c) {
+        if (box.c0 == 0) {
+            out[0] = update(mid[0], up[0], dn[0], mid[0], mid[1],
+                            p[0]);
+        }
+        for (int64_t c = c_begin; c < c_end; ++c) {
             out[c] = update(mid[c], up[c], dn[c], mid[c - 1],
                             mid[c + 1], p[c]);
         }
-        out[n - 1] = update(mid[n - 1], up[n - 1], dn[n - 1],
-                            mid[n - 2], mid[n - 1], p[n - 1]);
+        if (box.c1 == n) {
+            out[n - 1] = update(mid[n - 1], up[n - 1], dn[n - 1],
+                                mid[n - 2], mid[n - 1], p[n - 1]);
+        }
     }
 }
 
@@ -219,42 +227,116 @@ HotSpot::strikeIteration(const Strike &strike) const
     return std::clamp<int64_t>(it, 0, iters_ - 1);
 }
 
+namespace
+{
+
+/** @return `box` grown by `by` cells on every side, clamped to n x n. */
+HotSpot::Box
+grow(const HotSpot::Box &box, int64_t by, int64_t n)
+{
+    return {std::max<int64_t>(box.r0 - by, 0),
+            std::min<int64_t>(box.r1 + by, n),
+            std::max<int64_t>(box.c0 - by, 0),
+            std::min<int64_t>(box.c1 + by, n)};
+}
+
+/**
+ * @return the bounding box of the cells inside `within` whose bytes
+ * differ between `a` and `b` (empty when none do). A byte compare,
+ * not ==, which would call -0.0 equal to +0.0 and a NaN unequal to
+ * itself.
+ */
+HotSpot::Box
+diffBox(const std::vector<float> &a, const std::vector<float> &b,
+        const HotSpot::Box &within, int64_t n)
+{
+    HotSpot::Box d{within.r1, within.r0, within.c1, within.c0};
+    const size_t width = static_cast<size_t>(within.c1 - within.c0);
+    for (int64_t r = within.r0; r < within.r1; ++r) {
+        const float *x = a.data() + r * n;
+        const float *y = b.data() + r * n;
+        if (std::memcmp(x + within.c0, y + within.c0,
+                        width * sizeof(float)) == 0)
+            continue;
+        int64_t lo = within.c0;
+        while (std::memcmp(x + lo, y + lo, sizeof(float)) == 0)
+            ++lo;
+        int64_t hi = within.c1 - 1;
+        while (std::memcmp(x + hi, y + hi, sizeof(float)) == 0)
+            --hi;
+        d.r0 = std::min(d.r0, r);
+        d.r1 = r + 1;
+        d.c0 = std::min(d.c0, lo);
+        d.c1 = std::max(d.c1, hi + 1);
+    }
+    return d;
+}
+
+} // anonymous namespace
+
 void
 HotSpot::runWithCorruption(int64_t it0, int64_t persist,
                            const Corruptor &corrupt,
                            SdcRecord &out) const
 {
+    const auto &snaps = *snaps_;
     int64_t snap = std::min<int64_t>(it0 / snapInterval_,
                                      static_cast<int64_t>(
-                                         snaps_->size()) - 1);
-    std::vector<float> cur = (*snaps_)[static_cast<size_t>(snap)];
+                                         snaps.size()) - 1);
+    std::vector<float> cur = snaps[static_cast<size_t>(snap)];
     std::vector<float> nxt(cur.size());
+    const Box grid{0, n_, 0, n_};
     int64_t it_end = std::min(iters_, it0 + persist);
-    for (int64_t it = snap * snapInterval_; it < iters_; ++it) {
-        if (it >= it0 && it < it_end)
-            corrupt(cur, it);
-        step(cur, nxt);
-        cur.swap(nxt);
-        // Once no corruption is left to apply, a state bitwise
-        // equal to the golden checkpoint at the same iteration
-        // replays the golden run from there on: the strike was
-        // digested and the output is golden, so stop here. The
-        // test is a byte compare, not ==, which would call -0.0
-        // equal to +0.0 and a NaN unequal to itself.
-        int64_t done = it + 1;
-        if (done >= it_end && done % snapInterval_ == 0 &&
-            done < iters_) {
+    // `cur` holds the replay's state inside `valid`; outside it the
+    // state equals the golden run.
+    Box valid = grid;
+    uint64_t cells = 0;
+    // One window per checkpoint interval. A window that applies
+    // corruption steps the whole grid; every later window starts at
+    // a checkpoint and steps only around the dirty box there.
+    for (int64_t start = snap * snapInterval_; start < iters_;) {
+        const int64_t k = std::min(snapInterval_, iters_ - start);
+        const bool clean = start >= it_end;
+        Box dirty = grid;
+        if (clean) {
             const auto &golden_snap =
-                (*snaps_)[static_cast<size_t>(done / snapInterval_)];
-            if (std::memcmp(cur.data(), golden_snap.data(),
-                            cur.size() * sizeof(float)) == 0) {
+                snaps[static_cast<size_t>(start / snapInterval_)];
+            dirty = diffBox(cur, golden_snap, valid, n_);
+            if (dirty.empty()) {
+                // Bitwise golden again: the strike was digested and
+                // the output is golden, so stop here.
                 reconverged_.inc();
+                cellSteps_.inc(cells);
                 return;
             }
+            // The window's first step reads dirty + 2k; outside
+            // the dirty box that is the checkpoint.
+            Box reach = grow(dirty, 2 * k, n_);
+            for (int64_t r = reach.r0; r < reach.r1; ++r) {
+                bool in_rows = r >= dirty.r0 && r < dirty.r1;
+                int64_t skip0 = in_rows ? dirty.c0 : reach.c1;
+                int64_t skip1 = in_rows ? dirty.c1 : reach.c1;
+                const float *g = golden_snap.data() + r * n_;
+                float *dst = cur.data() + r * n_;
+                std::copy(g + reach.c0, g + skip0, dst + reach.c0);
+                std::copy(g + skip1, g + reach.c1, dst + skip1);
+            }
         }
+        for (int64_t j = 1; j <= k; ++j) {
+            int64_t it = start + j - 1;
+            if (it >= it0 && it < it_end)
+                corrupt(cur, it);
+            Box box = clean ? grow(dirty, 2 * k - j, n_) : grid;
+            step(cur, nxt, box);
+            cells += static_cast<uint64_t>(box.cells());
+            cur.swap(nxt);
+        }
+        valid = clean ? grow(dirty, k, n_) : grid;
+        start += k;
     }
-    for (int64_t r = 0; r < n_; ++r) {
-        for (int64_t c = 0; c < n_; ++c) {
+    cellSteps_.inc(cells);
+    for (int64_t r = valid.r0; r < valid.r1; ++r) {
+        for (int64_t c = valid.c0; c < valid.c1; ++c) {
             float read = cur[r * n_ + c];
             float expected = golden_[r * n_ + c];
             if (read != expected || std::isnan(read)) {

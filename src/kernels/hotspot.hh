@@ -16,8 +16,26 @@
  * Injection replays the computation from the closest golden
  * checkpoint, applies the corruption at the struck iteration, and
  * lets the *real stencil dynamics* propagate it to the final output.
- * A replay whose state has diffused back to bitwise golden at a
- * later checkpoint stops there with an empty (masked) record.
+ * Once no corruption is left to apply, the replay steps only where
+ * the strike can still matter (a dirty-box replay):
+ *
+ *  - At each golden checkpoint, the replay byte-compares its state
+ *    with the checkpoint and takes the bounding box D of the cells
+ *    that differ. An empty D means the state has diffused back to
+ *    bitwise golden: the replay stops with an empty (masked) record.
+ *  - Otherwise the next window of k iterations (k is the checkpoint
+ *    interval, or what is left of the run) steps only the box D
+ *    grown by 2k-1, 2k-2, ..., k cells, clamped to the grid, and
+ *    reads the cells outside D from the checkpoint.
+ *
+ * This is exact, not an approximation: a cell's value after k steps
+ * depends only on the cells within k of it, so every cell outside
+ * D+k ends the window bitwise equal to the golden run, and every
+ * cell inside D+k is computed from a correct state by the same
+ * per-cell expression as the full-grid step. The final diff scans
+ * only D+k, in row-major order, so the record is the one a
+ * full-grid replay makes. The checkpoints are the only golden state
+ * the replay reads (DESIGN.md, "Why no per-step golden frames").
  *
  * Numeric-range note (see DESIGN.md): upsets that push the state far
  * outside the solver's range produce NaN/Inf cascades that are
@@ -98,12 +116,35 @@ class HotSpot : public Workload
     /** Ambient temperature (K). */
     static constexpr float ambient = 300.0f;
 
+    /** Half-open cell box: rows [r0, r1), columns [c0, c1). */
+    struct Box
+    {
+        int64_t r0 = 0, r1 = 0, c0 = 0, c1 = 0;
+
+        bool empty() const { return r0 >= r1 || c0 >= c1; }
+        int64_t cells() const
+        {
+            return empty() ? 0 : (r1 - r0) * (c1 - c0);
+        }
+    };
+
     /**
-     * One stencil iteration: reads `src`, writes `dst` (both n x n).
-     * Exposed for tests and the entropy-detector study.
+     * One stencil iteration over `box`: writes the cells of `dst`
+     * inside `box` from `src` inside `box` grown by one cell (both
+     * n x n); `dst` outside `box` is left untouched.
+     */
+    void step(const std::vector<float> &src, std::vector<float> &dst,
+              const Box &box) const;
+
+    /**
+     * One stencil iteration over the whole grid. Exposed for tests
+     * and the entropy-detector study.
      */
     void step(const std::vector<float> &src,
-              std::vector<float> &dst) const;
+              std::vector<float> &dst) const
+    {
+        step(src, dst, {0, n_, 0, n_});
+    }
 
   private:
     /**
@@ -116,9 +157,11 @@ class HotSpot : public Workload
     /**
      * Replay from the closest checkpoint, applying `corrupt` at the
      * start of iterations [it0, it0 + persist), then run to the
-     * end and diff against the golden output. Stops early, leaving
+     * end and diff against the golden output. After the last
+     * corrupted iteration each checkpoint window steps only the
+     * dirty box (file comment); the replay stops early, leaving
      * `out` empty, when the state matches a golden checkpoint
-     * bitwise after the last corrupted iteration.
+     * bitwise.
      */
     void runWithCorruption(int64_t it0, int64_t persist,
                            const Corruptor &corrupt,
@@ -159,6 +202,9 @@ class HotSpot : public Workload
     /** Replays stopped early because the state reconverged. */
     Counter &reconverged_{StatsRegistry::global().counter(
         "kernel.hotspot.reconverged")};
+    /** Cells stepped by injection replays, one bump per replay. */
+    Counter &cellSteps_{StatsRegistry::global().counter(
+        "kernel.hotspot.cell_steps")};
 };
 
 } // namespace radcrit

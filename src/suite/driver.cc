@@ -451,6 +451,9 @@ runSuite(int argc, char **argv)
                     cli.getString("timeline").c_str());
     }
 
+    // Golden builds an experiment still makes in run() fan out over
+    // the suite's workers (forBands()), as the prepass builds do.
+    ScopedBuildPool attach(pool);
     std::vector<ExperimentBlock> blocks;
     blocks.reserve(selected.size());
     for (Experiment *exp : selected) {

@@ -388,11 +388,14 @@ resolvePhase(Prepass &pp)
             if (!item.simulated && pp.analyze)
                 item.analysis = analyzeHit(item);
             item.wallNs = pp.nowNs() - item.startNs;
-            if (tl && !item.simulated) {
+            if (tl) {
+                // A miss's span is its golden build.
                 pp.lane(worker).span(item.key, "prepass", span_begin,
                                      tl->nowNs() - span_begin,
                                      {{"campaign", item.key},
-                                      {"source", "store"}});
+                                      {"source", item.simulated
+                                           ? "build"
+                                           : "store"}});
             }
             pp.leave();
             if (!item.simulated)

@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "check/golden.hh"
 #include "common/rng.hh"
 #include "kernels/hotspot.hh"
 #include "metrics/criticality.hh"
@@ -221,6 +226,215 @@ TEST_F(HotSpotTest, HighOccupancyTraits)
     EXPECT_LT(hotspot_.traits().perBlockLocalBytes, 4096u);
     EXPECT_FALSE(hotspot_.traits().doublePrecision);
     EXPECT_LT(hotspot_.traits().crashExposure, 0.5);
+}
+
+// --- Replay equivalence pin ---------------------------------------
+//
+// A fixed strike set whose records were recorded, one line per
+// strike, in tests/goldens/hotspot_replay_pin.csv with the full-grid
+// replay, before the replay was restricted to the dirty box. Any
+// later replay must reproduce every record bit for bit. The set
+// covers both devices, all six manifestations, a strike in every
+// checkpoint window (including the partial last window of a
+// 100-iteration run, whose checkpoint interval 8 does not divide
+// it), struck cells, lines and tiles at every corner and edge, and
+// the XeonPhi L2 input line that stays corrupted for 8 iterations,
+// across a checkpoint.
+
+/** Row and column side a struck box touches: 0 low edge, 1 inside,
+ *  2 high edge. */
+struct Spot
+{
+    int row, col;
+};
+
+const char *const spotRow[] = {"top", "mid", "bottom"};
+const char *const spotCol[] = {"left", "mid", "right"};
+
+/**
+ * The box a strike corrupts, from the first two draws every HotSpot
+ * injector takes from the strike's own entropy (row, then column),
+ * reduced to the grid sides it touches.
+ */
+Spot
+spotOf(Manifestation m, uint64_t entropy, int64_t n,
+       int64_t line_cells)
+{
+    Rng srng(Rng::hashCombine(entropy, 0x407507ULL));
+    int64_t r0, r1, c0, c1;
+    switch (m) {
+      case Manifestation::BitFlipValue:
+        r0 = r1 = srng.uniformRange(0, n - 1);
+        c0 = c1 = srng.uniformRange(0, n - 1);
+        break;
+      case Manifestation::BitFlipInputLine:
+        r0 = r1 = srng.uniformRange(0, n - 1);
+        c0 = srng.uniformRange(0, n - 1) / line_cells * line_cells;
+        c1 = std::min(n, c0 + line_cells) - 1;
+        break;
+      case Manifestation::StaleData:
+        r0 = r1 = srng.uniformRange(0, n - 1);
+        c0 = srng.uniformRange(0, n - 4 * HotSpot::tile - 1);
+        c1 = c0 + 4 * HotSpot::tile - 1;
+        break;
+      default: // one tile
+        r0 = srng.uniformRange(0, n / HotSpot::tile - 1) *
+            HotSpot::tile;
+        c0 = srng.uniformRange(0, n / HotSpot::tile - 1) *
+            HotSpot::tile;
+        r1 = r0 + HotSpot::tile - 1;
+        c1 = c0 + HotSpot::tile - 1;
+        break;
+    }
+    auto side = [n](int64_t lo, int64_t hi) {
+        return lo == 0 ? 0 : hi == n - 1 ? 2 : 1;
+    };
+    return {side(r0, r1), side(c0, c1)};
+}
+
+struct PinStrike
+{
+    Strike strike;
+    int64_t it0;
+    Spot spot;
+};
+
+/**
+ * One strike per manifestation and checkpoint window, at a varying
+ * offset inside the window, on a cell, line or tile at a varying
+ * corner, edge or interior spot. (A stale row segment never reaches
+ * the right edge, so StaleData cycles through left and inside.)
+ */
+std::vector<PinStrike>
+pinStrikes(const DeviceModel &device, int64_t n, int64_t iters)
+{
+    const int64_t interval = std::max<int64_t>(iters / 12, 1);
+    const int64_t windows = (iters + interval - 1) / interval;
+    const int64_t line_cells = device.cacheLineBytes / 4;
+    std::vector<PinStrike> out;
+    for (size_t mi = 0; mi < numManifestations; ++mi) {
+        auto m = static_cast<Manifestation>(mi);
+        std::vector<Spot> spots;
+        for (int row = 0; row < 3; ++row) {
+            for (int col = 0; col < 3; ++col) {
+                if (m != Manifestation::StaleData || col < 2)
+                    spots.push_back({row, col});
+            }
+        }
+        for (int64_t w = 0; w < windows; ++w) {
+            int64_t len = std::min(interval, iters - w * interval);
+            PinStrike p;
+            // The second-to-last window is struck at its last
+            // iteration, so the whole corruption enters the final
+            // window (at 100 iterations, a partial one of 4) at
+            // full strength.
+            p.it0 = w * interval +
+                (w == windows - 2
+                     ? len - 1
+                     : (w * 7 + 3 + static_cast<int64_t>(mi)) % len);
+            p.spot = spots[static_cast<size_t>(w + mi) % spots.size()];
+            Strike &s = p.strike;
+            s.manifestation = m;
+            s.resource = m == Manifestation::BitFlipInputLine
+                ? ResourceKind::L2Cache
+                : ResourceKind::RegisterFile;
+            s.timeFraction = (static_cast<double>(p.it0) + 0.5) /
+                static_cast<double>(iters);
+            s.burstBits = static_cast<uint32_t>(1 + w % 3);
+            s.entropy = Rng::hashCombine(
+                static_cast<uint64_t>(iters) * 1000 + mi * 100 + w,
+                device.name == "K40" ? 1u : 2u);
+            for (;;) {
+                Spot got = spotOf(m, s.entropy, n, line_cells);
+                if (got.row == p.spot.row && got.col == p.spot.col)
+                    break;
+                ++s.entropy;
+            }
+            out.push_back(p);
+        }
+    }
+    return out;
+}
+
+/** FNV-1a over each element's position and the bits of both values. */
+uint64_t
+recordHash(const SdcRecord &rec)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](const void *p, size_t len) {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (size_t i = 0; i < len; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const CorruptedElement &e : rec.elements) {
+        mix(e.coord.data(), sizeof(e.coord[0]) * e.coord.size());
+        mix(&e.read, sizeof(e.read));
+        mix(&e.expected, sizeof(e.expected));
+    }
+    return h;
+}
+
+TEST(HotSpotReplayPin, RecordsMatchFullGridReplay)
+{
+    Counter &reconverged = StatsRegistry::global().counter(
+        "kernel.hotspot.reconverged");
+    Counter &cell_steps = StatsRegistry::global().counter(
+        "kernel.hotspot.cell_steps");
+    const uint64_t cell_steps_before = cell_steps.value();
+    // What replaying every strike on the whole grid, from its
+    // checkpoint to the last iteration, would step.
+    uint64_t full_grid_steps = 0;
+    check::Table rows{{"device", "grid", "iters", "manifestation",
+                       "it0", "burst", "entropy", "spot", "elements",
+                       "hash", "reconverged"}};
+    const int64_t n = 256;
+    for (DeviceModel device : {makeK40(), makeXeonPhi()}) {
+        for (int64_t iters : {192, 100}) {
+            HotSpot hs(device, n, iters, 42);
+            const int64_t interval = std::max<int64_t>(iters / 12, 1);
+            const int64_t last_snap = (iters - 1) / interval;
+            for (const PinStrike &p : pinStrikes(device, n, iters)) {
+                int64_t start =
+                    std::min(p.it0 / interval, last_snap) * interval;
+                full_grid_steps +=
+                    static_cast<uint64_t>((iters - start) * n * n);
+                Rng rng(0);
+                uint64_t before = reconverged.value();
+                SdcRecord rec = hs.inject(p.strike, rng);
+                char entropy[24], hash[24];
+                std::snprintf(entropy, sizeof(entropy), "e%" PRIu64,
+                              p.strike.entropy);
+                std::snprintf(hash, sizeof(hash), "h%016" PRIx64,
+                              recordHash(rec));
+                rows.push_back(
+                    {device.name, std::to_string(n),
+                     std::to_string(iters),
+                     manifestationName(p.strike.manifestation),
+                     std::to_string(p.it0),
+                     std::to_string(p.strike.burstBits),
+                     entropy,
+                     std::string(spotRow[p.spot.row]) + "-" +
+                         spotCol[p.spot.col],
+                     std::to_string(rec.numIncorrect()), hash,
+                     std::to_string(reconverged.value() - before)});
+            }
+        }
+    }
+    check::GoldenResult r = check::compareGolden(
+        check::goldenDir(RADCRIT_GOLDEN_DIR) +
+            "/hotspot_replay_pin.csv",
+        rows);
+    EXPECT_TRUE(r) << r.message;
+
+    // The dirty-box replay's saving, as a count.
+    const uint64_t stepped = cell_steps.value() - cell_steps_before;
+    EXPECT_GT(stepped, 0u);
+    EXPECT_LT(static_cast<double>(stepped),
+              0.4 * static_cast<double>(full_grid_steps))
+        << stepped << " of " << full_grid_steps
+        << " full-grid cell-steps";
 }
 
 TEST(HotSpotDeathTest, BadConfigFatal)

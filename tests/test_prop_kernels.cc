@@ -16,7 +16,9 @@
  *    mismatch;
  *  - bitwise stencil steps: HotSpot::step and Clamr::step produce,
  *    bit for bit, what a straightforward reference implementation
- *    (kept below as the oracle) produces on perturbed states; on
+ *    (kept below as the oracle) produces on perturbed states, and a
+ *    HotSpot step over any box writes exactly the reference step's
+ *    cells of that box; on
  *    states with NaN, infinite and signed-zero cells Clamr::step
  *    matches it up to the sign of NaNs, and its row bands together
  *    write exactly what the whole step writes.
@@ -575,6 +577,105 @@ TEST_P(HotSpotStepTest, StepMatchesReferenceBitwise)
                 std::vector<float> want(n * n), got(n * n);
                 ref::hotSpotStep(n, hs.power(), src, want);
                 hs.step(src, got);
+                return sameBits(want, got);
+            }));
+    EXPECT_TRUE(r.ok) << r.message;
+}
+
+/** One generated box step: the box and the seed of its state. */
+struct BoxCase
+{
+    HotSpot::Box box;
+    uint64_t seed = 0;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const BoxCase &c)
+{
+    return os << "BoxCase{rows [" << c.box.r0 << ", " << c.box.r1
+              << "), cols [" << c.box.c0 << ", " << c.box.c1
+              << "), seed=" << c.seed << "}";
+}
+
+/**
+ * Boxes of an n x n grid: anywhere, touching each grid edge, one
+ * cell (anywhere or at a corner) and the full grid; shrink toward
+ * the box's first cell and seed 0.
+ */
+check::Gen<BoxCase>
+boxCaseGen(int64_t n)
+{
+    check::Gen<BoxCase> g;
+    g.sample = [n](Rng &rng) {
+        BoxCase c;
+        HotSpot::Box &b = c.box;
+        b.r0 = rng.uniformRange(0, n - 1);
+        b.r1 = rng.uniformRange(b.r0 + 1, n);
+        b.c0 = rng.uniformRange(0, n - 1);
+        b.c1 = rng.uniformRange(b.c0 + 1, n);
+        switch (rng.uniformInt(8)) {
+          case 0: b.r0 = 0; break;
+          case 1: b.r1 = n; break;
+          case 2: b.c0 = 0; break;
+          case 3: b.c1 = n; break;
+          case 4: // one cell at a corner
+            b.r0 = rng.bernoulli(0.5) ? 0 : n - 1;
+            b.c0 = rng.bernoulli(0.5) ? 0 : n - 1;
+            [[fallthrough]];
+          case 5: // one cell
+            b.r1 = b.r0 + 1;
+            b.c1 = b.c0 + 1;
+            break;
+          case 6: b = {0, n, 0, n}; break;
+          default: break;
+        }
+        c.seed = rng.next64();
+        return c;
+    };
+    g.shrink = [](const BoxCase &c) {
+        std::vector<BoxCase> out;
+        if (c.box.cells() > 1) {
+            BoxCase d = c;
+            d.box.r1 = d.box.r0 + 1;
+            d.box.c1 = d.box.c0 + 1;
+            out.push_back(d);
+        }
+        if (c.seed != 0) {
+            BoxCase d = c;
+            d.seed = 0;
+            out.push_back(d);
+        }
+        return out;
+    };
+    return g;
+}
+
+TEST_P(HotSpotStepTest, BoxStepMatchesReferenceInsideTheBox)
+{
+    // The dirty-box replay steps only a box: inside it the step
+    // must be the reference step bit for bit, and outside it `dst`
+    // must keep what it held.
+    const int64_t n = GetParam();
+    HotSpot hs(makeDevice(DeviceId::K40), n, 16, 7);
+    check::PropResult r = check::forAll<BoxCase>(
+        "hotspot box step bitwise", boxCaseGen(n),
+        std::function<bool(const BoxCase &)>(
+            [&](const BoxCase &c) {
+                Rng rng(c.seed);
+                std::vector<float> src(n * n), before(n * n);
+                for (float &t : src)
+                    t = static_cast<float>(rng.uniform(300.0, 360.0));
+                for (float &t : before)
+                    t = static_cast<float>(rng.uniform(-1e4, 1e4));
+                std::vector<float> want = before, got = before;
+                std::vector<float> full(n * n);
+                ref::hotSpotStep(n, hs.power(), src, full);
+                for (int64_t row = c.box.r0; row < c.box.r1; ++row) {
+                    std::copy(full.begin() + row * n + c.box.c0,
+                              full.begin() + row * n + c.box.c1,
+                              want.begin() + row * n + c.box.c0);
+                }
+                hs.step(src, got, c.box);
                 return sameBits(want, got);
             }));
     EXPECT_TRUE(r.ok) << r.message;

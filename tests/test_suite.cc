@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -27,6 +28,7 @@
 #include "exec/pool.hh"
 #include "logs/beamlog.hh"
 #include "obs/stats_registry.hh"
+#include "obs/timeline.hh"
 #include "suite/context.hh"
 #include "suite/driver.hh"
 #include "suite/experiment.hh"
@@ -679,6 +681,39 @@ TEST_F(PrepassTest, ColdPlanBuildsEachMissOnce)
         EXPECT_EQ(goldenCalls() - before,
                   static_cast<double>(kDistinct))
             << "jobs " << jobs;
+    }
+}
+
+TEST_F(PrepassTest, TimelineShowsOneBuildSpanPerSimulatedCampaign)
+{
+    // A miss's golden build is a prepass span with source "build",
+    // one per simulated campaign; a warm run builds nothing.
+    auto store = CampaignStore::open(dir_);
+    ASSERT_TRUE(store);
+    for (bool warm : {false, true}) {
+        Timeline tl;
+        setTimeline(&tl);
+        Served served = serve(4, store.get());
+        setTimeline(nullptr);
+        EXPECT_EQ(served.stats.simulated, warm ? 0u : kDistinct);
+        std::multiset<std::string> built;
+        for (const TimelineLane *lane : tl.lanes()) {
+            for (const TimelineEvent &ev : lane->events()) {
+                auto has = [&ev](const TimelineArg &arg) {
+                    return std::find(ev.args.begin(), ev.args.end(),
+                                     arg) != ev.args.end();
+                };
+                if (ev.category == "prepass" &&
+                    has({"source", "build"}) &&
+                    has({"campaign", ev.name}))
+                    built.insert(ev.name);
+            }
+        }
+        EXPECT_EQ(built.size(), served.stats.simulated)
+            << (warm ? "warm" : "cold");
+        EXPECT_EQ(std::set<std::string>(built.begin(), built.end())
+                      .size(),
+                  built.size());
     }
 }
 
