@@ -118,7 +118,7 @@ AnalyzeSink::begin(const CampaignMeta &meta)
 }
 
 void
-AnalyzeSink::consume(RunBatch &&batch)
+AnalyzeSink::observe(const RunBatch &batch)
 {
     for (const RawRun &run : batch.runs) {
         acc_->fold(run);

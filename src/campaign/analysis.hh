@@ -10,8 +10,8 @@
  * StatsRegistry::merge, so per-worker shards can fold disjoint
  * index ranges and be combined deterministically.
  *
- * AnalyzeSink adapts the accumulator to the RawSink interface so
- * analysis can ride directly behind a streaming producer (the
+ * AnalyzeSink adapts the accumulator to the RawObserver interface
+ * so analysis can ride directly behind a streaming producer (the
  * engine, a beam-log reader, a store load) and never hold more
  * than one batch of raw records; analyzeCampaignStream() is the
  * pull-side convenience over a RawSource.
@@ -97,19 +97,19 @@ class AnalysisAccumulator
 };
 
 /**
- * RawSink running an AnalysisAccumulator over the stream. With
+ * RawObserver running an AnalysisAccumulator over the stream. With
  * progressEvery > 0 an inform() line with records-analyzed/s is
  * emitted every that many records (radcrit_cli analyze
  * --progress).
  */
-class AnalyzeSink : public RawSink
+class AnalyzeSink : public RawObserver
 {
   public:
     explicit AnalyzeSink(const AnalysisConfig &config,
                          uint64_t progressEvery = 0);
 
     void begin(const CampaignMeta &meta) override;
-    void consume(RunBatch &&batch) override;
+    void observe(const RunBatch &batch) override;
     void end(const StatsSnapshot &simStats) override;
 
     /** @return the sealed result (call after end()). */

@@ -96,26 +96,14 @@ struct SimConfig
     unsigned jobs = 1;
     /**
      * Runs per streamed batch handed to the campaign's RawSink
-     * (radcrit_cli --batch-runs). 0 = deliver the whole campaign
-     * as one batch, which is exactly the legacy materialized
-     * behavior. Like jobs, this shapes execution and memory, never
-     * results — streamed and single-batch campaigns are
-     * bit-identical — so it is not part of the cache key.
-     */
-    uint64_t batchRuns = 0;
-    /**
-     * Background store-I/O threads (radcrit_cli/radcrit_suite
-     * --io-threads). 0 = store entries are parsed/serialized
-     * inline on the caller thread (legacy behavior); N >= 1 wraps
-     * store saves in an AsyncSaveSink so entry serialization
-     * overlaps simulation, with at most N concurrent background
-     * I/O operations process-wide (IoThreadGate). Like jobs and
-     * batchRuns this shapes execution only — saved entries and
-     * campaign results are bit-identical either way — so it is
-     * not part of the cache key (campaignKeyHash hashes explicit
+     * (radcrit_cli --stream uses 4096). 0 = deliver the whole
+     * campaign as one batch, which is the materialized behavior.
+     * Like jobs, this shapes execution and memory, never results —
+     * streamed and single-batch campaigns are bit-identical — so it
+     * is not part of the cache key (campaignKeyHash hashes explicit
      * fields, never this struct wholesale).
      */
-    unsigned ioThreads = 0;
+    uint64_t batchRuns = 0;
     /**
      * Harness failure handling; not part of the cache key (see
      * ResilienceConfig).

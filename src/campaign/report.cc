@@ -138,10 +138,11 @@ resilienceSection(HtmlReport &report, const CampaignResult &res)
 void
 storeIoSection(HtmlReport &report)
 {
-    // Async store I/O is process-shaped telemetry (it depends on
-    // --io-threads, never on results), so it lives in the global
-    // registry, not in the campaign's own stats snapshot. Only
-    // render the section when background I/O actually ran.
+    // Async store I/O is process-shaped telemetry (queue depth and
+    // busy time depend on timing, never on results), so it lives in
+    // the global registry, not in the campaign's own stats snapshot.
+    // Only a streamed radcrit_cli miss saves through the I/O thread,
+    // so render the section only when it ran.
     StatsSnapshot snap = StatsRegistry::global().snapshot();
     uint64_t batches = static_cast<uint64_t>(
         snap.value("store.io.async.batches"));

@@ -10,8 +10,7 @@
  * the document derives from the CampaignResult (including its stats
  * snapshot) plus an optional Timeline, so the report is
  * deterministic in content modulo wall-clock values. Exposed on the
- * CLI as `radcrit_cli report <beamlog>` and `--report <file>` on
- * `run`/`analyze`.
+ * CLI as `--report <file>` on `run` and `analyze`.
  */
 
 #ifndef RADCRIT_CAMPAIGN_REPORT_HH

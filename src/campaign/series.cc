@@ -75,34 +75,37 @@ runRowsHeader()
             "patternFiltered", "executionFiltered"};
 }
 
+std::vector<std::string>
+runRow(const RunRecord &run)
+{
+    std::vector<std::string> row;
+    row.push_back(TextTable::num(run.index));
+    row.push_back(outcomeName(run.outcome));
+    row.push_back(resourceKindName(run.strike.resource));
+    row.push_back(manifestationName(run.strike.manifestation));
+    row.push_back(TextTable::num(run.strike.timeFraction, 3));
+    if (run.outcome == Outcome::Sdc) {
+        row.push_back(TextTable::num(
+            static_cast<uint64_t>(run.crit.numIncorrect)));
+        row.push_back(TextTable::num(run.crit.meanRelErrPct, 3));
+        row.push_back(patternName(run.crit.pattern));
+        row.push_back(TextTable::num(static_cast<uint64_t>(
+            run.crit.numIncorrectFiltered)));
+        row.push_back(TextTable::num(
+            run.crit.meanRelErrFilteredPct, 3));
+        row.push_back(patternName(run.crit.patternFiltered));
+        row.push_back(run.crit.executionFiltered ? "yes" : "no");
+    }
+    return row;
+}
+
 std::vector<std::vector<std::string>>
 runRows(const CampaignResult &result)
 {
     std::vector<std::vector<std::string>> rows;
     rows.reserve(result.runs.size());
-    for (const auto &run : result.runs) {
-        std::vector<std::string> row;
-        row.push_back(TextTable::num(run.index));
-        row.push_back(outcomeName(run.outcome));
-        row.push_back(resourceKindName(run.strike.resource));
-        row.push_back(manifestationName(run.strike.manifestation));
-        row.push_back(TextTable::num(run.strike.timeFraction, 3));
-        if (run.outcome == Outcome::Sdc) {
-            row.push_back(TextTable::num(
-                static_cast<uint64_t>(run.crit.numIncorrect)));
-            row.push_back(TextTable::num(run.crit.meanRelErrPct,
-                                         3));
-            row.push_back(patternName(run.crit.pattern));
-            row.push_back(TextTable::num(static_cast<uint64_t>(
-                run.crit.numIncorrectFiltered)));
-            row.push_back(TextTable::num(
-                run.crit.meanRelErrFilteredPct, 3));
-            row.push_back(patternName(run.crit.patternFiltered));
-            row.push_back(run.crit.executionFiltered ? "yes"
-                                                     : "no");
-        }
-        rows.push_back(std::move(row));
-    }
+    for (const auto &run : result.runs)
+        rows.push_back(runRow(run));
     return rows;
 }
 

@@ -51,9 +51,14 @@ std::vector<Pattern> patterns2d();
 std::vector<Pattern> patterns3d();
 
 /**
- * CSV-ready rows of per-run metrics: run index, outcome, resource,
+ * CSV-ready row of one run's metrics: run index, outcome, resource,
  * incorrect elements, mean relative error, patterns before/after
- * filter. Rows appear in run-index order for any jobs count.
+ * filter.
+ */
+std::vector<std::string> runRow(const RunRecord &run);
+
+/**
+ * runRow() of every run, in run-index order for any jobs count.
  */
 std::vector<std::vector<std::string>>
 runRows(const CampaignResult &result);

@@ -259,7 +259,7 @@ namespace
  * campaign into its staging file via BeamLogWriter as batches
  * arrive and publishes it at end() exactly as save() does.
  */
-class StoreSaveSink : public RawSink
+class StoreSaveSink : public RawObserver
 {
   public:
     explicit StoreSaveSink(const CampaignStore &store)
@@ -284,7 +284,7 @@ class StoreSaveSink : public RawSink
                         meta.sensitiveAreaAu);
     }
 
-    void consume(RunBatch &&batch) override
+    void observe(const RunBatch &batch) override
     {
         for (const RawRun &run : batch.runs)
             writer_->append(run);
@@ -312,8 +312,7 @@ class StoreSaveSink : public RawSink
 bool
 CampaignStore::loadStream(const CampaignKey &key,
                           const KernelLaunch &launch,
-                          RawSink &sink, uint64_t batchRuns,
-                          unsigned ioThreads)
+                          RawSink &sink, uint64_t batchRuns)
 {
     // The sink must never see a batch from an entry that later
     // turns out corrupt (a streaming consumer cannot un-consume),
@@ -417,9 +416,7 @@ CampaignStore::loadStream(const CampaignKey &key,
         return false;
     }
 
-    // Stream pass over the validated bytes. With ioThreads > 0 the
-    // re-parse runs on a background I/O thread (AsyncRawSource) so
-    // it overlaps the sink's work instead of serializing with it.
+    // Stream pass over the validated bytes.
     std::ifstream in(path);
     if (!in) {
         ++misses_;
@@ -427,15 +424,8 @@ CampaignStore::loadStream(const CampaignKey &key,
         return false;
     }
     try {
-        BeamLogSource file_source(in, batchRuns);
-        std::unique_ptr<AsyncRawSource> async;
-        RawSource *source = &file_source;
-        if (ioThreads > 0) {
-            async = std::make_unique<AsyncRawSource>(
-                file_source, &IoThreadGate::global());
-            source = async.get();
-        }
-        CampaignMeta meta = source->meta();
+        BeamLogSource source(in, batchRuns);
+        CampaignMeta meta = source.meta();
         meta.sim = key.sim;
         meta.launch = launch;
 
@@ -445,7 +435,7 @@ CampaignStore::loadStream(const CampaignKey &key,
                                     launch.occupancy);
         sink.begin(meta);
         RunBatch batch;
-        while (source->next(batch)) {
+        while (source.next(batch)) {
             for (const RawRun &run : batch.runs)
                 rebuilder.fold(run);
             sink.consume(std::move(batch));
@@ -468,7 +458,7 @@ CampaignStore::loadStream(const CampaignKey &key,
     return true;
 }
 
-std::unique_ptr<RawSink>
+std::unique_ptr<RawObserver>
 CampaignStore::saveSink()
 {
     return std::make_unique<StoreSaveSink>(*this);
@@ -517,42 +507,22 @@ simulateOrLoad(const DeviceModel &device, Workload &workload,
 void
 simulateOrLoadStream(const DeviceModel &device, Workload &workload,
                      const SimConfig &config, CampaignStore *store,
-                     RawSink &sink, WorkerPool *pool)
+                     std::vector<RawObserver *> observers)
 {
-    if (store) {
-        CampaignKey key{device.name, workload.name(),
-                        workload.inputLabel(), config};
-        KernelLaunch launch =
-            buildLaunch(device, workload.traits());
-        if (store->loadStream(key, launch, sink,
-                              config.batchRuns,
-                              config.ioThreads))
-            return;
-        std::unique_ptr<RawSink> save = store->saveSink();
-        // With --io-threads the store save (entry serialization)
-        // rides a background I/O thread behind a bounded queue, so
-        // persisting overlaps simulation instead of running inline
-        // with the tee. The saved bytes are identical either way.
-        std::unique_ptr<AsyncSaveSink> async_save;
-        RawSink *save_side = save.get();
-        if (config.ioThreads > 0) {
-            async_save = std::make_unique<AsyncSaveSink>(
-                *save, &IoThreadGate::global());
-            save_side = async_save.get();
-        }
-        TeeRawSink tee({&sink, save_side});
-        if (pool)
-            simulateCampaignStream(device, workload, config,
-                                   *pool, tee);
-        else
-            simulateCampaignStream(device, workload, config, tee);
+    TeeRawSink observe_only(observers);
+    if (!store) {
+        simulateCampaignStream(device, workload, config, observe_only);
         return;
     }
-    if (pool)
-        simulateCampaignStream(device, workload, config, *pool,
-                               sink);
-    else
-        simulateCampaignStream(device, workload, config, sink);
+    CampaignKey key{device.name, workload.name(),
+                    workload.inputLabel(), config};
+    if (store->loadStream(key, buildLaunch(device, workload.traits()),
+                          observe_only, config.batchRuns))
+        return;
+    std::unique_ptr<RawObserver> save = store->saveSink();
+    AsyncSaveSink async_save(*save);
+    TeeRawSink tee(std::move(observers), &async_save);
+    simulateCampaignStream(device, workload, config, tee);
 }
 
 } // namespace radcrit

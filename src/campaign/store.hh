@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "campaign/config.hh"
 #include "campaign/raw.hh"
@@ -130,18 +131,17 @@ class CampaignStore
      * Entries no larger than singlePassCap() runs go through
      * load() and are delivered in slices moved out of the loaded
      * campaign — one parse total, which is what makes a warm
-     * streamed hit cheaper than re-simulating. Larger entries keep
-     * the legacy bounded-memory two-pass shape (validate pass,
-     * then stream pass) so a huge campaign never materializes;
-     * with ioThreads > 0 that second parse runs on a background
-     * I/O thread (AsyncRawSource) and overlaps the sink's work.
+     * streamed hit cheaper than re-simulating. Larger entries take
+     * the bounded-memory two-pass shape (validate pass, then
+     * stream pass, both inline) so a huge campaign never
+     * materializes.
      *
      * @return true on a hit (the sink consumed the campaign),
      * false on a miss (the sink was not touched).
      */
     bool loadStream(const CampaignKey &key,
                     const KernelLaunch &launch, RawSink &sink,
-                    uint64_t batchRuns, unsigned ioThreads = 0);
+                    uint64_t batchRuns);
 
     /**
      * Largest entry (in runs) the single-pass load() hit path
@@ -158,12 +158,12 @@ class CampaignStore
     }
 
     /**
-     * @return a sink that persists the stream it is fed under the
-     * key derived from its meta: staged to a tmp file as batches
-     * arrive, atomically renamed into place at end(). The bytes
-     * are identical to save() over the materialized campaign.
+     * @return an observer that persists the stream it is fed under
+     * the key derived from its meta: staged to a tmp file as
+     * batches arrive, atomically renamed into place at end(). The
+     * bytes are identical to save() over the materialized campaign.
      */
-    std::unique_ptr<RawSink> saveSink();
+    std::unique_ptr<RawObserver> saveSink();
 
     /** @return hits recorded by this store instance. */
     uint64_t hits() const { return hits_.load(); }
@@ -224,19 +224,22 @@ CampaignRaw simulateOrLoad(const DeviceModel &device,
 
 /**
  * Streaming counterpart of simulateOrLoad(): the campaign flows
- * into `sink` batch by batch — from the cache on a hit
- * (CampaignStore::loadStream()), otherwise from the engine with a
- * tee into the store's saveSink() — so neither path materializes
- * the raw campaign. With store == null this is exactly
- * simulateCampaignStream(). Batch size comes from
- * config.batchRuns; the sink observes identical batches on the
- * hit and miss paths.
+ * batch by batch past `observers` (in the order given) — from the
+ * cache on a hit (CampaignStore::loadStream()), otherwise from the
+ * engine — so neither path materializes the raw campaign. A miss
+ * with a store also saves the campaign: the engine's batches are
+ * moved, after the observers read them, into an AsyncSaveSink
+ * over the store's saveSink(), so the entry is serialized on a
+ * background thread while simulation goes on. With store == null
+ * this is simulateCampaignStream() past the observers. Batch size
+ * comes from config.batchRuns; the observers see identical batches
+ * on the hit and miss paths.
  */
 void simulateOrLoadStream(const DeviceModel &device,
                           Workload &workload,
                           const SimConfig &config,
-                          CampaignStore *store, RawSink &sink,
-                          WorkerPool *pool = nullptr);
+                          CampaignStore *store,
+                          std::vector<RawObserver *> observers);
 
 } // namespace radcrit
 

@@ -70,34 +70,37 @@ CampaignRawSource::next(RunBatch &batch)
     return true;
 }
 
-TeeRawSink::TeeRawSink(std::vector<RawSink *> sinks)
-    : sinks_(std::move(sinks))
+TeeRawSink::TeeRawSink(std::vector<RawObserver *> observers,
+                       RawSink *owner)
+    : observers_(std::move(observers)), owner_(owner)
 {
 }
 
 void
 TeeRawSink::begin(const CampaignMeta &meta)
 {
-    for (RawSink *sink : sinks_)
-        sink->begin(meta);
+    for (RawObserver *observer : observers_)
+        observer->begin(meta);
+    if (owner_)
+        owner_->begin(meta);
 }
 
 void
 TeeRawSink::consume(RunBatch &&batch)
 {
-    for (size_t i = 0; i + 1 < sinks_.size(); ++i) {
-        RunBatch copy = batch;
-        sinks_[i]->consume(std::move(copy));
-    }
-    if (!sinks_.empty())
-        sinks_.back()->consume(std::move(batch));
+    for (RawObserver *observer : observers_)
+        observer->observe(batch);
+    if (owner_)
+        owner_->consume(std::move(batch));
 }
 
 void
 TeeRawSink::end(const StatsSnapshot &simStats)
 {
-    for (RawSink *sink : sinks_)
-        sink->end(simStats);
+    for (RawObserver *observer : observers_)
+        observer->end(simStats);
+    if (owner_)
+        owner_->end(simStats);
 }
 
 uint64_t
@@ -115,56 +118,8 @@ pumpRaw(RawSource &source, RawSink &sink)
     return pumped;
 }
 
-IoThreadGate::IoThreadGate(unsigned slots)
-    : slots_(slots)
-{
-}
-
-void
-IoThreadGate::configure(unsigned slots)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    slots_ = slots;
-    freed_.notify_all();
-}
-
-unsigned
-IoThreadGate::slots() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return slots_;
-}
-
-void
-IoThreadGate::acquire()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    freed_.wait(lock,
-                [&] { return slots_ == 0 || inUse_ < slots_; });
-    ++inUse_;
-}
-
-void
-IoThreadGate::release()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --inUse_;
-    }
-    freed_.notify_one();
-}
-
-IoThreadGate &
-IoThreadGate::global()
-{
-    static IoThreadGate gate;
-    return gate;
-}
-
-AsyncSaveSink::AsyncSaveSink(RawSink &inner, IoThreadGate *gate,
-                             size_t queueCapacity)
-    : inner_(inner), gate_(gate),
-      capacity_(std::max<size_t>(queueCapacity, 1))
+AsyncSaveSink::AsyncSaveSink(RawObserver &inner)
+    : inner_(inner)
 {
     io_ = std::thread(&AsyncSaveSink::ioLoop, this);
 }
@@ -194,7 +149,7 @@ AsyncSaveSink::push(Op &&op)
     {
         std::unique_lock<std::mutex> lock(mutex_);
         spaceFreed_.wait(lock, [&] {
-            return queue_.size() < capacity_ || failed_;
+            return queue_.size() < kQueueCapacity || failed_;
         });
         // A failed inner sink stops accepting work; the error
         // surfaces on the producer via rethrowPending().
@@ -269,13 +224,6 @@ AsyncSaveSink::queuePeak() const
     return queuePeak_;
 }
 
-uint64_t
-AsyncSaveSink::ioBusyNs() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return ioBusyNs_;
-}
-
 void
 AsyncSaveSink::ioLoop()
 {
@@ -301,13 +249,12 @@ AsyncSaveSink::ioLoop()
         if (forward) {
             auto start = std::chrono::steady_clock::now();
             try {
-                IoThreadGate::Lease lease(gate_);
                 switch (op.kind) {
                   case Op::Kind::Begin:
                     inner_.begin(op.meta);
                     break;
                   case Op::Kind::Batch:
-                    inner_.consume(std::move(op.batch));
+                    inner_.observe(op.batch);
                     break;
                   case Op::Kind::End:
                     inner_.end(op.stats);
@@ -332,110 +279,6 @@ AsyncSaveSink::ioLoop()
             drained_.notify_all();
             return;
         }
-    }
-}
-
-AsyncRawSource::AsyncRawSource(RawSource &inner,
-                               IoThreadGate *gate,
-                               size_t queueCapacity)
-    : inner_(inner), gate_(gate),
-      capacity_(std::max<size_t>(queueCapacity, 1)),
-      meta_(inner.meta())
-{
-    io_ = std::thread(&AsyncRawSource::ioLoop, this);
-}
-
-AsyncRawSource::~AsyncRawSource()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    spaceFreed_.notify_all();
-    if (io_.joinable())
-        io_.join();
-}
-
-bool
-AsyncRawSource::next(RunBatch &batch)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    batchReady_.wait(lock, [&] {
-        return !queue_.empty() || exhausted_;
-    });
-    if (!queue_.empty()) {
-        batch = std::move(queue_.front());
-        queue_.pop_front();
-        lock.unlock();
-        spaceFreed_.notify_one();
-        return true;
-    }
-    if (error_)
-        std::rethrow_exception(error_);
-    return false;
-}
-
-StatsSnapshot
-AsyncRawSource::simStats()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    batchReady_.wait(lock, [&] { return exhausted_; });
-    if (error_)
-        std::rethrow_exception(error_);
-    return simStats_;
-}
-
-uint64_t
-AsyncRawSource::queuePeak() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queuePeak_;
-}
-
-uint64_t
-AsyncRawSource::ioBusyNs() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return ioBusyNs_;
-}
-
-void
-AsyncRawSource::ioLoop()
-{
-    for (;;) {
-        RunBatch batch;
-        bool have;
-        auto start = std::chrono::steady_clock::now();
-        try {
-            IoThreadGate::Lease lease(gate_);
-            have = inner_.next(batch);
-            if (!have)
-                simStats_ = inner_.simStats();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            error_ = std::current_exception();
-            exhausted_ = true;
-            ioBusyNs_ += elapsedNs(start);
-            batchReady_.notify_all();
-            return;
-        }
-        std::unique_lock<std::mutex> lock(mutex_);
-        ioBusyNs_ += elapsedNs(start);
-        if (!have) {
-            exhausted_ = true;
-            batchReady_.notify_all();
-            return;
-        }
-        spaceFreed_.wait(lock, [&] {
-            return queue_.size() < capacity_ || stop_;
-        });
-        if (stop_)
-            return;
-        queue_.push_back(std::move(batch));
-        queuePeak_ =
-            std::max<uint64_t>(queuePeak_, queue_.size());
-        lock.unlock();
-        batchReady_.notify_one();
     }
 }
 

@@ -89,6 +89,10 @@ struct RunBatch
  * batch size (including a single batch spanning the campaign, the
  * materialized default) and must not assume more than one batch is
  * ever alive at a time.
+ *
+ * A sink is either an owner, which keeps the batches it is handed
+ * (CollectRawSink, AsyncSaveSink), or a RawObserver, which only
+ * reads each batch in place.
  */
 class RawSink
 {
@@ -108,6 +112,20 @@ class RawSink
      * the producer has none.
      */
     virtual void end(const StatsSnapshot &simStats) = 0;
+};
+
+/**
+ * A sink that reads every batch in place and keeps none of it: the
+ * analysis, beam-log, store-save and probe sinks. Any number of
+ * observers can share one batch through a TeeRawSink.
+ */
+class RawObserver : public RawSink
+{
+  public:
+    /** One batch, in index order, read in place. */
+    virtual void observe(const RunBatch &batch) = 0;
+
+    void consume(RunBatch &&batch) final { observe(batch); }
 };
 
 /**
@@ -180,22 +198,26 @@ class CampaignRawSource : public RawSource
 };
 
 /**
- * Fan a stream out to several sinks (analysis plus a beam-log
- * writer plus a store save, in the streamed CLI). Sinks receive
- * calls in the order given; each gets its own copy of every batch
- * except the last sink, which receives the original.
+ * Fan a stream out to several observers and at most one owner (the
+ * streamed CLI: analysis and the beam-log writer, plus the store
+ * save on a miss). Every call reaches the observers in the order
+ * given, then the owner; the owner is handed the producer's own
+ * batch after the observers read it, so the tee copies nothing.
  */
 class TeeRawSink : public RawSink
 {
   public:
-    explicit TeeRawSink(std::vector<RawSink *> sinks);
+    /** @param owner Takes every batch by move; may be null. */
+    explicit TeeRawSink(std::vector<RawObserver *> observers,
+                        RawSink *owner = nullptr);
 
     void begin(const CampaignMeta &meta) override;
     void consume(RunBatch &&batch) override;
     void end(const StatsSnapshot &simStats) override;
 
   private:
-    std::vector<RawSink *> sinks_;
+    std::vector<RawObserver *> observers_;
+    RawSink *owner_;
 };
 
 /**
@@ -205,69 +227,12 @@ class TeeRawSink : public RawSink
 uint64_t pumpRaw(RawSource &source, RawSink &sink);
 
 /**
- * Process-wide cap on concurrent background store I/O. The async
- * stream adapters bracket every inner read/write with a lease, so
- * `--io-threads N` bounds how many campaigns' store traffic hits
- * the filesystem at once without ever parking an adapter for its
- * whole lifetime (leases are per-operation, which keeps the gate
- * deadlock-free: a lease holder always completes its one call).
- */
-class IoThreadGate
-{
-  public:
-    /** @param slots Concurrent leases allowed (0 = unlimited). */
-    explicit IoThreadGate(unsigned slots = 0);
-
-    /** Reconfigure the slot count (callers must be quiesced). */
-    void configure(unsigned slots);
-
-    /** @return the configured slot count (0 = unlimited). */
-    unsigned slots() const;
-
-    /** Block until a slot is free, then take it. */
-    void acquire();
-
-    /** Return a slot taken by acquire(). */
-    void release();
-
-    /** RAII lease: acquire on construction, release on scope end. */
-    class Lease
-    {
-      public:
-        explicit Lease(IoThreadGate *gate) : gate_(gate)
-        {
-            if (gate_)
-                gate_->acquire();
-        }
-        ~Lease()
-        {
-            if (gate_)
-                gate_->release();
-        }
-        Lease(const Lease &) = delete;
-        Lease &operator=(const Lease &) = delete;
-
-      private:
-        IoThreadGate *gate_;
-    };
-
-    /** The process-wide gate the CLI front ends configure. */
-    static IoThreadGate &global();
-
-  private:
-    mutable std::mutex mutex_;
-    std::condition_variable freed_;
-    unsigned slots_;
-    unsigned inUse_ = 0;
-};
-
-/**
- * Background-thread adapter over a RawSink: begin/consume/end are
+ * Background-thread owner over an observer: begin/consume/end are
  * enqueued onto a bounded op queue and replayed against the inner
- * sink by one I/O thread, so entry serialization (the store save
+ * observer by one I/O thread, so entry serialization (the store save
  * behind the tee) comes off the simulate critical path. consume()
  * blocks when the queue is full (bounded memory: at most
- * `queueCapacity` batches are ever in flight) and end() blocks
+ * kQueueCapacity batches are ever queued) and end() blocks
  * until the inner sink fully drained, so the delivery contract the
  * inner sink observes is exactly the producer's. An inner-sink
  * exception is captured on the I/O thread, stops further
@@ -279,17 +244,14 @@ class IoThreadGate
 class AsyncSaveSink : public RawSink
 {
   public:
+    /** Queued ops before begin()/consume()/end() block. */
+    static constexpr size_t kQueueCapacity = 4;
+
     /**
-     * @param inner The sink to drive from the I/O thread; must
+     * @param inner The observer to drive from the I/O thread; must
      * outlive this adapter.
-     * @param gate Optional concurrency gate; every inner call is
-     * bracketed by a lease.
-     * @param queueCapacity Max queued batches before consume()
-     * blocks (0 is treated as 1).
      */
-    explicit AsyncSaveSink(RawSink &inner,
-                           IoThreadGate *gate = nullptr,
-                           size_t queueCapacity = 4);
+    explicit AsyncSaveSink(RawObserver &inner);
 
     /** Joins the I/O thread (abandoning queued ops on abnormal
      * teardown — a completed end() has already drained). */
@@ -305,10 +267,6 @@ class AsyncSaveSink : public RawSink
     /** @return high-water mark of the op queue depth. */
     uint64_t queuePeak() const;
 
-    /** @return nanoseconds the I/O thread spent in the inner
-     * sink (the overlap won against the producer). */
-    uint64_t ioBusyNs() const;
-
   private:
     struct Op
     {
@@ -322,9 +280,7 @@ class AsyncSaveSink : public RawSink
     void push(Op &&op);
     void rethrowPending();
 
-    RawSink &inner_;
-    IoThreadGate *gate_;
-    size_t capacity_;
+    RawObserver &inner_;
 
     mutable std::mutex mutex_;
     std::condition_variable spaceFreed_;
@@ -336,64 +292,6 @@ class AsyncSaveSink : public RawSink
     bool failed_ = false;
     std::exception_ptr error_;
     uint64_t batches_ = 0;
-    uint64_t queuePeak_ = 0;
-    uint64_t ioBusyNs_ = 0;
-    std::thread io_;
-};
-
-/**
- * Background-prefetch adapter over a RawSource: one I/O thread
- * pulls batches from the inner source (entry parse, for a store
- * load) into a bounded queue while the consumer analyzes the
- * previous one, overlapping store reads with downstream work.
- * meta() is captured on the calling thread at construction; after
- * that the inner source is touched only by the I/O thread. An
- * inner exception is rethrown from next()/simStats() on the
- * consumer.
- */
-class AsyncRawSource : public RawSource
-{
-  public:
-    /**
-     * @param inner Source to prefetch from; must outlive this
-     * adapter.
-     * @param gate Optional concurrency gate; every inner call is
-     * bracketed by a lease.
-     * @param queueCapacity Max prefetched batches (0 treated as 1).
-     */
-    explicit AsyncRawSource(RawSource &inner,
-                            IoThreadGate *gate = nullptr,
-                            size_t queueCapacity = 4);
-
-    ~AsyncRawSource() override;
-
-    const CampaignMeta &meta() const override { return meta_; }
-    bool next(RunBatch &batch) override;
-    StatsSnapshot simStats() override;
-
-    /** @return high-water mark of the prefetch queue depth. */
-    uint64_t queuePeak() const;
-
-    /** @return nanoseconds the I/O thread spent in the inner
-     * source. */
-    uint64_t ioBusyNs() const;
-
-  private:
-    void ioLoop();
-
-    RawSource &inner_;
-    IoThreadGate *gate_;
-    size_t capacity_;
-    CampaignMeta meta_;
-
-    mutable std::mutex mutex_;
-    std::condition_variable spaceFreed_;
-    std::condition_variable batchReady_;
-    std::deque<RunBatch> queue_;
-    bool exhausted_ = false;
-    bool stop_ = false;
-    std::exception_ptr error_;
-    StatsSnapshot simStats_;
     uint64_t queuePeak_ = 0;
     uint64_t ioBusyNs_ = 0;
     std::thread io_;

@@ -83,6 +83,17 @@ canonicalCell(const std::string &cell)
 {
     if (cell.empty())
         return cell;
+    // A decimal integer keeps every digit: %.10g would round one
+    // longer than 10 digits. Only a '+' and leading zeros go.
+    size_t sign = cell[0] == '-' || cell[0] == '+' ? 1 : 0;
+    if (sign < cell.size() &&
+        cell.find_first_not_of("0123456789", sign) ==
+            std::string::npos) {
+        size_t digits = std::min(
+            cell.find_first_not_of('0', sign), cell.size() - 1);
+        std::string out = cell[0] == '-' ? "-" : "";
+        return out.append(cell, digits);
+    }
     char *end = nullptr;
     double v = std::strtod(cell.c_str(), &end);
     if (!end || *end != '\0' || end == cell.c_str())

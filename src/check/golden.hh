@@ -30,9 +30,10 @@ namespace check
 using Table = std::vector<std::vector<std::string>>;
 
 /**
- * @return the canonical form of one cell: numeric cells are
- * reparsed and reprinted with %.10g; everything else is returned
- * unchanged.
+ * @return the canonical form of one cell: decimal integers keep
+ * every digit (a '+' sign and leading zeros dropped), other numeric
+ * cells are reparsed and reprinted with %.10g, and everything else
+ * is returned unchanged.
  */
 std::string canonicalCell(const std::string &cell);
 

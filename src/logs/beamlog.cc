@@ -592,7 +592,7 @@ BeamLogSink::begin(const CampaignMeta &meta)
 }
 
 void
-BeamLogSink::consume(RunBatch &&batch)
+BeamLogSink::observe(const RunBatch &batch)
 {
     for (const RawRun &run : batch.runs)
         writer_.append(run);

@@ -323,19 +323,19 @@ class BeamLogSource : public RawSource
 };
 
 /**
- * RawSink writing the stream to a beam log as batches arrive. The
- * bytes are identical to writeBeamLog() over the materialized
+ * RawObserver writing the stream to a beam log as batches arrive.
+ * The bytes are identical to writeBeamLog() over the materialized
  * campaign (header run count comes from meta.sim.faultyRuns, which
  * equals the delivered run count for a complete stream).
  */
-class BeamLogSink : public RawSink
+class BeamLogSink : public RawObserver
 {
   public:
     /** @param os Destination; must outlive the sink. */
     explicit BeamLogSink(std::ostream &os) : writer_(os) {}
 
     void begin(const CampaignMeta &meta) override;
-    void consume(RunBatch &&batch) override;
+    void observe(const RunBatch &batch) override;
     void end(const StatsSnapshot &simStats) override;
 
     /** @return records written. */

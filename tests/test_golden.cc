@@ -18,6 +18,8 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -25,6 +27,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "campaign/paperconfigs.hh"
 #include "campaign/runner.hh"
@@ -366,6 +370,32 @@ TEST(GoldenHarness, MissingGoldenExplainsItself)
     EXPECT_NE(r.message.find("regen_goldens.sh"),
               std::string::npos)
         << r.message;
+}
+
+TEST(GoldenHarness, LongIntegersCompareExactly)
+{
+    if (getenv("RADCRIT_REGEN_GOLDENS"))
+        GTEST_SKIP() << "regen mode";
+    // 12-digit integers that share their first 10 digits.
+    EXPECT_EQ(check::canonicalCell("317713377123"), "317713377123");
+    EXPECT_EQ(check::canonicalCell("+0042"), "42");
+    EXPECT_EQ(check::canonicalCell("-0"), "-0");
+    EXPECT_EQ(check::canonicalCell("1.50"), "1.5");
+
+    std::string path = ::testing::TempDir() + "radcrit_long_int_" +
+        std::to_string(getpid()) + ".csv";
+    {
+        std::ofstream out(path);
+        out << "count\n317713377123\n";
+    }
+    EXPECT_TRUE(check::compareGolden(path, {{"count"},
+                                            {"317713377123"}}));
+    check::GoldenResult r = check::compareGolden(
+        path, {{"count"}, {"317713377149"}});
+    EXPECT_FALSE(r);
+    EXPECT_NE(r.message.find("317713377149"), std::string::npos)
+        << r.message;
+    std::remove(path.c_str());
 }
 
 } // anonymous namespace

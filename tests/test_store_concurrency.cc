@@ -197,7 +197,7 @@ TEST_F(StoreConcurrencyTest, DistinctKeysRoundTripConcurrently)
     EXPECT_EQ(store->misses(), 0u);
 }
 
-TEST_F(StoreConcurrencyTest, GatedAsyncSavesOnDistinctKeys)
+TEST_F(StoreConcurrencyTest, ConcurrentAsyncSavesOnDistinctKeys)
 {
     auto store = CampaignStore::open(dir_);
     ASSERT_TRUE(store);
@@ -209,15 +209,14 @@ TEST_F(StoreConcurrencyTest, GatedAsyncSavesOnDistinctKeys)
         refs.push_back(bytes(raws.back()));
     }
 
-    // Every save funnels through one shared 2-slot gate, like the
-    // streamed campaign saves with --io-threads 2.
-    IoThreadGate gate(2);
+    // Each thread saves its own campaign through its own
+    // AsyncSaveSink, so the I/O threads write entries at once.
     std::atomic<int> bad{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
             auto sink = store->saveSink();
-            AsyncSaveSink async(*sink, &gate, 2);
+            AsyncSaveSink async(*sink);
             CampaignRawSource source(raws[t], 8);
             pumpRaw(source, async);
         });
@@ -230,7 +229,6 @@ TEST_F(StoreConcurrencyTest, GatedAsyncSavesOnDistinctKeys)
             ++bad;
     }
     EXPECT_EQ(bad.load(), 0);
-    EXPECT_EQ(gate.slots(), 2u);
 }
 
 TEST_F(StoreConcurrencyTest, TwoPassStreamedHitsShareTheEntry)
@@ -238,7 +236,7 @@ TEST_F(StoreConcurrencyTest, TwoPassStreamedHitsShareTheEntry)
     auto store = CampaignStore::open(dir_);
     ASSERT_TRUE(store);
     // Force the bounded-memory two-pass shape (validate pass, then
-    // an AsyncRawSource-backed stream pass) even for a small entry.
+    // stream pass) even for a small entry.
     store->setSinglePassCap(0);
     CampaignRaw raw = campaign(5);
     store->save(raw);
@@ -251,8 +249,7 @@ TEST_F(StoreConcurrencyTest, TwoPassStreamedHitsShareTheEntry)
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&] {
             CollectRawSink collect;
-            if (!store->loadStream(key, raw.launch, collect, 4,
-                                   /*ioThreads=*/2))
+            if (!store->loadStream(key, raw.launch, collect, 4))
                 ++bad;
             else if (bytes(collect.take()) != ref)
                 ++bad;

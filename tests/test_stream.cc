@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the streaming campaign pipeline: the RunBatch /
- * RawSink / RawSource seam, the batched engine delivery contract,
+ * RawSink / RawObserver / RawSource seam, the copy-free tee, the
+ * batched engine delivery contract,
  * the incremental beam-log reader/writer, the streaming store
  * load/save, the mergeable AnalysisAccumulator, and the proc.mem
  * gauges. The load-bearing property throughout: stream ==
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -30,7 +32,7 @@ namespace
 {
 
 /** Records the delivery shape a producer drives into it. */
-class ProbeSink : public RawSink
+class ProbeSink : public RawObserver
 {
   public:
     void
@@ -41,10 +43,11 @@ class ProbeSink : public RawSink
     }
 
     void
-    consume(RunBatch &&batch) override
+    observe(const RunBatch &batch) override
     {
         firstIndices.push_back(batch.firstIndex);
         sizes.push_back(batch.runs.size());
+        buffers.push_back(batch.runs.data());
         for (size_t i = 0; i < batch.runs.size(); ++i)
             indexOk = indexOk &&
                 batch.runs[i].index == batch.firstIndex + i;
@@ -64,10 +67,26 @@ class ProbeSink : public RawSink
     bool indexOk = true;
     std::vector<uint64_t> firstIndices;
     std::vector<size_t> sizes;
+    /** runs.data() of every batch observed. */
+    std::vector<const RawRun *> buffers;
     StatsSnapshot stats;
 
   private:
     CampaignMeta meta_;
+};
+
+/** An owner that keeps every batch it is handed. */
+class KeepSink : public RawSink
+{
+  public:
+    void begin(const CampaignMeta &) override {}
+    void consume(RunBatch &&batch) override
+    {
+        kept.push_back(std::move(batch));
+    }
+    void end(const StatsSnapshot &) override {}
+
+    std::vector<RunBatch> kept;
 };
 
 class StreamTest : public ::testing::Test
@@ -152,12 +171,49 @@ TEST_F(StreamTest, TeeDeliversToEverySink)
     CampaignRawSource source(raw, 5);
     ProbeSink first;
     CollectRawSink second;
-    TeeRawSink tee({&first, &second});
+    TeeRawSink tee({&first}, &second);
     pumpRaw(source, tee);
     EXPECT_EQ(first.begins, 1);
     EXPECT_EQ(first.ends, 1);
     EXPECT_EQ(first.sizes, (std::vector<size_t>{5, 5, 2}));
     EXPECT_EQ(second.raw().runs.size(), 12u);
+}
+
+TEST_F(StreamTest, TeeHandsTheOwnerTheProducersBuffer)
+{
+    CampaignRaw raw = campaign(12);
+    ProbeSink first, second;
+    KeepSink owner;
+    TeeRawSink tee({&first, &second}, &owner);
+
+    // Drive the tee by hand so the producer's buffers are known.
+    tee.begin(campaignMeta(raw));
+    std::vector<const RawRun *> produced;
+    for (uint64_t begin = 0; begin < raw.runs.size(); begin += 5) {
+        RunBatch batch;
+        batch.firstIndex = begin;
+        batch.runs.assign(
+            raw.runs.begin() + begin,
+            raw.runs.begin() +
+                std::min<uint64_t>(begin + 5, raw.runs.size()));
+        produced.push_back(batch.runs.data());
+        tee.consume(std::move(batch));
+    }
+    tee.end({});
+
+    // The owner keeps the producer's own buffers: nothing copied.
+    ASSERT_EQ(owner.kept.size(), produced.size());
+    for (size_t i = 0; i < produced.size(); ++i)
+        EXPECT_EQ(owner.kept[i].runs.data(), produced[i]) << i;
+    // Every observer read every batch in place, in index order.
+    for (const ProbeSink *probe : {&first, &second}) {
+        EXPECT_EQ(probe->begins, 1);
+        EXPECT_EQ(probe->ends, 1);
+        EXPECT_TRUE(probe->indexOk);
+        EXPECT_EQ(probe->firstIndices,
+                  (std::vector<uint64_t>{0, 5, 10}));
+        EXPECT_EQ(probe->buffers, produced);
+    }
 }
 
 TEST_F(StreamTest, EngineDeliversContiguousBatches)
@@ -431,31 +487,43 @@ TEST_F(StreamStoreTest, SimulateOrLoadStreamHitAndMissAgree)
     cfg.seed = 11;
     cfg.batchRuns = 6;
 
-    CollectRawSink miss;
-    simulateOrLoadStream(device_, dgemm_, cfg, store.get(), miss);
+    CampaignRaw raw = simulateCampaign(device_, dgemm_, cfg);
+    std::stringstream ref;
+    writeBeamLog(raw, ref);
+    CampaignResult refResult = analyzeCampaign(raw, {});
+
+    std::stringstream miss_log;
+    BeamLogSink miss_sink(miss_log);
+    AnalyzeSink miss_analysis{AnalysisConfig{}};
+    simulateOrLoadStream(device_, dgemm_, cfg, store.get(),
+                         {&miss_sink, &miss_analysis});
     EXPECT_EQ(store->hits(), 0u);
-    CampaignRaw simulated = miss.take();
+    EXPECT_EQ(miss_log.str(), ref.str());
+    expectSameAnalysis(refResult, miss_analysis.take());
 
-    CollectRawSink hit;
-    simulateOrLoadStream(device_, dgemm_, cfg, store.get(), hit);
+    // The miss saved the entry through the async owner.
+    std::ifstream entry(store->pathFor(campaignKey(raw)));
+    std::stringstream saved;
+    saved << entry.rdbuf();
+    EXPECT_EQ(saved.str(), ref.str());
+
+    std::stringstream hit_log;
+    BeamLogSink hit_sink(hit_log);
+    AnalyzeSink hit_analysis{AnalysisConfig{}};
+    simulateOrLoadStream(device_, dgemm_, cfg, store.get(),
+                         {&hit_sink, &hit_analysis});
     EXPECT_EQ(store->hits(), 1u);
-    CampaignRaw loaded = hit.take();
-
-    std::stringstream a, b;
-    writeBeamLog(simulated, a);
-    writeBeamLog(loaded, b);
-    EXPECT_EQ(a.str(), b.str());
-    expectSameAnalysis(analyzeCampaign(simulated, {}),
-                       analyzeCampaign(loaded, {}));
+    EXPECT_EQ(hit_log.str(), ref.str());
+    expectSameAnalysis(refResult, hit_analysis.take());
 }
 
-/** Inner sink that fails on the I/O thread mid-stream. */
-class ThrowingSink : public RawSink
+/** Inner observer that fails on the I/O thread mid-stream. */
+class ThrowingSink : public RawObserver
 {
   public:
     void begin(const CampaignMeta &) override {}
     void
-    consume(RunBatch &&) override
+    observe(const RunBatch &) override
     {
         throw std::runtime_error("disk full");
     }
@@ -481,53 +549,16 @@ TEST_F(StreamTest, AsyncSaveSinkPreservesDeliveryShape)
     EXPECT_GE(async.queuePeak(), 1u);
 }
 
-TEST_F(StreamTest, AsyncSaveSinkGatedIsByteIdentical)
+TEST_F(StreamTest, AsyncSaveSinkIsByteIdentical)
 {
     CampaignRaw raw = campaign(24);
-    IoThreadGate gate(1);
-    CollectRawSink collect;
-    AsyncSaveSink async(collect, &gate, 2);
+    std::stringstream a, b;
+    writeBeamLog(raw, a);
+    BeamLogSink log(b);
+    AsyncSaveSink async(log);
     CampaignRawSource source(raw, 7);
     pumpRaw(source, async);
-    CampaignRaw back = collect.take();
-
-    std::stringstream a, b;
-    writeBeamLog(raw, a);
-    writeBeamLog(back, b);
     EXPECT_EQ(a.str(), b.str());
-    EXPECT_EQ(gate.slots(), 1u);
-}
-
-TEST_F(StreamTest, AsyncRawSourceMatchesInnerBytes)
-{
-    CampaignRaw raw = campaign(18);
-    CampaignRawSource inner(raw, 5);
-    AsyncRawSource async(inner);
-    EXPECT_EQ(async.meta().deviceName, raw.deviceName);
-    EXPECT_EQ(async.meta().sim.faultyRuns, raw.sim.faultyRuns);
-
-    CollectRawSink collect;
-    EXPECT_EQ(pumpRaw(async, collect), 18u);
-    CampaignRaw back = collect.take();
-
-    std::stringstream a, b;
-    writeBeamLog(raw, a);
-    writeBeamLog(back, b);
-    EXPECT_EQ(a.str(), b.str());
-}
-
-TEST_F(StreamTest, AsyncRawSourcePrefetchKeepsRunOrder)
-{
-    CampaignRaw raw = campaign(15);
-    CampaignRawSource inner(raw, 4);
-    IoThreadGate gate(2);
-    AsyncRawSource async(inner, &gate, 2);
-    ProbeSink probe;
-    pumpRaw(async, probe);
-    EXPECT_TRUE(probe.indexOk);
-    EXPECT_EQ(probe.firstIndices,
-              (std::vector<uint64_t>{0, 4, 8, 12}));
-    EXPECT_GE(async.queuePeak(), 1u);
 }
 
 TEST_F(StreamTest, AsyncSaveSinkPropagatesInnerFailure)
@@ -547,9 +578,8 @@ TEST_F(StreamStoreTest, AsyncSaveSinkWritesLoadableEntry)
     auto store = CampaignStore::open(dir_);
     CampaignRaw raw = campaign(18);
 
-    IoThreadGate gate(1);
     auto sink = store->saveSink();
-    AsyncSaveSink async(*sink, &gate, 2);
+    AsyncSaveSink async(*sink);
     CampaignRawSource source(raw, 5);
     pumpRaw(source, async);
 

@@ -3,7 +3,7 @@
 
 Usage:
     check_stream.py --cli <radcrit_cli> [--runs N] [--size N]
-                    [--jobs N] [--batch-runs N] [--budget-mib N]
+                    [--jobs N] [--budget-mib N]
 
 Runs one large DGEMM campaign twice in a sandbox sharing a campaign
 cache:
@@ -11,9 +11,9 @@ cache:
   1. materialized (the default path): simulates the campaign, holds
      the whole CampaignRaw in memory, saves it to the cache and
      writes the per-run CSV;
-  2. streamed (--stream --batch-runs N): loads the same campaign
-     from the cache batch by batch and analyzes it without ever
-     materializing the raw campaign.
+  2. streamed (--stream): loads the same campaign from the cache
+     batch by batch and analyzes it without ever materializing the
+     raw campaign.
 
 and asserts the two claims the streaming refactor makes:
 
@@ -109,7 +109,6 @@ def main(argv):
     runs = 200000
     size = 512
     jobs = 4
-    batch_runs = 4096
     budget_mib = 256
     warm_runs = 20000
     warm_factor = 1.5
@@ -126,8 +125,6 @@ def main(argv):
             size = int(argv[i])
         elif arg == "--jobs":
             jobs = int(argv[i])
-        elif arg == "--batch-runs":
-            batch_runs = int(argv[i])
         elif arg == "--budget-mib":
             budget_mib = int(argv[i])
         elif arg == "--warm-runs":
@@ -154,9 +151,8 @@ def main(argv):
         mat_kib = run_measured(
             [cli] + common + ["--csv=materialized.csv"], sandbox)
         stream_kib = run_measured(
-            [cli] + common + ["--stream",
-                              "--batch-runs=%d" % batch_runs,
-                              "--csv=streamed.csv"], sandbox)
+            [cli] + common + ["--stream", "--csv=streamed.csv"],
+            sandbox)
 
         mat_csv = read_bytes(
             os.path.join(sandbox, "materialized.csv"))
@@ -190,9 +186,8 @@ def main(argv):
         raw_s = run_timed([cli] + warm + ["--csv=warm_raw.csv"],
                           sandbox)
         stream_s = run_timed(
-            [cli] + warm + ["--stream",
-                            "--batch-runs=%d" % batch_runs,
-                            "--csv=warm_stream.csv"], sandbox)
+            [cli] + warm + ["--stream", "--csv=warm_stream.csv"],
+            sandbox)
         ref_csv = read_bytes(os.path.join(sandbox, "warm_ref.csv"))
         for name in ("warm_raw.csv", "warm_stream.csv"):
             expect(read_bytes(os.path.join(sandbox, name))

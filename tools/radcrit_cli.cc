@@ -21,12 +21,12 @@
  * The flight recorder rides along on `run`: --timeline writes a
  * Chrome trace-event JSON of the campaign (one lane per worker,
  * one span per run; load it in Perfetto), and --report writes a
- * self-contained HTML campaign report. `radcrit_cli report
- * <beamlog>` renders the same report from a saved log:
+ * self-contained HTML campaign report. `analyze --report` renders
+ * the same report from a saved log:
  *
  *   $ radcrit_cli --runs=2000 --jobs=8 --timeline=t.json \
  *       --report=r.html
- *   $ radcrit_cli report lavamd.beamlog --out=lavamd.html
+ *   $ radcrit_cli analyze --log=lavamd.beamlog --report=lavamd.html
  *
  * `radcrit_cli list` prints the catalog of known devices,
  * workloads and registered experiments (same as `radcrit_suite
@@ -60,30 +60,27 @@
 #include "obs/timeline.hh"
 #include "obs/trace.hh"
 #include "suite/driver.hh"
+#include "suite/spec.hh"
 
 using namespace radcrit;
 
 namespace
 {
 
-std::unique_ptr<Workload>
-buildWorkload(const DeviceModel &device, const std::string &name,
-              int64_t size)
+/** @return the suite spec of --workload at --size (0 = default). */
+WorkloadSpec
+workloadSpec(const std::string &name, int64_t size)
 {
-    if (name == "DGEMM") {
-        return makeDgemmWorkload(device,
-                                 size > 0 ? size / 8 : 256);
-    }
+    if (name == "DGEMM")
+        return dgemmSpec(size > 0 ? size / 8 : 256);
     if (name == "LavaMD") {
         int64_t paper = size > 0 ? size : 15;
-        return makeLavamdWorkload(
-            device, LavaMdSize{std::max<int64_t>(paper / 2, 2),
-                               paper});
+        return lavamdSpec({std::max<int64_t>(paper / 2, 2), paper});
     }
     if (name == "HotSpot")
-        return makeHotspotWorkload(device);
+        return hotspotSpec();
     if (name == "CLAMR")
-        return makeClamrWorkload(device);
+        return clamrSpec();
     fatal("unknown workload '%s' (DGEMM, LavaMD, HotSpot, CLAMR)",
           name.c_str());
 }
@@ -152,14 +149,14 @@ renderFigures(const CampaignResult &res, bool volumetric)
     chart.render(std::cout);
 }
 
-/** Write the per-run metrics CSV. */
+/** Write the per-run metrics CSV, one row as each is formed. */
 void
 writeRunCsv(const CampaignResult &res, const std::string &path)
 {
     CsvWriter csv(path);
     csv.writeRow(runRowsHeader());
-    for (const auto &row : runRows(res))
-        csv.writeRow(row);
+    for (const RunRecord &run : res.runs)
+        csv.writeRow(runRow(run));
     std::printf("[csv] %s\n", path.c_str());
 }
 
@@ -180,12 +177,12 @@ rawIsVolumetric(const CampaignRaw &raw)
  * figure renderer can pick its pattern set without the campaign
  * ever being materialized.
  */
-class VolumetricProbeSink : public RawSink
+class VolumetricProbeSink : public RawObserver
 {
   public:
     void begin(const CampaignMeta &) override {}
 
-    void consume(RunBatch &&batch) override
+    void observe(const RunBatch &batch) override
     {
         if (decided_)
             return;
@@ -207,8 +204,8 @@ class VolumetricProbeSink : public RawSink
     bool volumetric_ = false;
 };
 
-/** Shared default batch size for --stream when --batch-runs is 0. */
-constexpr uint64_t kDefaultBatchRuns = 4096;
+/** Runs per batch on every --stream path. */
+constexpr uint64_t kStreamBatchRuns = 4096;
 
 /**
  * `radcrit_cli analyze`: load a beam log, re-analyze under the
@@ -240,9 +237,6 @@ analyzeMain(int argc, char **argv)
                 "stream the beam log through the analyzer in "
                 "batches instead of materializing it (bounded "
                 "memory; output is byte-identical)");
-    cli.addInt("batch-runs", 0,
-               "records per streamed batch (0 = 4096 with "
-               "--stream)");
     cli.addFlag("progress",
                 "report analysis progress on stderr (records "
                 "analyzed and records/s)");
@@ -250,8 +244,6 @@ analyzeMain(int argc, char **argv)
 
     if (cli.getString("log").empty())
         fatal("analyze needs --log=<beamlog file>");
-    if (cli.getInt("batch-runs") < 0)
-        fatal("--batch-runs must be >= 0");
 
     AnalysisConfig acfg;
     acfg.filterThresholdPct = cli.getDouble("filter-pct");
@@ -262,15 +254,11 @@ analyzeMain(int argc, char **argv)
     CampaignResult res;
     bool volumetric = false;
     if (cli.getFlag("stream")) {
-        uint64_t batch_runs =
-            static_cast<uint64_t>(cli.getInt("batch-runs"));
-        if (batch_runs == 0)
-            batch_runs = kDefaultBatchRuns;
         std::ifstream in(cli.getString("log"));
         if (!in)
             fatal("cannot open beam log '%s'",
                   cli.getString("log").c_str());
-        BeamLogSource source(in, batch_runs);
+        BeamLogSource source(in, kStreamBatchRuns);
         uint64_t total = source.meta().sim.faultyRuns;
         uint64_t progress_every =
             cli.getFlag("progress")
@@ -319,45 +307,6 @@ analyzeMain(int argc, char **argv)
     return 0;
 }
 
-/**
- * `radcrit_cli report <beamlog>`: load a beam log, analyze it
- * (optionally under a non-default tolerance), and render the
- * self-contained HTML campaign report.
- */
-int
-reportMain(int argc, char **argv)
-{
-    CliParser cli("radcrit_cli report");
-    cli.addString("log", "",
-                  "beam log to report on (or pass it as the "
-                  "positional argument)");
-    cli.addString("out", "",
-                  "report file to write (default: <beamlog>.html)");
-    cli.addDouble("filter-pct", 2.0,
-                  "relative-error tolerance in percent");
-    cli.parse(argc, argv);
-
-    std::string log = cli.getString("log");
-    if (log.empty() && !cli.positional().empty())
-        log = cli.positional().front();
-    if (log.empty())
-        fatal("report needs a beam log: radcrit_cli report "
-              "<beamlog> [--out=<file>]");
-
-    std::string out = cli.getString("out");
-    if (out.empty())
-        out = log + ".html";
-
-    CampaignRaw raw = readBeamLogFile(log);
-    AnalysisConfig acfg;
-    acfg.filterThresholdPct = cli.getDouble("filter-pct");
-    CampaignResult res = analyzeCampaign(raw, acfg);
-    ProcMemSample mem = readProcMem();
-    writeCampaignReportFile(res, out, nullptr, &mem);
-    std::printf("[report] %s\n", out.c_str());
-    return 0;
-}
-
 } // anonymous namespace
 
 int
@@ -365,8 +314,6 @@ main(int argc, char **argv)
 {
     if (argc > 1 && std::strcmp(argv[1], "analyze") == 0)
         return analyzeMain(argc - 1, argv + 1);
-    if (argc > 1 && std::strcmp(argv[1], "report") == 0)
-        return reportMain(argc - 1, argv + 1);
     if (argc > 1 && std::strcmp(argv[1], "list") == 0) {
         CliParser list_cli("radcrit_cli list");
         list_cli.addFlag("json",
@@ -421,14 +368,6 @@ main(int argc, char **argv)
                 "batch and the raw campaign is never held in "
                 "memory; every output is byte-identical to the "
                 "materialized default");
-    cli.addInt("batch-runs", 0,
-               "runs per streamed batch handed from the simulator "
-               "to the analyzer (0 = 4096 with --stream)");
-    cli.addInt("io-threads", 0,
-               "background store-I/O operations allowed at once: "
-               "cache entry parse/serialize rides an I/O thread "
-               "behind a bounded queue instead of the simulate "
-               "path (0 = inline; results are byte-identical)");
     cli.addString("checkpoint", "",
                   "append completed runs to this shard file as "
                   "they finish, so a killed campaign can be "
@@ -468,8 +407,9 @@ main(int argc, char **argv)
         // per job; the campaign below runs on its own pool.
         WorkerPool build_pool(jobs);
         ScopedBuildPool attach(build_pool);
-        workload = buildWorkload(device, cli.getString("workload"),
-                                 cli.getInt("size"));
+        workload = buildWorkload(
+            device, workloadSpec(cli.getString("workload"),
+                                 cli.getInt("size")));
     }
 
     CampaignConfig cfg = defaultCampaign(
@@ -530,29 +470,18 @@ main(int argc, char **argv)
     }
 
     bool stream = cli.getFlag("stream");
-    if (cli.getInt("batch-runs") < 0)
-        fatal("--batch-runs must be >= 0");
-    cfg.sim.batchRuns =
-        static_cast<uint64_t>(cli.getInt("batch-runs"));
-    if (stream && cfg.sim.batchRuns == 0)
-        cfg.sim.batchRuns = kDefaultBatchRuns;
-    if (cli.getInt("io-threads") < 0)
-        fatal("--io-threads must be >= 0");
-    cfg.sim.ioThreads =
-        static_cast<unsigned>(cli.getInt("io-threads"));
-    IoThreadGate::global().configure(cfg.sim.ioThreads);
-
     CampaignRaw raw;
     CampaignResult res;
     if (stream) {
         // The streaming pipeline: analysis (and the beam-log
-        // writer, when asked for) ride directly behind the
-        // simulator, batch by batch; the raw campaign never
+        // writer, when asked for) read each batch in place right
+        // behind the simulator or the store; the raw campaign never
         // materializes.
+        cfg.sim.batchRuns = kStreamBatchRuns;
         std::unique_ptr<std::ofstream> log_out;
         std::unique_ptr<BeamLogSink> log_sink;
         AnalyzeSink analyze(cfg.analysis);
-        std::vector<RawSink *> sinks;
+        std::vector<RawObserver *> observers;
         if (!cli.getString("log").empty()) {
             log_out = std::make_unique<std::ofstream>(
                 cli.getString("log"));
@@ -560,15 +489,11 @@ main(int argc, char **argv)
                 fatal("cannot open beam log '%s' for writing",
                       cli.getString("log").c_str());
             log_sink = std::make_unique<BeamLogSink>(*log_out);
-            sinks.push_back(log_sink.get());
+            observers.push_back(log_sink.get());
         }
-        sinks.push_back(&analyze);
-        TeeRawSink tee(sinks);
-        RawSink &sink = sinks.size() > 1
-                            ? static_cast<RawSink &>(tee)
-                            : static_cast<RawSink &>(analyze);
+        observers.push_back(&analyze);
         simulateOrLoadStream(device, *workload, cfg.sim,
-                             store.get(), sink);
+                             store.get(), std::move(observers));
         if (log_out) {
             log_out->flush();
             if (!*log_out)
