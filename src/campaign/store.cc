@@ -286,8 +286,7 @@ class StoreSaveSink : public RawObserver
 
     void observe(const RunBatch &batch) override
     {
-        for (const RawRun &run : batch.runs)
-            writer_->append(run);
+        writer_->append(batch.runs);
     }
 
     void end(const StatsSnapshot &) override

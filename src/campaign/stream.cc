@@ -56,6 +56,15 @@ CampaignRawSource::CampaignRawSource(const CampaignRaw &raw,
 {
 }
 
+CampaignRawSource::CampaignRawSource(CampaignRaw &&raw,
+                                     uint64_t batchRuns)
+    : owned_(std::move(raw)), raw_(&owned_),
+      meta_(campaignMeta(owned_)),
+      batchRuns_(batchRuns == 0 ? owned_.runs.size() : batchRuns),
+      moves_(true)
+{
+}
+
 bool
 CampaignRawSource::next(RunBatch &batch)
 {
@@ -64,8 +73,17 @@ CampaignRawSource::next(RunBatch &batch)
     uint64_t count = std::min<uint64_t>(
         batchRuns_, raw_->runs.size() - nextIndex_);
     batch.firstIndex = nextIndex_;
-    batch.runs.assign(raw_->runs.begin() + nextIndex_,
-                      raw_->runs.begin() + nextIndex_ + count);
+    if (!moves_) {
+        auto first = raw_->runs.begin() + nextIndex_;
+        batch.runs.assign(first, first + count);
+    } else if (count == owned_.runs.size()) {
+        // The whole campaign in one batch: hand the vector itself on.
+        batch.runs = std::move(owned_.runs);
+    } else {
+        auto first = owned_.runs.begin() + nextIndex_;
+        batch.runs.assign(std::make_move_iterator(first),
+                          std::make_move_iterator(first + count));
+    }
     nextIndex_ += count;
     return true;
 }

@@ -178,22 +178,33 @@ class CollectRawSink : public RawSink
 
 /**
  * Replay a materialized campaign as a stream, in slices of
- * batchRuns (0 = the whole campaign in one batch). The CampaignRaw
- * must outlive the source.
+ * batchRuns (0 = the whole campaign in one batch).
  */
 class CampaignRawSource : public RawSource
 {
   public:
+    /** Copies each batch out of `raw`, which must outlive the source. */
     CampaignRawSource(const CampaignRaw &raw, uint64_t batchRuns);
+
+    /**
+     * Takes `raw` over and moves each batch's runs out of it, so the
+     * campaign is held once while it streams.
+     */
+    CampaignRawSource(CampaignRaw &&raw, uint64_t batchRuns);
+
+    CampaignRawSource(const CampaignRawSource &) = delete;
+    CampaignRawSource &operator=(const CampaignRawSource &) = delete;
 
     const CampaignMeta &meta() const override { return meta_; }
     bool next(RunBatch &batch) override;
     StatsSnapshot simStats() override { return raw_->stats; }
 
   private:
+    CampaignRaw owned_;
     const CampaignRaw *raw_;
     CampaignMeta meta_;
     uint64_t batchRuns_;
+    bool moves_ = false;
     uint64_t nextIndex_ = 0;
 };
 

@@ -293,6 +293,84 @@ forBands(uint64_t count, const BandBody &body)
                      });
 }
 
+void
+forOrderedSlices(uint64_t count, const SliceFormat &format,
+                 const SliceEmit &emit)
+{
+    if (count == 0)
+        return;
+    WorkerPool *pool = tBuildPool;
+    uint64_t workers =
+        pool ? std::min<uint64_t>(pool->jobs(), count) : 1;
+    if (workers == 1 || tInPoolBody) {
+        std::string out;
+        for (uint64_t index = 0; index < count; ++index) {
+            out.clear();
+            format(index, out);
+            emit(out);
+        }
+        return;
+    }
+    // Slice `index` is formatted into slot index % window once the
+    // slot's previous slice was emitted. A worker does not wait for
+    // its slice's turn: it leaves the slice ready and claims the
+    // next one, and whoever finds the slice due next ready emits it
+    // and every ready slice after it. So a worker that is slow on
+    // (or descheduled in) the slice due next holds the others back
+    // only once the window is full. Slots are cache-line aligned so
+    // the buffers' headers do not false-share.
+    struct alignas(64) Slot
+    {
+        std::string bytes;
+        uint64_t ready = ~uint64_t{0};
+    };
+    const uint64_t window = 2 * workers;
+    std::vector<Slot> slots(window);
+    // Guards every field below and each slot's `ready`.
+    std::mutex mutex;
+    std::condition_variable room;
+    uint64_t next = 0;
+    uint64_t emitted = 0;
+    bool emitting = false;
+    bool failed = false;
+    pool->forDynamic(workers, 1, [&](unsigned, uint64_t, uint64_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        try {
+            for (uint64_t index; !failed && (index = next++) < count;) {
+                room.wait(lock, [&] {
+                    return failed || index < emitted + window;
+                });
+                if (failed)
+                    return;
+                Slot &slot = slots[index % window];
+                lock.unlock();
+                slot.bytes.clear();
+                format(index, slot.bytes);
+                lock.lock();
+                slot.ready = index;
+                if (emitting)
+                    continue; // the emitter looks again before it stops
+                emitting = true;
+                for (Slot *due; !failed && emitted < count &&
+                     (due = &slots[emitted % window])->ready == emitted;) {
+                    lock.unlock();
+                    emit(due->bytes);
+                    lock.lock();
+                    ++emitted;
+                    room.notify_all();
+                }
+                emitting = false;
+            }
+        } catch (...) {
+            if (!lock.owns_lock())
+                lock.lock();
+            failed = true;
+            room.notify_all();
+            throw;
+        }
+    });
+}
+
 const char *
 guardStatusName(GuardStatus status)
 {

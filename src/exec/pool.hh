@@ -19,9 +19,14 @@
  * single item) never spawns a thread at all.
  *
  * A pool can also be attached to a thread for the length of a scope
- * (ScopedBuildPool), so that a workload constructor on that thread
- * splits its golden computation into contiguous bands (forBands())
- * without the pool appearing in its signature.
+ * (ScopedBuildPool), so that work on that thread fans out over it
+ * without the pool appearing in any signature: a workload
+ * constructor splits its golden computation into contiguous bands
+ * (forBands()), and the beam-log writer formats its lines in
+ * ordered slices (forOrderedSlices()) that the workers emit in
+ * index order. Both run inline when nothing is attached, when the
+ * attached pool has one job, or when the thread is already inside
+ * a pool body.
  */
 
 #ifndef RADCRIT_EXEC_POOL_HH
@@ -276,6 +281,40 @@ using BandBody = std::function<void(uint64_t begin, uint64_t end)>;
  * 0 runs nothing.
  */
 void forBands(uint64_t count, const BandBody &body);
+
+/**
+ * Formats ordered slice `index` into `out`, which arrives empty
+ * (its buffer is reused for later slices).
+ */
+using SliceFormat =
+    std::function<void(uint64_t index, std::string &out)>;
+
+/** Takes the bytes of one formatted slice. */
+using SliceEmit = std::function<void(const std::string &bytes)>;
+
+/**
+ * Format slices [0, count) on the pool attached to this thread and
+ * emit them in index order. Each worker claims the next slice
+ * index from one counter and formats it into one of a window of
+ * 2 * jobs reused buffers, once the slice that last used that
+ * buffer was emitted. It does not wait for its turn: whichever
+ * worker finds the slice due next ready emits it and every ready
+ * slice after it, so a worker slow on (or descheduled in) the slice
+ * due next stalls the others only once the window is full. emit
+ * is called once per slice, one call at a time, in index order, so
+ * the emitted bytes are those of a serial loop; at most 2 * jobs
+ * formatted slices are in flight.
+ *
+ * Runs inline on the calling thread, with one buffer, under the
+ * rules of forBands(): when nothing is attached, when the attached
+ * pool has one job, or when this thread is already running a pool
+ * body. The first exception from either callback stops further
+ * claims, wakes every worker waiting for a free buffer, and is
+ * rethrown once the workers have left; no later slice is emitted.
+ * A count of 0 runs nothing.
+ */
+void forOrderedSlices(uint64_t count, const SliceFormat &format,
+                      const SliceEmit &emit);
 
 class StatsRegistry;
 

@@ -4,12 +4,14 @@
 #include <charconv>
 #include <concepts>
 #include <filesystem>
+#include <span>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
 #include "exec/chaos.hh"
+#include "exec/pool.hh"
 #include "obs/stats_registry.hh"
 
 namespace radcrit
@@ -81,40 +83,103 @@ constexpr std::string_view errLayout[] = {"#ERR x=", " y=", " z=",
                                           " read=", " expected="};
 
 /**
- * Serialize one run's #RUN..#END record (shared by campaign logs
- * and checkpoint shards). With a `spill` stream, `out` is written
- * there and emptied whenever it passes 64 KiB, so a record with
- * millions of elements never sits whole in the buffer.
+ * Lines per ordered slice of a log body. A few hundred lines keep
+ * each worker's buffer near 50 KB whatever a record's size (one
+ * DGEMM record can hold thousands of #ERR lines).
  */
-void
-appendRunRecord(std::string &out, const RawRun &run, uint64_t idx,
-                std::ostream *spill = nullptr)
+constexpr uint64_t sliceLines = 512;
+
+/**
+ * Lines of one run's record: #RUN, then #DIMS and one #ERR per
+ * element when it is an SDC, then #END.
+ */
+uint64_t
+recordLines(const RawRun &run)
 {
-    constexpr size_t spillBytes = 64 * 1024;
-    const Strike &s = run.strike;
-    appendAll(out, "#RUN idx=", idx,
-              " outcome=", outcomeName(run.outcome),
-              " resource=", resourceKindName(s.resource),
-              " manifestation=", manifestationName(s.manifestation),
-              " t=", s.timeFraction, " burst=", s.burstBits,
-              " entropy=", s.entropy, "\n");
+    return run.outcome == Outcome::Sdc
+        ? run.record.elements.size() + 3
+        : 2;
+}
+
+/** Append lines [first, last) of run's record, numbered idx. */
+void
+appendRecordLines(std::string &out, const RawRun &run, uint64_t idx,
+                  uint64_t first, uint64_t last)
+{
+    const uint64_t end_line = recordLines(run) - 1;
+    if (first == 0) {
+        const Strike &s = run.strike;
+        appendAll(out, "#RUN idx=", idx,
+                  " outcome=", outcomeName(run.outcome),
+                  " resource=", resourceKindName(s.resource),
+                  " manifestation=",
+                  manifestationName(s.manifestation),
+                  " t=", s.timeFraction, " burst=", s.burstBits,
+                  " entropy=", s.entropy, "\n");
+    }
     if (run.outcome == Outcome::Sdc) {
         const SdcRecord &rec = run.record;
-        appendAll(out, "#DIMS dims=", rec.dims, " x=", rec.extent[0],
-                  " y=", rec.extent[1], " z=", rec.extent[2], "\n");
-        for (const auto &e : rec.elements) {
+        if (first <= 1 && last > 1)
+            appendAll(out, "#DIMS dims=", rec.dims,
+                      " x=", rec.extent[0], " y=", rec.extent[1],
+                      " z=", rec.extent[2], "\n");
+        for (uint64_t line = std::max<uint64_t>(first, 2);
+             line < std::min(last, end_line); ++line) {
+            const CorruptedElement &e = rec.elements[line - 2];
             appendAll(out, errLayout[0], e.coord[0], errLayout[1],
                       e.coord[1], errLayout[2], e.coord[2],
                       errLayout[3], e.read, errLayout[4], e.expected,
                       "\n");
-            if (spill && out.size() >= spillBytes) {
-                spill->write(out.data(),
-                             static_cast<std::streamsize>(out.size()));
-                out.clear();
-            }
         }
     }
-    appendAll(out, "#END idx=", idx, "\n");
+    if (last > end_line)
+        appendAll(out, "#END idx=", idx, "\n");
+}
+
+/**
+ * Write the records of `runs`, numbered from first_idx, to `os` in
+ * ordered slices (forOrderedSlices()): their lines form one flat
+ * sequence cut every `slice_lines` lines, so a cut may fall inside
+ * a record, and the slices reach `os` in order.
+ */
+void
+writeRecords(std::ostream &os, std::span<const RawRun> runs,
+             uint64_t first_idx, uint64_t slice_lines)
+{
+    // Where each slice starts: its run and the line in that run.
+    struct Cut
+    {
+        size_t run;
+        uint64_t line;
+    };
+    std::vector<Cut> cuts;
+    uint64_t total = 0;
+    for (size_t r = 0; r < runs.size(); ++r) {
+        uint64_t end = total + recordLines(runs[r]);
+        for (uint64_t at = cuts.size() * slice_lines; at < end;
+             at += slice_lines)
+            cuts.push_back({r, at - total});
+        total = end;
+    }
+    forOrderedSlices(
+        cuts.size(),
+        [&](uint64_t k, std::string &out) {
+            uint64_t left =
+                std::min(slice_lines, total - k * slice_lines);
+            size_t r = cuts[k].run;
+            for (uint64_t line = cuts[k].line; left > 0;
+                 ++r, line = 0) {
+                uint64_t n =
+                    std::min(recordLines(runs[r]) - line, left);
+                appendRecordLines(out, runs[r], first_idx + r, line,
+                                  line + n);
+                left -= n;
+            }
+        },
+        [&](const std::string &bytes) {
+            os.write(bytes.data(),
+                     static_cast<std::streamsize>(bytes.size()));
+        });
 }
 
 /** The identity fields #HEADER and #SHARD lines share. */
@@ -128,6 +193,19 @@ appendIdentity(std::string &out, const char *keyword,
               " workload=", Encoded{workload},
               " input=", Encoded{input}, " seed=", seed,
               " runs=", runs);
+}
+
+/** Write the #HEADER line of a campaign log. */
+void
+writeHeader(std::ostream &os, std::string_view device,
+            std::string_view workload, std::string_view input,
+            uint64_t seed, uint64_t runs, double sensitive_area_au)
+{
+    std::string line;
+    appendIdentity(line, "#HEADER", device, workload, input, seed,
+                   runs);
+    appendAll(line, " sensitive_area_au=", sensitive_area_au, "\n");
+    os.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 /** Inverse of the Encoded piece; other '%' sequences stay as is. */
@@ -480,22 +558,15 @@ BeamLogWriter::header(const std::string &device,
                       const std::string &input, uint64_t seed,
                       uint64_t runs, double sensitive_area_au)
 {
-    buf_.clear();
-    appendIdentity(buf_, "#HEADER", device, workload, input, seed,
-                   runs);
-    appendAll(buf_, " sensitive_area_au=", sensitive_area_au, "\n");
-    os_->write(buf_.data(),
-               static_cast<std::streamsize>(buf_.size()));
+    writeHeader(*os_, device, workload, input, seed, runs,
+                sensitive_area_au);
 }
 
 void
-BeamLogWriter::append(const RawRun &run)
+BeamLogWriter::append(std::span<const RawRun> runs)
 {
-    buf_.clear();
-    appendRunRecord(buf_, run, appended_, os_);
-    os_->write(buf_.data(),
-               static_cast<std::streamsize>(buf_.size()));
-    ++appended_;
+    writeRecords(*os_, runs, appended_, sliceLines);
+    appended_ += runs.size();
 }
 
 struct BeamLogReader::ParserState
@@ -594,8 +665,7 @@ BeamLogSink::begin(const CampaignMeta &meta)
 void
 BeamLogSink::observe(const RunBatch &batch)
 {
-    for (const RawRun &run : batch.runs)
-        writer_.append(run);
+    writer_.append(batch.runs);
 }
 
 void
@@ -606,12 +676,19 @@ BeamLogSink::end(const StatsSnapshot &)
 void
 writeBeamLog(const CampaignRaw &raw, std::ostream &os)
 {
-    BeamLogWriter writer(os);
-    writer.header(raw.deviceName, raw.workloadName,
-                  raw.inputLabel, raw.sim.seed, raw.runs.size(),
-                  raw.sensitiveAreaAu);
-    for (const RawRun &run : raw.runs)
-        writer.append(run);
+    detail::writeBeamLog(raw, os, sliceLines);
+}
+
+void
+detail::writeBeamLog(const CampaignRaw &raw, std::ostream &os,
+                     uint64_t slice_lines)
+{
+    if (slice_lines == 0)
+        panic("writeBeamLog: slices need at least one line");
+    writeHeader(os, raw.deviceName, raw.workloadName,
+                raw.inputLabel, raw.sim.seed, raw.runs.size(),
+                raw.sensitiveAreaAu);
+    writeRecords(os, raw.runs, 0, slice_lines);
 }
 
 void
@@ -819,7 +896,7 @@ CheckpointWriter::append(const RawRun &run)
     // reuses across appends.
     thread_local std::string bytes;
     bytes.clear();
-    appendRunRecord(bytes, run, run.index);
+    appendRecordLines(bytes, run, run.index, 0, recordLines(run));
     // A planned corrupt-write fault tears the record in half —
     // exactly what a SIGKILL mid-append leaves behind — so the
     // torn-tail recovery path is testable deterministically.

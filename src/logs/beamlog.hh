@@ -68,6 +68,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -91,8 +92,27 @@ constexpr int beamLogVersion = 2;
  * Serialize a raw campaign to the log format. All doubles are
  * printed as %.17g would print them (std::to_chars, general format,
  * precision 17), so a parse round-trip is bit-exact.
+ *
+ * The records are formatted in ordered slices of a fixed number of
+ * lines (forOrderedSlices(), exec/pool.hh): on the workers of the
+ * pool attached to this thread when there is one, inline
+ * otherwise. The bytes are the same either way.
  */
 void writeBeamLog(const CampaignRaw &raw, std::ostream &os);
+
+namespace detail
+{
+
+/**
+ * writeBeamLog() with the records cut every `sliceLines` lines
+ * instead of at the fixed slice length, so tests can put a slice
+ * boundary at every position of a record. The bytes do not depend
+ * on it.
+ */
+void writeBeamLog(const CampaignRaw &raw, std::ostream &os,
+                  uint64_t sliceLines);
+
+} // namespace detail
 
 /** Convenience: write to a file path (fatal on I/O errors). */
 void writeBeamLogFile(const CampaignRaw &raw,
@@ -203,13 +223,14 @@ class BeamLogPieces
 };
 
 /**
- * Incremental record-at-a-time beam-log writer: the streaming
- * counterpart of writeBeamLog() (which is implemented on top of
- * it). header() emits the #HEADER line up front with the declared
- * run count; append() serializes one run — so a streamed campaign
- * can be persisted as workers retire batches, without ever
- * materializing the CampaignRaw. The byte stream is identical to
- * writeBeamLog() over the same runs.
+ * Incremental batch-at-a-time beam-log writer: the streaming
+ * counterpart of writeBeamLog(). header() emits the #HEADER line
+ * up front with the declared run count; append() serializes a
+ * batch of runs (in ordered slices, as writeBeamLog() does) — so a
+ * streamed campaign can be persisted as workers retire batches,
+ * without ever materializing the CampaignRaw. The byte stream is
+ * identical to writeBeamLog() over the same runs, however they are
+ * split into batches.
  */
 class BeamLogWriter
 {
@@ -224,10 +245,10 @@ class BeamLogWriter
                 uint64_t runs, double sensitive_area_au);
 
     /**
-     * Serialize one run. Records carry sequential indices in
-     * append order, matching writeBeamLog()'s loop index.
+     * Serialize a batch of runs. Records carry sequential indices
+     * in append order, matching writeBeamLog()'s loop index.
      */
-    void append(const RawRun &run);
+    void append(std::span<const RawRun> runs);
 
     /** @return records appended so far. */
     uint64_t appended() const { return appended_; }
@@ -235,11 +256,6 @@ class BeamLogWriter
   private:
     std::ostream *os_;
     uint64_t appended_ = 0;
-    /**
-     * One line or record, reused so each is one os_->write() (a
-     * record past 64 KiB goes out in pieces of that size).
-     */
-    std::string buf_;
 };
 
 /**

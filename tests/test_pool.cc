@@ -3,19 +3,25 @@
  * Tests for the worker pool: job-count resolution (flag and
  * environment), exactly-once execution over dynamically claimed
  * grains, utilization accounting, exception propagation, and
- * forBands() over an attached build pool with its inline fallback.
+ * forBands() and forOrderedSlices() over an attached build pool
+ * with their inline fallback.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <latch>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -367,6 +373,174 @@ TEST(ForBands, BuildInsideAttachedPoolBodyRunsInline)
                               lava_ref.goldenForce().data(),
                               f.size() * sizeof(double)),
                   0);
+    }
+}
+
+/**
+ * Slices one forOrderedSlices() call emits, in emit order; each
+ * slice's bytes are its index. Every third slice formats slowly,
+ * so later slices are often ready before their turn. Fails the
+ * test if two emits overlap.
+ */
+std::vector<uint64_t>
+emittedSlices(uint64_t count)
+{
+    std::vector<uint64_t> order;
+    std::atomic<int> emitting{0};
+    forOrderedSlices(
+        count,
+        [](uint64_t index, std::string &out) {
+            EXPECT_TRUE(out.empty());
+            if (index % 3 == 0)
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(200));
+            out = std::to_string(index);
+        },
+        [&](const std::string &bytes) {
+            EXPECT_EQ(emitting.fetch_add(1), 0);
+            order.push_back(std::stoull(bytes));
+            emitting.fetch_sub(1);
+        });
+    return order;
+}
+
+std::vector<uint64_t>
+upTo(uint64_t count)
+{
+    std::vector<uint64_t> indices(count);
+    std::iota(indices.begin(), indices.end(), 0);
+    return indices;
+}
+
+TEST(ForOrderedSlices, EmitsInIndexOrder)
+{
+    EXPECT_EQ(emittedSlices(40), upTo(40));
+    EXPECT_TRUE(emittedSlices(0).empty());
+    {
+        WorkerPool serial(1);
+        ScopedBuildPool attach(serial);
+        EXPECT_EQ(emittedSlices(40), upTo(40));
+        EXPECT_EQ(serial.dispatches(), 0u);
+    }
+    WorkerPool pool(4);
+    ScopedBuildPool attach(pool);
+    EXPECT_EQ(emittedSlices(200), upTo(200));
+    EXPECT_EQ(emittedSlices(3), upTo(3));
+    EXPECT_EQ(emittedSlices(1), upTo(1));
+    // One dispatch per call with more than one slice.
+    EXPECT_EQ(pool.dispatches(), 2u);
+}
+
+TEST(ForOrderedSlices, SlowSliceDueNextDoesNotStallTheWindow)
+{
+    // While the slice due next is still being formatted, the other
+    // workers go on formatting later slices until the window of
+    // 2 * jobs buffers is full, instead of each waiting for that
+    // slice after one slice of its own. Slice 0 returns once slices
+    // 1..7 were formatted, or after a timeout that fails the test.
+    WorkerPool pool(4);
+    ScopedBuildPool attach(pool);
+    std::mutex mutex;
+    std::condition_variable formatted_more;
+    uint64_t formatted = 0;
+    bool window_filled = false;
+    std::vector<uint64_t> order;
+    forOrderedSlices(
+        40,
+        [&](uint64_t index, std::string &out) {
+            std::unique_lock<std::mutex> lock(mutex);
+            if (index == 0) {
+                window_filled = formatted_more.wait_for(
+                    lock, std::chrono::seconds(5),
+                    [&] { return formatted >= 7; });
+            } else {
+                ++formatted;
+                formatted_more.notify_all();
+            }
+            out = std::to_string(index);
+        },
+        [&](const std::string &bytes) {
+            order.push_back(std::stoull(bytes));
+        });
+    EXPECT_TRUE(window_filled);
+    EXPECT_EQ(order, upTo(40));
+}
+
+TEST(ForOrderedSlices, ExceptionStopsClaimsAndWakesWaiters)
+{
+    WorkerPool pool(4);
+    ScopedBuildPool attach(pool);
+    for (uint64_t bad : {0u, 5u, 39u}) {
+        std::vector<uint64_t> order;
+        // The failing slice formats last, so the other workers
+        // have filled the window and wait for a free buffer when
+        // it throws; a waiter left asleep would hang the test.
+        EXPECT_THROW(
+            forOrderedSlices(
+                40,
+                [&](uint64_t index, std::string &out) {
+                    if (index == bad) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(20));
+                        throw std::runtime_error("format");
+                    }
+                    out = std::to_string(index);
+                },
+                [&](const std::string &bytes) {
+                    order.push_back(std::stoull(bytes));
+                }),
+            std::runtime_error);
+        // Nothing at or after the failing slice was emitted.
+        EXPECT_EQ(order, upTo(order.size())) << "bad " << bad;
+        EXPECT_LE(order.size(), bad);
+    }
+    std::vector<uint64_t> order;
+    EXPECT_THROW(forOrderedSlices(
+                     40,
+                     [](uint64_t index, std::string &out) {
+                         out = std::to_string(index);
+                     },
+                     [&](const std::string &bytes) {
+                         if (bytes == "7")
+                             throw std::runtime_error("emit");
+                         order.push_back(std::stoull(bytes));
+                     }),
+                 std::runtime_error);
+    EXPECT_EQ(order, upTo(7));
+    // The pool serves the next call as usual.
+    EXPECT_EQ(emittedSlices(40), upTo(40));
+}
+
+TEST(ForOrderedSlices, InsidePoolBodyRunsInline)
+{
+    // As with forBands(): the thread that attached the pool is
+    // worker 0 of its dispatches, so slices formatted inside a
+    // body on it must run inline on that thread instead of
+    // dispatching again. The latch makes both workers take one
+    // grain each, so worker 0 is certain to format.
+    WorkerPool pool(2);
+    ScopedBuildPool attach(pool);
+    std::latch both_in(2);
+    std::vector<uint64_t> orders[2];
+    int foreign[2] = {0, 0};
+    pool.forDynamic(2, 1, [&](unsigned, uint64_t begin, uint64_t) {
+        both_in.arrive_and_wait();
+        const std::thread::id self = std::this_thread::get_id();
+        forOrderedSlices(
+            30,
+            [&](uint64_t index, std::string &out) {
+                foreign[begin] += std::this_thread::get_id() != self;
+                out = std::to_string(index);
+            },
+            [&](const std::string &bytes) {
+                foreign[begin] += std::this_thread::get_id() != self;
+                orders[begin].push_back(std::stoull(bytes));
+            });
+    });
+    EXPECT_EQ(pool.dispatches(), 1u);
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(orders[i], upTo(30));
+        EXPECT_EQ(foreign[i], 0);
     }
 }
 

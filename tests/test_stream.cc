@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -151,6 +152,26 @@ TEST_F(StreamTest, ZeroBatchRunsMeansOneBatch)
     EXPECT_EQ(probe.sizes, (std::vector<size_t>{10}));
 }
 
+TEST_F(StreamTest, MovingCampaignRawSourceMatchesCopying)
+{
+    CampaignRaw raw = campaign(20);
+    std::stringstream want;
+    writeBeamLog(raw, want);
+    for (uint64_t batch : {0, 1, 7, 20}) {
+        CampaignRaw taken = raw;
+        CampaignRawSource source(std::move(taken), batch);
+        ProbeSink probe;
+        CollectRawSink collect;
+        TeeRawSink tee({&probe}, &collect);
+        EXPECT_EQ(pumpRaw(source, tee), 20u);
+        EXPECT_TRUE(probe.indexOk);
+        EXPECT_EQ(probe.meta().sim.faultyRuns, raw.sim.faultyRuns);
+        std::stringstream got;
+        writeBeamLog(collect.take(), got);
+        EXPECT_EQ(got.str(), want.str()) << "batch " << batch;
+    }
+}
+
 TEST_F(StreamTest, CollectRoundTripReproducesRaw)
 {
     CampaignRaw raw = campaign(20);
@@ -260,8 +281,12 @@ TEST_F(StreamTest, IncrementalWriterMatchesWriteBeamLog)
     writer.header(raw.deviceName, raw.workloadName, raw.inputLabel,
                   raw.sim.seed, raw.runs.size(),
                   raw.sensitiveAreaAu);
-    for (const RawRun &run : raw.runs)
-        writer.append(run);
+    // Batches of uneven sizes, one of them empty.
+    std::span<const RawRun> runs(raw.runs);
+    writer.append(runs.first(4));
+    writer.append(runs.subspan(4, 0));
+    writer.append(runs.subspan(4, 1));
+    writer.append(runs.subspan(5));
     EXPECT_EQ(writer.appended(), raw.runs.size());
     EXPECT_EQ(whole.str(), incremental.str());
 }
@@ -378,6 +403,11 @@ TEST_F(StreamTest, AnalyzeCampaignStreamMatchesMaterialized)
             analyzeCampaignStream(source, acfg);
         expectSameAnalysis(whole, streamed);
     }
+    // What analyze --progress does: the loaded runs moved on in
+    // one batch.
+    CampaignRawSource moving(CampaignRaw(raw), 0);
+    expectSameAnalysis(whole,
+                       analyzeCampaignStream(moving, acfg, 7));
 }
 
 class StreamStoreTest : public StreamTest

@@ -24,6 +24,11 @@ and asserts the two claims the streaming refactor makes:
     the budget separates the two paths, so a regression that quietly
     re-materializes the campaign under --stream trips the check.
 
+The 200k-run store entry is then re-analyzed without --stream,
+plainly and with --progress: the two CSVs must be byte-identical,
+and the --progress run's peak RSS must stay within 1.1x of the plain
+one, so progress reporting never holds the loaded campaign twice.
+
 Then a second, smaller campaign (under CampaignStore's single-pass
 validate cap, so the store streams it in one parse) checks the
 warm-hit cost: a streamed store hit must cost no more than
@@ -175,6 +180,28 @@ def main(argv):
                "(materialized used %d KiB)"
                % (stream_kib, budget_mib, mat_kib))
 
+        # --- analyze --progress holds the campaign once: the same
+        # entry re-analyzed with and without --progress.
+        cache = os.path.join(sandbox, "cache")
+        entries = [e for e in os.listdir(cache)
+                   if os.path.isfile(os.path.join(cache, e))]
+        expect(len(entries) == 1,
+               "expected one store entry, found %s" % entries)
+        entry = os.path.join(cache, entries[0])
+        plain_kib = run_measured(
+            [cli, "analyze", "--log=" + entry, "--csv=plain.csv"],
+            sandbox)
+        progress_kib = run_measured(
+            [cli, "analyze", "--log=" + entry, "--progress",
+             "--csv=progress.csv"], sandbox)
+        expect(read_bytes(os.path.join(sandbox, "plain.csv")) ==
+               read_bytes(os.path.join(sandbox, "progress.csv")),
+               "analyze --progress CSV differs from plain analyze")
+        expect(progress_kib <= 1.1 * plain_kib,
+               "analyze --progress peak RSS %d KiB is more than "
+               "1.1x plain analyze's %d KiB — the loaded campaign "
+               "is held twice" % (progress_kib, plain_kib))
+
         # --- Warm-hit cost. A smaller campaign (under the store's
         # single-pass validate cap) simulated once, then loaded
         # twice from the warm cache: materialized (one raw parse)
@@ -202,9 +229,10 @@ def main(argv):
 
     print("check_stream: OK: %d runs, CSV byte-identical, peak RSS "
           "streamed %d KiB <= %d MiB budget < materialized %d KiB; "
+          "analyze --progress %d KiB vs plain %d KiB (gate 1.1x); "
           "warm hit streamed %.2f s vs raw %.2f s (gate %.1fx)"
-          % (runs, stream_kib, budget_mib, mat_kib, stream_s,
-             raw_s, warm_factor))
+          % (runs, stream_kib, budget_mib, mat_kib, progress_kib,
+             plain_kib, stream_s, raw_s, warm_factor))
     return 0
 
 

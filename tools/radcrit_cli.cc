@@ -279,12 +279,13 @@ analyzeMain(int argc, char **argv)
         volumetric = rawIsVolumetric(raw);
         if (cli.getFlag("progress")) {
             // Same analyzer, driven through the progress-aware
-            // sink; the result is byte-identical to
-            // analyzeCampaign().
-            CampaignRawSource source(raw, 0);
-            res = analyzeCampaignStream(
-                source, acfg,
-                std::max<uint64_t>(raw.runs.size() / 10, 1));
+            // sink; the source moves the loaded runs on, so the
+            // campaign is held once, and the result is
+            // byte-identical to analyzeCampaign().
+            uint64_t progress_every =
+                std::max<uint64_t>(raw.runs.size() / 10, 1);
+            CampaignRawSource source(std::move(raw), 0);
+            res = analyzeCampaignStream(source, acfg, progress_every);
         } else {
             res = analyzeCampaign(raw, acfg);
         }
@@ -401,16 +402,15 @@ main(int argc, char **argv)
     if (cli.getInt("jobs") < 0)
         fatal("--jobs must be >= 0");
     auto jobs = static_cast<unsigned>(cli.getInt("jobs"));
-    std::unique_ptr<Workload> workload;
-    {
-        // DGEMM and LavaMD split their golden output into one band
-        // per job; the campaign below runs on its own pool.
-        WorkerPool build_pool(jobs);
-        ScopedBuildPool attach(build_pool);
-        workload = buildWorkload(
-            device, workloadSpec(cli.getString("workload"),
-                                 cli.getInt("size")));
-    }
+    // Attached for the whole command: DGEMM and LavaMD split their
+    // golden output into one band per job, and the store save and
+    // --log format their beam log in ordered slices on it. The
+    // campaign itself runs on its own pool.
+    WorkerPool build_pool(jobs);
+    ScopedBuildPool attach(build_pool);
+    std::unique_ptr<Workload> workload = buildWorkload(
+        device, workloadSpec(cli.getString("workload"),
+                             cli.getInt("size")));
 
     CampaignConfig cfg = defaultCampaign(
         static_cast<uint64_t>(cli.getInt("runs")), device.name,

@@ -4,8 +4,9 @@
 # determinism, golden outputs built in bands across a pool —
 # DGEMM rows, LavaMD boxes, and CLAMR row bands at every time step,
 # which read a halo row of the shared state and write disjoint
-# rows — concurrent store access, the suite prepass, chaos
-# injection, watchdog, checkpoint/resume).
+# rows — beam logs formatted in ordered slices across a pool,
+# concurrent store access, the suite prepass, chaos injection,
+# watchdog, checkpoint/resume).
 #
 # Usage: tools/sanitize_check.sh [thread|address] [build-dir]
 #
@@ -25,7 +26,7 @@ SANITIZER="${1:-thread}"
 # which SIGKILLs and resumes a live campaign under the sanitizer.
 TARGETS=(test_pool test_engine test_jobs_precedence test_timeline
          test_chaos test_resume test_prop_chaos test_store_concurrency
-         test_suite test_golden_bands radcrit_cli)
+         test_suite test_golden_bands test_beamlog_slices radcrit_cli)
 LABELS="concurrency|chaos"
 case "$SANITIZER" in
     thread) DEFAULT_DIR=build-tsan ;;
